@@ -236,9 +236,10 @@ def _cmd_wp_eval(args) -> int:
 
 def _cmd_adjudicate(args) -> int:
     try:
+        cfg = load_config(args.config) if args.config else Config()
         fam = build_family(args.family, **_family_kwargs(args))
-        verdict = adjudicate(fam)
-    except (ValueError, TypeError, DegenerateLatticeError) as exc:
+        verdict = adjudicate(fam, order=cfg.series_order)
+    except (OSError, ValueError, TypeError, DegenerateLatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"family:  {fam.family_id}")
@@ -419,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjudicate", help="exact residual certificate")
     _add_family_flags(p, with_slot=False)
+    p.add_argument("--config", help="key=value config file")
     p.set_defaults(fn=_cmd_adjudicate)
 
     p = sub.add_parser("verify", help="pole-aware residual scan")

@@ -23,6 +23,11 @@ import configparser
 from dataclasses import dataclass, replace
 
 
+#: highest ``[series] order`` accepted: exact adjudication time grows about
+#: as order**4, so a larger order would keep the command busy for minutes
+MAX_SERIES_ORDER = 400
+
+
 @dataclass(frozen=True)
 class Config:
     tol: float = 1e-8
@@ -43,8 +48,10 @@ class Config:
             raise ValueError("pole_ceiling must be positive")
         if not (0 < self.exclusion_budget <= 1):
             raise ValueError("exclusion_budget must be in (0, 1]")
-        if self.series_order < 10:
-            raise ValueError("series order must be at least 10")
+        if not 10 <= self.series_order <= MAX_SERIES_ORDER:
+            raise ValueError(
+                f"series order must be between 10 and {MAX_SERIES_ORDER}"
+            )
 
     def override(self, **kwargs) -> "Config":
         """New Config with the non-None entries of kwargs applied."""

@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-RationalInput = "int | Fraction | RationalComplex"
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -139,11 +137,6 @@ class RationalComplex:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-RC_ZERO = RationalComplex(0)
-RC_ONE = RationalComplex(1)
-RC_I = RationalComplex(0, 1)
-
-
 def is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, RationalComplex))
 
@@ -155,7 +148,6 @@ def is_exact_scalar(x) -> bool:
 
 SQRT3: float = math.sqrt(3.0)
 CBRT4: float = 4.0 ** (1.0 / 3.0)  # principal real cube root
-IMAG_UNIT: complex = 1j
 #: cube roots of unity eta^k, k = 0, 1, 2
 ETA: tuple[complex, ...] = tuple(cmath.exp(2j * cmath.pi * k / 3) for k in range(3))
 #: fourth roots of unity zeta^k, k = 0, 1, 2, 3

@@ -6,13 +6,22 @@ truncation order: coefficients beyond it are unknown, coefficients inside the
 range are authoritative (including explicit zeros).  Arithmetic propagates the
 truncation order pessimistically, so "identically zero through order N" is a
 meaningful, certified statement.
+
+Coefficients are kept as numerators over one common denominator, as FLINT's
+``fmpq_poly`` does: coefficient k is ``(re[k] + i*im[k]) / den``.  In exact
+mode ``re`` and ``im`` are Python ints, ``den`` is a positive int and every
+result is reduced once by ``gcd(den, *re, *im)``, which makes the
+representation canonical.  In float mode the numerators are floats and
+``den`` is 1.  ``coeffs``, ``coefficient()`` and ``leading_terms()`` build
+``RationalComplex`` (exact) or ``complex`` (float) values on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add, mul, sub
 
 from .scalars import RationalComplex, is_exact_scalar
 
@@ -20,32 +29,122 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-def _zero(mode):
-    return RationalComplex(0) if mode == EXACT else 0j
+def _exact_parts(c):
+    """(re, im, den) integers with c == (re + i*im) / den and den > 0."""
+    c = RationalComplex.coerce(c)
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (
+        c.re.numerator * (den // c.re.denominator),
+        c.im.numerator * (den // c.im.denominator),
+        den,
+    )
 
 
-def _coerce_coeff(c, mode):
+def _parts(c, mode):
     if mode == EXACT:
-        return RationalComplex.coerce(c)
-    if isinstance(c, RationalComplex):
-        return c.to_complex()
-    return complex(c)
+        return _exact_parts(c)
+    z = complex(c)
+    return z.real, z.imag, 1
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, RationalComplex):
-        return c.is_zero
-    return c == 0
+def _view(mode, den, r, i):
+    if mode == EXACT:
+        return RationalComplex(Fraction(r, den), Fraction(i, den))
+    return complex(r, i)
+
+
+def _reduce(mode, den, re, im):
+    """Divide the numerators and the denominator by their common gcd."""
+    if mode == EXACT:
+        g = gcd(den, *re, *im)
+        if g > 1:
+            return den // g, tuple(x // g for x in re), tuple(x // g for x in im)
+    return den, tuple(re), tuple(im)
+
+
+def _conv(a, b, start, stop):
+    """Coefficients start .. stop-1 of the product of the sequences a and b
+    (schoolbook convolution)."""
+    if not any(a) or not any(b):
+        return [0] * (stop - start)
+    la, lb = len(a), len(b)
+    rb = b[::-1]
+    out = []
+    for k in range(start, stop):
+        i0 = max(0, k - lb + 1)
+        i1 = min(k + 1, la)
+        j = lb - 1 - k  # rb[j + i] == b[k - i]
+        out.append(sum(map(mul, a[i0:i1], rb[j + i0 : j + i1])))
+    return out
+
+
+def _cmul(ar, ai, br, bi, start, stop):
+    """Coefficients start .. stop-1 of (ar + i*ai) * (br + i*bi)."""
+    re = _conv(ar, br, start, stop)
+    im = _conv(ar, bi, start, stop)
+    if any(ai):
+        re = list(map(sub, re, _conv(ai, bi, start, stop)))
+        im = list(map(add, im, _conv(ai, br, start, stop)))
+    return re, im
+
+
+def _inverse(mode, den, re, im, n):
+    """(den, re, im) of the first n coefficients of 1/a, where
+    a = (re + i*im) / den has a nonzero constant term.
+
+    Newton doubling B <- B (2 - a B): if a B = 1 + O(w^p), the step fixes
+    coefficients p .. 2p-1 as -(B * T), T being coefficients p .. 2p-1 of a B.
+    """
+    r0, i0 = re[0], im[0]
+    if mode == EXACT:
+        bd, br, bi = r0 * r0 + i0 * i0, (den * r0,), (-den * i0,)
+    else:
+        b = den / complex(r0, i0)
+        bd, br, bi = 1, (b.real,), (b.imag,)
+    p = 1
+    while p < n:
+        q = min(2 * p, n)
+        tr, ti = _cmul(re[:q], im[:q], br, bi, p, q)  # over den * bd
+        cr, ci = _cmul(br, bi, tr, ti, 0, q - p)  # over den * bd**2
+        f = den * bd
+        bd, br, bi = _reduce(
+            mode,
+            den * bd * bd,
+            [x * f for x in br] + [-x for x in cr],
+            [x * f for x in bi] + [-x for x in ci],
+        )
+        p = q
+    return bd, br, bi
+
+
+def _normal(mode, low, high, den, re, im) -> "LaurentSeries":
+    """Series from numerators on [low, high]: checks the pole order, advances
+    past exact leading zeros (keeping the truncation order) and reduces."""
+    if low < -LaurentSeries.MAX_POLE_ORDER:
+        raise ValueError(
+            f"pole order {-low} exceeds the supported maximum "
+            f"{LaurentSeries.MAX_POLE_ORDER}"
+        )
+    if high - low + 1 != len(re):
+        raise ValueError("coefficient span does not match [low, high]")
+    lead = 0
+    while lead < len(re) and re[lead] == 0 and im[lead] == 0:
+        lead += 1
+    den, re, im = _reduce(mode, den, re[lead:], im[lead:])
+    return LaurentSeries(mode, low + lead, high, den, re, im)
 
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    """sum of coeffs[k] * w**(low + k), truncated beyond exponent ``high``."""
+    """sum of (re[k] + i*im[k]) / den * w**(low + k), truncated beyond
+    exponent ``high``."""
 
     mode: str
     low: int
     high: int
-    coeffs: tuple
+    den: int
+    re: tuple
+    im: tuple
 
     #: deepest pole representable; beyond this the dense layout and the
     #: pessimistic truncation bookkeeping stop being useful
@@ -53,53 +152,47 @@ class LaurentSeries:
 
     @staticmethod
     def make(mode, low, coeffs, high=None) -> "LaurentSeries":
-        if low < -LaurentSeries.MAX_POLE_ORDER:
-            raise ValueError(
-                f"pole order {-low} exceeds the supported maximum "
-                f"{LaurentSeries.MAX_POLE_ORDER}"
-            )
-        coeffs = [_coerce_coeff(c, mode) for c in coeffs]
+        parts = [_parts(c, mode) for c in coeffs]
         if high is None:
-            high = low + len(coeffs) - 1
-        if high - low + 1 != len(coeffs):
-            raise ValueError("coefficient span does not match [low, high]")
-        # normalize: advance past exact leading zeros, keep the truncation order
-        while coeffs and _is_zero_coeff(coeffs[0]):
-            coeffs.pop(0)
-            low += 1
-        if not coeffs:
-            low = high + 1
-        return LaurentSeries(mode, low, high, tuple(coeffs))
+            high = low + len(parts) - 1
+        den = lcm(*(d for _, _, d in parts))
+        re = [r * (den // d) for r, _, d in parts]
+        im = [i * (den // d) for _, i, d in parts]
+        return _normal(mode, low, high, den, re, im)
 
     @staticmethod
     def zero(mode, high) -> "LaurentSeries":
-        return LaurentSeries(mode, high + 1, high, ())
+        return LaurentSeries(mode, high + 1, high, 1, (), ())
 
     @staticmethod
     def constant(value, mode, high) -> "LaurentSeries":
-        return LaurentSeries.make(mode, 0, [value] + [_zero(mode)] * high, high)
+        return LaurentSeries.make(mode, 0, [value] + [0] * high, high)
 
     @staticmethod
     def identity(mode, high) -> "LaurentSeries":
         """The series of w itself."""
         if high < 1:
             raise ValueError("truncation order must be >= 1 for the identity series")
-        coeffs = [_zero(mode)] * high  # exponents 1 .. high
-        coeffs[0] = RationalComplex(1) if mode == EXACT else 1 + 0j
-        return LaurentSeries.make(mode, 1, coeffs, high)
+        return LaurentSeries.make(mode, 1, [1] + [0] * (high - 1), high)
 
     # -- inspection ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients of exponents low .. high as RationalComplex (exact)
+        or complex (float) values."""
+        return tuple(_view(self.mode, self.den, r, i) for r, i in zip(self.re, self.im))
 
     def coefficient(self, k: int):
         """Coefficient of w**k; k must not exceed the truncation order."""
         if k > self.high:
             raise ValueError(f"exponent {k} beyond truncation order {self.high}")
         if k < self.low:
-            return _zero(self.mode)
-        return self.coeffs[k - self.low]
+            return _view(self.mode, 1, 0, 0)
+        return _view(self.mode, self.den, self.re[k - self.low], self.im[k - self.low])
 
     def is_zero_through(self, order: int) -> bool:
         """True iff every coefficient with exponent <= order is exactly zero.
@@ -110,16 +203,15 @@ class LaurentSeries:
             raise ValueError(
                 f"series truncated at {self.high}, cannot certify through {order}"
             )
-        return self.is_zero or self.low > order or all(
-            _is_zero_coeff(c) for c in self.coeffs[: order - self.low + 1]
-        )
+        n = max(0, order - self.low + 1)
+        return not any(self.re[:n]) and not any(self.im[:n])
 
     def leading_terms(self, count: int = 3):
         """(exponent, coefficient) pairs of the first nonzero terms."""
         out = []
-        for k, c in enumerate(self.coeffs):
-            if not _is_zero_coeff(c):
-                out.append((self.low + k, c))
+        for k, (r, i) in enumerate(zip(self.re, self.im)):
+            if r != 0 or i != 0:
+                out.append((self.low + k, _view(self.mode, self.den, r, i)))
                 if len(out) >= count:
                     break
         return out
@@ -135,28 +227,44 @@ class LaurentSeries:
         low = min(self.low, other.low)
         if low > high:
             return LaurentSeries.zero(self.mode, high)
-        coeffs = []
-        for k in range(low, high + 1):
-            a = self.coeffs[k - self.low] if self.low <= k <= self.high else _zero(self.mode)
-            b = other.coeffs[k - other.low] if other.low <= k <= other.high else _zero(self.mode)
-            coeffs.append(a + b)
-        return LaurentSeries.make(self.mode, low, coeffs, high)
+        den = lcm(self.den, other.den)
+        re = [0] * (high - low + 1)
+        im = [0] * (high - low + 1)
+        for s in (self, other):
+            f = den // s.den
+            off = s.low - low
+            for k in range(max(0, high - s.low + 1)):
+                re[off + k] += f * s.re[k]
+                im[off + k] += f * s.im[k]
+        return _normal(self.mode, low, high, den, re, im)
 
     def __neg__(self):
-        return LaurentSeries(self.mode, self.low, self.high, tuple(-c for c in self.coeffs))
+        return LaurentSeries(
+            self.mode,
+            self.low,
+            self.high,
+            self.den,
+            tuple(-x for x in self.re),
+            tuple(-x for x in self.im),
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "LaurentSeries":
-        c = _coerce_coeff(c, self.mode)
-        if _is_zero_coeff(c):
+        cr, ci, cd = _parts(c, self.mode)
+        if cr == 0 and ci == 0:
             return LaurentSeries.zero(self.mode, self.high)
-        return LaurentSeries(self.mode, self.low, self.high, tuple(c * a for a in self.coeffs))
+        re = [cr * r - ci * i for r, i in zip(self.re, self.im)]
+        im = [cr * i + ci * r for r, i in zip(self.re, self.im)]
+        den, re, im = _reduce(self.mode, self.den * cd, re, im)
+        return LaurentSeries(self.mode, self.low, self.high, den, re, im)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by w**k."""
-        return LaurentSeries(self.mode, self.low + k, self.high + k, self.coeffs)
+        return LaurentSeries(
+            self.mode, self.low + k, self.high + k, self.den, self.re, self.im
+        )
 
     def __mul__(self, other):
         self._check(other)
@@ -169,17 +277,8 @@ class LaurentSeries:
         n = high - low + 1
         if n <= 0:
             return LaurentSeries.zero(self.mode, high)
-        out = [_zero(self.mode) for _ in range(n)]
-        for ia, a in enumerate(self.coeffs):
-            if _is_zero_coeff(a):
-                continue
-            ea = self.low + ia
-            for ib, b in enumerate(other.coeffs):
-                e = ea + other.low + ib
-                if e > high:
-                    break
-                out[e - low] = out[e - low] + a * b
-        return LaurentSeries.make(self.mode, low, out, high)
+        re, im = _cmul(self.re[:n], self.im[:n], other.re[:n], other.im[:n], 0, n)
+        return _normal(self.mode, low, high, self.den * other.den, re, im)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -195,50 +294,54 @@ class LaurentSeries:
         return out
 
     def invert(self) -> "LaurentSeries":
-        """Multiplicative inverse; requires a nonzero leading coefficient."""
+        """Multiplicative inverse; requires a nonzero leading coefficient.
+
+        For self = w**m * u the inverse is w**-m / u; u is known through
+        relative order high - m, so the inverse is valid through
+        high - 2m and has high - m + 1 trusted terms.
+        """
         if self.is_zero:
             raise ZeroDivisionError("cannot invert the zero series")
-        m = self.low
-        a = self.coeffs
-        lead = a[0]
-        if _is_zero_coeff(lead):
+        if self.re[0] == 0 and self.im[0] == 0:
             raise ZeroDivisionError("leading coefficient vanished")
-        rel_order = self.high - m  # tail length we can trust
-        inv_high = self.high - 2 * m
-        one = RationalComplex(1) if self.mode == EXACT else 1 + 0j
-        inv = [one / lead]
-        for k in range(1, rel_order + 1):
-            s = _zero(self.mode)
-            for j in range(1, k + 1):
-                aj = a[j] if j < len(a) else _zero(self.mode)
-                s = s + aj * inv[k - j]
-            inv.append(-s / lead)
-        return LaurentSeries.make(self.mode, -m, inv, inv_high)
+        m = self.low
+        den, re, im = _inverse(self.mode, self.den, self.re, self.im, self.high - m + 1)
+        return _normal(self.mode, -m, self.high - 2 * m, den, re, im)
 
     def __truediv__(self, other):
         return self * other.invert()
 
     def differentiate(self) -> "LaurentSeries":
-        coeffs = []
-        for k, c in enumerate(self.coeffs):
-            e = self.low + k
-            coeffs.append(c * e)
-        return LaurentSeries.make(self.mode, self.low - 1, coeffs, self.high - 1)
+        e = range(self.low, self.low + len(self.re))
+        return _normal(
+            self.mode,
+            self.low - 1,
+            self.high - 1,
+            self.den,
+            list(map(mul, self.re, e)),
+            list(map(mul, self.im, e)),
+        )
 
     # -- views --------------------------------------------------------------
     def to_float(self) -> "LaurentSeries":
         if self.mode == FLOAT:
             return self
+        d = self.den
         return LaurentSeries(
-            FLOAT, self.low, self.high, tuple(c.to_complex() for c in self.coeffs)
+            FLOAT,
+            self.low,
+            self.high,
+            1,
+            tuple(r / d for r in self.re),
+            tuple(i / d for i in self.im),
         )
 
     def evaluate(self, z: complex) -> complex:
         """Partial-sum evaluation (float), for small |z| cross-checks."""
         total = 0j
-        for k, c in enumerate(self.coeffs):
-            cc = c.to_complex() if isinstance(c, RationalComplex) else complex(c)
-            total += cc * z ** (self.low + k)
+        d = self.den
+        for k, (r, i) in enumerate(zip(self.re, self.im)):
+            total += complex(r / d, i / d) * z ** (self.low + k)
         return total
 
 
@@ -249,17 +352,57 @@ class LaurentSeries:
 
 def exp_series(c, order: int) -> LaurentSeries:
     """Series of exp(c*w) through w**order; exact when c is exact."""
-    mode = EXACT if is_exact_scalar(c) else FLOAT
-    cc = RationalComplex.coerce(c) if mode == EXACT else complex(c)
-    coeffs = []
-    power = RationalComplex(1) if mode == EXACT else 1 + 0j
-    for k in range(order + 1):
-        if mode == EXACT:
-            coeffs.append(power * Fraction(1, factorial(k)))
-        else:
+    if not is_exact_scalar(c):
+        cc = complex(c)
+        coeffs = []
+        power = 1 + 0j
+        for k in range(order + 1):
             coeffs.append(power / factorial(k))
-        power = power * cc
-    return LaurentSeries.make(mode, 0, coeffs, order)
+            power = power * cc
+        return LaurentSeries.make(FLOAT, 0, coeffs, order)
+    # c = (cr + i*ci)/cd, so c^k/k! = (cr + i*ci)^k * scale[k] / scale[0]
+    # over the common denominator scale[0] = order! * cd**order
+    cr, ci, cd = _exact_parts(c)
+    scale = [1] * (order + 1)
+    for k in range(order - 1, -1, -1):
+        scale[k] = scale[k + 1] * cd * (k + 1)
+    re, im = [], []
+    pr, pi = 1, 0
+    for s in scale:
+        re.append(pr * s)
+        im.append(pi * s)
+        pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
+    return _normal(EXACT, 0, order, scale[0], re, im)
+
+
+def _wp_tail(g2, g3, kmax: int):
+    """(den, re, im): numerators of the exact c_k of ``wp_coefficients`` for
+    k = 0 .. kmax (c_0 = c_1 = 0) over one common denominator."""
+    r2, i2, d2 = _exact_parts(g2)
+    r3, i3, d3 = _exact_parts(g3)
+    den = lcm(20 * d2, 28 * d3)
+    re = [0] * (kmax + 1)
+    im = [0] * (kmax + 1)
+    f2, f3 = den // (20 * d2), den // (28 * d3)
+    re[2], im[2], re[3], im[3] = r2 * f2, i2 * f2, r3 * f3, i3 * f3
+    for k in range(4, kmax + 1):
+        # c_k = 3 S / ((2k+1)(k-3) den^2), S = sum_{j=2}^{k-2} n_j n_{k-j};
+        # S's imaginary part doubles one cross sum, by symmetry in j <-> k-j
+        a, b = slice(2, k - 1), slice(k - 2, 1, -1)
+        sr = 3 * (sum(map(mul, re[a], re[b])) - sum(map(mul, im[a], im[b])))
+        si = 6 * sum(map(mul, re[a], im[b]))
+        kd = (2 * k + 1) * (k - 3) * den * den
+        g = gcd(sr, si, kd)
+        sr, si, kd = sr // g, si // g, kd // g
+        new = lcm(den, kd)
+        if new != den:
+            f = new // den
+            re = [x * f for x in re]
+            im = [x * f for x in im]
+            den = new
+        f = den // kd
+        re[k], im[k] = sr * f, si * f
+    return den, re, im
 
 
 def wp_coefficients(g2, g3, kmax: int):
@@ -268,25 +411,17 @@ def wp_coefficients(g2, g3, kmax: int):
     c_2 = g2/20, c_3 = g3/28 and the classical quadratic recurrence
     c_k = 3/((2k+1)(k-3)) * sum_{j=2}^{k-2} c_j c_{k-j} for k >= 4.
     """
-    exact = is_exact_scalar(g2) and is_exact_scalar(g3)
-    if exact:
-        g2 = RationalComplex.coerce(g2)
-        g3 = RationalComplex.coerce(g3)
-        c = {2: g2 * Fraction(1, 20), 3: g3 * Fraction(1, 28)}
-        for k in range(4, kmax + 1):
-            s = RationalComplex(0)
-            for j in range(2, k - 1):
-                s = s + c[j] * c[k - j]
-            c[k] = s * Fraction(3, (2 * k + 1) * (k - 3))
-    else:
-        g2 = complex(g2)
-        g3 = complex(g3)
-        c = {2: g2 / 20.0, 3: g3 / 28.0}
-        for k in range(4, kmax + 1):
-            s = 0j
-            for j in range(2, k - 1):
-                s += c[j] * c[k - j]
-            c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
+    if is_exact_scalar(g2) and is_exact_scalar(g3):
+        den, re, im = _wp_tail(g2, g3, max(kmax, 3))
+        return {k: _view(EXACT, den, re[k], im[k]) for k in range(2, max(kmax, 3) + 1)}
+    g2 = complex(g2)
+    g3 = complex(g3)
+    c = {2: g2 / 20.0, 3: g3 / 28.0}
+    for k in range(4, kmax + 1):
+        s = 0j
+        for j in range(2, k - 1):
+            s += c[j] * c[k - j]
+        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
     return c
 
 
@@ -295,18 +430,23 @@ def wp_series(g2, g3, order: int = 40) -> LaurentSeries:
     valid through w**order.  Exact mode when both invariants are exact."""
     if order < 4:
         raise ValueError("truncation order must be >= 4")
-    exact = is_exact_scalar(g2) and is_exact_scalar(g3)
-    mode = EXACT if exact else FLOAT
     kmax = (order + 2) // 2  # exponent 2k-2 <= order
-    c = wp_coefficients(g2, g3, max(kmax, 3))
-    coeffs = [_zero(mode)] * (order + 2 + 1)  # exponents -2 .. order
-    one = RationalComplex(1) if exact else 1 + 0j
-    coeffs[0] = one  # w^-2
-    for k in range(2, kmax + 1):
-        e = 2 * k - 2
-        if e <= order:
-            coeffs[e + 2] = c[k]
-    return LaurentSeries.make(mode, -2, coeffs, order)
+    if is_exact_scalar(g2) and is_exact_scalar(g3):
+        mode = EXACT
+        den, cre, cim = _wp_tail(g2, g3, kmax)
+    else:
+        mode = FLOAT
+        c = wp_coefficients(g2, g3, kmax)
+        den = 1
+        cre = [0, 0] + [c[k].real for k in range(2, kmax + 1)]
+        cim = [0, 0] + [c[k].imag for k in range(2, kmax + 1)]
+    # exponents -2 .. order; c_k sits at exponent 2k-2, index 2k
+    re = [0] * (order + 3)
+    im = [0] * (order + 3)
+    re[0] = den  # w^-2
+    re[4 : 2 * kmax + 1 : 2] = cre[2:]
+    im[4 : 2 * kmax + 1 : 2] = cim[2:]
+    return _normal(mode, -2, order, den, re, im)
 
 
 def ode_residual_series(g2, g3, order: int = 40) -> LaurentSeries:

@@ -48,6 +48,11 @@ from .wp import engine_for, invariants_from_tau, second_derivative_constant
 # scatter across the cancellation basin of radius ~ (eps * scale)^(1/k).
 _CANCELLATION_MERGE_RADIUS = 2.5e-4
 
+#: most grid points a window may ask for (about 6x the 401 x 401 grid of a
+#: dense scan); beyond it a scan would exhaust memory or time, so the window
+#: is refused up front
+MAX_GRID_POINTS = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Windows and grids.
@@ -67,12 +72,21 @@ class ScanWindow:
     soft_exclusion: float = 0.05
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max, self.grid_density)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("window bounds and grid density must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("window must have positive extent")
         if self.grid_density < 4:
             raise ValueError("grid density must be at least 4 points per unit")
         if self.soft_exclusion <= 0:
             raise ValueError("soft exclusion must be positive")
+        n_re, n_im = self.axis_counts()
+        if n_re * n_im > MAX_GRID_POINTS:
+            raise ValueError(
+                f"window needs {n_re} x {n_im} grid points, more than the "
+                f"limit of {MAX_GRID_POINTS}"
+            )
 
     @property
     def width(self) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -462,14 +463,22 @@ class WeierstrassEngine:
         return _ladder_eval(z, self._g2, self._coeffs, depth)
 
 
-_ENGINE_CACHE: dict = {}
+#: engines kept by ``engine_for``; the least recently used one is evicted
+#: beyond this many
+ENGINE_CACHE_CAPACITY = 64
+_ENGINE_CACHE: OrderedDict = OrderedDict()
 
 
 def engine_for(inv: Invariants, series_order: int = 40) -> WeierstrassEngine:
-    """Shared engine per invariant pair (engines are immutable)."""
+    """Shared engine per invariant pair (engines are immutable), from a
+    least-recently-used cache of ``ENGINE_CACHE_CAPACITY`` engines."""
     key = (inv.key, series_order)
     eng = _ENGINE_CACHE.get(key)
     if eng is None:
         eng = WeierstrassEngine(inv, series_order=series_order)
         _ENGINE_CACHE[key] = eng
+        if len(_ENGINE_CACHE) > ENGINE_CACHE_CAPACITY:
+            _ENGINE_CACHE.popitem(last=False)
+    else:
+        _ENGINE_CACHE.move_to_end(key)
     return eng

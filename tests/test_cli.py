@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from fermatlab import cli
 from fermatlab.cli import main
+from fermatlab.families import adjudicate
 
 # exit-code contract:
 #   0 success / PASS / ZERO
@@ -151,6 +153,35 @@ def test_adjudicate_cubic_tau(capsys):
     assert "ZERO" in out
 
 
+def test_adjudicate_config_series_order(capsys, tmp_path, monkeypatch):
+    orders = []
+
+    def spy(fam, order=40):
+        orders.append(order)
+        return adjudicate(fam, order=order)
+
+    monkeypatch.setattr(cli, "adjudicate", spy)
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("[series]\norder = 120\n")
+    code, out, _ = run_cli(
+        ["adjudicate", "--family", "quadratic", "--sign", "minus", "--config", str(cfg)],
+        capsys,
+    )
+    assert code == 1
+    assert orders == [120]
+    assert "leading series terms: w^1: -20/3, w^2: 100/9, w^3: -40/9, w^4: 100/27" in out
+
+
+def test_adjudicate_bad_series_order(capsys, tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("[series]\norder = 5\n")
+    code, _, err = run_cli(
+        ["adjudicate", "--family", "unit-unit", "--config", str(cfg)], capsys
+    )
+    assert code == 2
+    assert "series order" in err
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -257,6 +288,15 @@ def test_verify_bad_window(capsys):
         ["verify", "--family", "case2", "--window", "1,2,3"], capsys
     )
     assert code == 2
+
+
+def test_verify_refuses_grid_over_budget(capsys):
+    code, _, err = run_cli(
+        ["verify", "--family", "case2", "--window=-1,1,-1,1", "--density", "100000"],
+        capsys,
+    )
+    assert code == 2
+    assert "grid points" in err
 
 
 # -- zeros -------------------------------------------------------------------

@@ -194,6 +194,7 @@ def test_config_override_skips_none():
         {"pole_ceiling": 0.0},
         {"exclusion_budget": 1.5},
         {"series_order": 5},
+        {"series_order": 100_000},
     ],
 )
 def test_config_validation(kwargs):

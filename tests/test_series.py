@@ -3,11 +3,13 @@ elliptic-function expansions built on top of them."""
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlab.families import adjudicate, build_family
 from fermatlab.scalars import RationalComplex
 from fermatlab.series import (
     EXACT,
@@ -134,6 +136,110 @@ def test_power_matches_repeated_multiplication():
         s ** Fraction(1, 2)
 
 
+# -- the numerator representation against a schoolbook Fraction reference ---
+#
+# A reference series is (high, {exponent: (re, im)}) with Fraction parts and
+# only nonzero coefficients stored; its low is the smallest stored exponent.
+
+ZERO = (Fraction(0), Fraction(0))
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _cinv(x):
+    d = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / d, -x[1] / d)
+
+
+def _ref_low(ref):
+    high, c = ref
+    return min(c, default=high + 1)
+
+
+def _ref(high, items):
+    return high, {k: v for k, v in items if v != ZERO and k <= high}
+
+
+def _ref_add(a, b):
+    high = min(a[0], b[0])
+    keys = set(a[1]) | set(b[1])
+    return _ref(high, ((k, _cadd(a[1].get(k, ZERO), b[1].get(k, ZERO))) for k in keys))
+
+
+def _ref_mul(a, b):
+    high = min(a[0] + _ref_low(b), b[0] + _ref_low(a))
+    out = {}
+    for i, x in a[1].items():
+        for j, y in b[1].items():
+            out[i + j] = _cadd(out.get(i + j, ZERO), _cmul(x, y))
+    return _ref(high, out.items())
+
+
+def _ref_invert(a):
+    m = _ref_low(a)
+    coeff = [a[1].get(m + j, ZERO) for j in range(a[0] - m + 1)]
+    inv = [_cinv(coeff[0])]
+    for k in range(1, len(coeff)):
+        s = ZERO
+        for j in range(1, k + 1):
+            s = _cadd(s, _cmul(coeff[j], inv[k - j]))
+        inv.append(_cmul((-s[0], -s[1]), inv[0]))
+    return _ref(a[0] - 2 * m, ((k - m, v) for k, v in enumerate(inv)))
+
+
+def _ref_differentiate(a):
+    return _ref(a[0] - 1, ((k - 1, (k * v[0], k * v[1])) for k, v in a[1].items()))
+
+
+def _assert_matches(s, ref):
+    high, c = ref
+    assert (s.low, s.high) == (_ref_low(ref), high)
+    assert s.den > 0 and gcd(s.den, *s.re, *s.im) == 1  # reduced once, canonical
+    for k in range(s.low, high + 1):
+        assert s.coefficient(k) == RationalComplex(*c.get(k, ZERO))
+
+
+gaussian = st.one_of(st.just(ZERO), st.tuples(small_rationals, small_rationals))
+
+
+@st.composite
+def raw_series(draw):
+    """(series, reference) with a pole or not, leading zeros and its own
+    truncation order."""
+    low = draw(st.integers(min_value=-3, max_value=2))
+    high = low + draw(st.integers(min_value=0, max_value=9))
+    coeffs = [ZERO] * draw(st.integers(min_value=0, max_value=2))
+    coeffs += draw(st.lists(gaussian, min_size=1, max_size=10))
+    coeffs = (coeffs + [ZERO] * (high - low + 1))[: high - low + 1]
+    s = LaurentSeries.make(EXACT, low, [RationalComplex(*c) for c in coeffs], high)
+    return s, _ref(high, ((low + k, c) for k, c in enumerate(coeffs)))
+
+
+@given(raw_series(), raw_series())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_fraction_reference(a, b):
+    (sa, ra), (sb, rb) = a, b
+    _assert_matches(sa, ra)
+    _assert_matches(sa * sb, _ref_mul(ra, rb))
+    _assert_matches(sa + sb, _ref_add(ra, rb))
+    _assert_matches(sa.differentiate(), _ref_differentiate(ra))
+    if not sa.is_zero:
+        _assert_matches(sa.invert(), _ref_invert(ra))
+
+
+def test_quadratic_minus_leading_terms_do_not_depend_on_order():
+    fam = build_family("quadratic", rho=Fraction(5, 4), sign="minus")
+    want = [[1, "-20/3"], [2, "100/9"], [3, "-40/9"], [4, "100/27"]]
+    assert adjudicate(fam, order=40).series_leading == want
+    assert adjudicate(fam, order=120).series_leading == want
+
+
 # -- exponential series ------------------------------------------------------
 
 
@@ -200,6 +306,13 @@ def test_order_guards():
 def test_ode_residual_vanishes_for_honest_invariants(g2, g3):
     res = ode_residual_series(g2, g3, 40)
     assert res.is_zero_through(res.high)
+
+
+def test_ode_residual_vanishes_for_gaussian_invariants():
+    g2 = RationalComplex(Fraction(1, 3), Fraction(-2, 5))
+    g3 = RationalComplex(Fraction(-3, 4), Fraction(7, 2))
+    res = ode_residual_series(g2, g3, 80)
+    assert res.high >= 80 and res.is_zero_through(80)
 
 
 def test_ode_residual_detects_corruption():

@@ -62,11 +62,20 @@ def test_window_density_controls_grid():
         {"im_min": 2, "im_max": 2},
         {"grid_density": 2},
         {"soft_exclusion": 0.0},
+        {"grid_density": 1e5},
+        {"grid_density": float("inf")},
     ],
 )
 def test_window_validation(kwargs):
     with pytest.raises(ValueError):
         ScanWindow(**kwargs)
+
+
+def test_window_point_budget_admits_dense_scans():
+    # the 401 x 401 dense scan fits; 1001 x 1001 is over the budget
+    assert ScanWindow(-2, 2, -2, 2, grid_density=100).axis_counts() == (401, 401)
+    with pytest.raises(ValueError, match="grid points"):
+        ScanWindow(-2, 2, -2, 2, grid_density=250)
 
 
 def test_window_contains_and_boundary_distance():

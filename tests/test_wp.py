@@ -4,6 +4,7 @@ the reduction-based evaluation engine."""
 import cmath
 import math
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlab import wp
 from fermatlab.errors import DegenerateLatticeError, PoleProximityError
 from fermatlab.scalars import RationalComplex
 from fermatlab.series import wp_series
@@ -170,6 +172,20 @@ def eng01():
 
 def test_engine_cache_returns_same_object(eng01):
     assert engine_for(Invariants(0, 1)) is eng01
+
+
+def test_engine_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(wp, "_ENGINE_CACHE", OrderedDict())
+    # g2 >= 4 keeps every pair away from the degenerate g2^3 = 27 g3^2
+    invs = [Invariants(k + 4, 1) for k in range(wp.ENGINE_CACHE_CAPACITY + 1)]
+    first, second = engine_for(invs[0]), engine_for(invs[1])
+    for inv in invs[2:-1]:
+        engine_for(inv)
+    assert engine_for(invs[0]) is first  # the hit makes invs[0] the most recent
+    engine_for(invs[-1])  # one engine too many evicts the oldest, invs[1]
+    assert len(wp._ENGINE_CACHE) == wp.ENGINE_CACHE_CAPACITY
+    assert engine_for(invs[0]) is first
+    assert engine_for(invs[1]) is not second
 
 
 def test_engine_matches_series_near_origin(eng01):
