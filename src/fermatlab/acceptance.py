@@ -20,17 +20,20 @@ import numpy as np
 
 from . import __version__
 from .exprs import differentiate
-from .families import adjudicate, build_family
+from .families import (
+    adjudicate,
+    build_family,
+    diagnostic_h1,
+    diagnostic_h2,
+    second_derivative_offset_scan,
+)
 from .reports import canonical_json, points_csv, scan_payload
 from .scalars import RationalComplex
 from .series import ode_residual_series
 from .verify import (
     ScanWindow,
     derivative_identity_scan,
-    diagnostic_h1,
-    diagnostic_h2,
     residual_scan,
-    second_derivative_offset_scan,
     zero_scan,
     zero_set_compare,
 )

@@ -21,9 +21,7 @@ exact rationals use a slash ("5/4", "-1/3+2/5i").  Windows are
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .config import Config, load_config
@@ -36,7 +34,7 @@ from .errors import (
 from .exprs import differentiate
 from .families import FAMILY_IDS, adjudicate, build_family
 from .reports import canonical_json, format_float, scan_payload, write_csv, write_json
-from .scalars import RationalComplex
+from .scalars import parse_complex
 from .verify import (
     ScanWindow,
     derivative_identity_scan,
@@ -51,51 +49,6 @@ from .wp import (
     invariants_from_case,
     invariants_from_tau,
 )
-
-_NUM = r"(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-# either "a" / "a+bi" / "a-bi", or a pure-imaginary "bi" / "+i" / "-2/3i"
-_COMPLEX_RE = re.compile(
-    rf"^(?P<re>[+-]?{_NUM})(?P<im1>[+-](?:{_NUM})?i)?$"
-    rf"|^(?P<im2>[+-]?(?:{_NUM})?i)$"
-)
-
-
-def _part_value(text: str):
-    """One signed real token -> Fraction (exact forms) or float."""
-    if "/" in text:
-        return Fraction(text)
-    if re.fullmatch(r"[+-]?\d+", text):
-        return Fraction(int(text))
-    return float(text)
-
-
-def parse_complex(text: str):
-    """Parse "a+bi" (no spaces) into an exact scalar (Fraction or Gaussian
-    rational) when both parts are integers or p/q fractions, else a complex
-    float."""
-    s = text.strip()
-    m = _COMPLEX_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse complex number {text!r}")
-    re_part = m.group("re")
-    im_part = m.group("im1") or m.group("im2")
-    re_val = _part_value(re_part) if re_part is not None else Fraction(0)
-    if im_part is None:
-        im_val = Fraction(0)
-    else:
-        body = im_part[:-1]  # strip the trailing i
-        if body in ("", "+"):
-            im_val = Fraction(1)
-        elif body == "-":
-            im_val = Fraction(-1)
-        else:
-            im_val = _part_value(body)
-    if isinstance(re_val, Fraction) and isinstance(im_val, Fraction):
-        if im_val == 0:
-            return re_val
-        return RationalComplex(re_val, im_val)
-    return complex(float(re_val), float(im_val))
-
 
 def parse_window(text: str, density=None, soft=None) -> ScanWindow:
     parts = text.split(",")

@@ -10,19 +10,19 @@ pole-aware scanners rely on.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
-
-from .scalars import RationalComplex
-
-
-def _const_value(v) -> complex:
-    if isinstance(v, RationalComplex):
-        return v.to_complex()
-    return complex(v)
 
 
 class Expr:
     """Base node; build trees with ordinary operators."""
+
+    __slots__ = ()
+
+    def children(self) -> tuple:
+        """The node's direct subtrees, in evaluation order."""
+        return ()
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -65,7 +65,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = _const_value(value)
+        self.value = complex(value)
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -82,76 +82,75 @@ class Var(Expr):
 W = Var()
 
 
-class Exp(Expr):
-    __slots__ = ("arg",)
+class Atom(Expr):
+    """A function of one argument subtree: exp, or wp / wp' of an engine."""
+
+    __slots__ = ("engine", "arg")
+    symbol = ""
+
+    def __init__(self, engine, arg):
+        self.engine = engine
+        self.arg = as_expr(arg)
+
+    def children(self) -> tuple:
+        return (self.arg,)
+
+    def __repr__(self):
+        return f"{self.symbol}({self.arg!r})"
+
+
+class Exp(Atom):
+    __slots__ = ()
+    symbol = "exp"
 
     def __init__(self, arg):
-        self.arg = as_expr(arg)
-
-    def __repr__(self):
-        return f"exp({self.arg!r})"
+        super().__init__(None, arg)
 
 
-class Wp(Expr):
-    __slots__ = ("engine", "arg")
-
-    def __init__(self, engine, arg):
-        self.engine = engine
-        self.arg = as_expr(arg)
-
-    def __repr__(self):
-        return f"wp({self.arg!r})"
+class Wp(Atom):
+    __slots__ = ()
+    symbol = "wp"
 
 
-class WpPrime(Expr):
-    __slots__ = ("engine", "arg")
-
-    def __init__(self, engine, arg):
-        self.engine = engine
-        self.arg = as_expr(arg)
-
-    def __repr__(self):
-        return f"wp'({self.arg!r})"
+class WpPrime(Atom):
+    __slots__ = ()
+    symbol = "wp'"
 
 
-class Add(Expr):
+class BinOp(Expr):
+    """lhs <symbol> rhs, evaluated as ``op(lhs, rhs)``."""
+
     __slots__ = ("lhs", "rhs")
+    symbol = ""
 
     def __init__(self, lhs, rhs):
         self.lhs, self.rhs = lhs, rhs
 
-    def __repr__(self):
-        return f"({self.lhs!r} + {self.rhs!r})"
-
-
-class Sub(Expr):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        self.lhs, self.rhs = lhs, rhs
+    def children(self) -> tuple:
+        return (self.lhs, self.rhs)
 
     def __repr__(self):
-        return f"({self.lhs!r} - {self.rhs!r})"
+        return f"({self.lhs!r} {self.symbol} {self.rhs!r})"
 
 
-class Mul(Expr):
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs):
-        self.lhs, self.rhs = lhs, rhs
-
-    def __repr__(self):
-        return f"({self.lhs!r} * {self.rhs!r})"
+class Add(BinOp):
+    __slots__ = ()
+    symbol, op = "+", operator.add
 
 
-class Div(Expr):
-    __slots__ = ("lhs", "rhs")
+class Sub(BinOp):
+    __slots__ = ()
+    symbol, op = "-", operator.sub
 
-    def __init__(self, lhs, rhs):
-        self.lhs, self.rhs = lhs, rhs
 
-    def __repr__(self):
-        return f"({self.lhs!r} / {self.rhs!r})"
+class Mul(BinOp):
+    __slots__ = ()
+    symbol, op = "*", operator.mul
+
+
+class Div(BinOp):
+    __slots__ = ()
+    symbol, op = "/", operator.truediv
 
 
 class Pow(Expr):
@@ -162,6 +161,9 @@ class Pow(Expr):
     def __init__(self, base, k: int):
         self.base = base
         self.k = k
+
+    def children(self) -> tuple:
+        return (self.base,)
 
     def __repr__(self):
         return f"({self.base!r} ** {self.k})"
@@ -182,6 +184,16 @@ def make_pow(base: Expr, k) -> Expr:
     return Pow(base, k)
 
 
+def walk(e: Expr):
+    """Every node of the tree in preorder; a shared subtree is visited once
+    per occurrence."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation.
 # ---------------------------------------------------------------------------
@@ -192,28 +204,19 @@ def _eval(e: Expr, z, cache: dict):
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if isinstance(e, Const):
+    if isinstance(e, BinOp):
+        out = e.op(_eval(e.lhs, z, cache), _eval(e.rhs, z, cache))
+    elif isinstance(e, Const):
         out = e.value
     elif isinstance(e, Var):
         out = z
     elif isinstance(e, Exp):
         out = np.exp(_eval(e.arg, z, cache))
-    elif isinstance(e, (Wp, WpPrime)):
+    elif isinstance(e, Atom):
         trip = _wp_triple(e.engine, e.arg, z, cache)
         out = trip[0] if isinstance(e, Wp) else trip[1]
-    elif isinstance(e, Add):
-        out = _eval(e.lhs, z, cache) + _eval(e.rhs, z, cache)
-    elif isinstance(e, Sub):
-        out = _eval(e.lhs, z, cache) - _eval(e.rhs, z, cache)
-    elif isinstance(e, Mul):
-        out = _eval(e.lhs, z, cache) * _eval(e.rhs, z, cache)
-    elif isinstance(e, Div):
-        den = _eval(e.rhs, z, cache)
-        out = _eval(e.lhs, z, cache) / den
-    elif isinstance(e, Pow):
-        out = _eval(e.base, z, cache) ** e.k
     else:
-        raise TypeError(f"unknown node {e!r}")
+        out = _eval(e.base, z, cache) ** e.k
     cache[key] = out
     return out
 
@@ -270,32 +273,26 @@ def differentiate(e: Expr) -> Expr:
         return Const(0)
     if isinstance(e, Var):
         return ONE
-    if isinstance(e, Exp):
-        return Mul(e, differentiate(e.arg))
-    if isinstance(e, Wp):
-        return Mul(WpPrime(e.engine, e.arg), differentiate(e.arg))
-    if isinstance(e, WpPrime):
-        # second derivative of wp: 6 wp^2 - g2/2
-        g2 = e.engine.invariants.g2c
-        second = Sub(Mul(Const(6), Pow(Wp(e.engine, e.arg), 2)), Const(g2 / 2.0))
-        return Mul(second, differentiate(e.arg))
-    if isinstance(e, Add):
-        return Add(differentiate(e.lhs), differentiate(e.rhs))
-    if isinstance(e, Sub):
-        return Sub(differentiate(e.lhs), differentiate(e.rhs))
-    if isinstance(e, Mul):
-        return Add(
-            Mul(differentiate(e.lhs), e.rhs), Mul(e.lhs, differentiate(e.rhs))
-        )
-    if isinstance(e, Div):
-        num = Sub(
-            Mul(differentiate(e.lhs), e.rhs), Mul(e.lhs, differentiate(e.rhs))
-        )
-        return Div(num, Pow(e.rhs, 2))
+    if isinstance(e, Atom):
+        if isinstance(e, Exp):
+            outer = e
+        elif isinstance(e, Wp):
+            outer = WpPrime(e.engine, e.arg)
+        else:
+            # second derivative of wp: 6 wp^2 - g2/2
+            g2 = e.engine.invariants.g2c
+            outer = Sub(Mul(Const(6), Pow(Wp(e.engine, e.arg), 2)), Const(g2 / 2.0))
+        return Mul(outer, differentiate(e.arg))
     if isinstance(e, Pow):
         inner = Mul(Const(e.k), make_pow(e.base, e.k - 1))
         return Mul(inner, differentiate(e.base))
-    raise TypeError(f"unknown node {e!r}")
+    if isinstance(e, (Add, Sub)):
+        return type(e)(differentiate(e.lhs), differentiate(e.rhs))
+    left = Mul(differentiate(e.lhs), e.rhs)
+    right = Mul(e.lhs, differentiate(e.rhs))
+    if isinstance(e, Mul):
+        return Add(left, right)
+    return Div(Sub(left, right), Pow(e.rhs, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -305,50 +302,12 @@ def differentiate(e: Expr) -> Expr:
 
 def denominators(e: Expr) -> list[Expr]:
     """Every denominator subtree, in deterministic (preorder) order."""
-    out: list[Expr] = []
-
-    def walk(node: Expr):
-        if isinstance(node, (Const, Var)):
-            return
-        if isinstance(node, (Exp, Wp, WpPrime)):
-            walk(node.arg)
-            return
-        if isinstance(node, Div):
-            out.append(node.rhs)
-            walk(node.lhs)
-            walk(node.rhs)
-            return
-        if isinstance(node, Pow):
-            walk(node.base)
-            return
-        walk(node.lhs)
-        walk(node.rhs)
-
-    walk(e)
-    return out
+    return [node.rhs for node in walk(e) if isinstance(node, Div)]
 
 
 def wp_nodes(e: Expr) -> list[Expr]:
     """Every wp / wp' node (for pole-magnitude exclusion in scans)."""
-    out: list[Expr] = []
-
-    def walk(node: Expr):
-        if isinstance(node, (Wp, WpPrime)):
-            out.append(node)
-            walk(node.arg)
-            return
-        if isinstance(node, Exp):
-            walk(node.arg)
-            return
-        if isinstance(node, Pow):
-            walk(node.base)
-            return
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            walk(node.lhs)
-            walk(node.rhs)
-
-    walk(e)
-    return out
+    return [node for node in walk(e) if isinstance(node, (Wp, WpPrime))]
 
 
 def as_fraction(e: Expr) -> tuple[Expr, Expr]:
@@ -357,29 +316,20 @@ def as_fraction(e: Expr) -> tuple[Expr, Expr]:
     exp / wp / wp' nodes are treated as atoms: the result is exact as an
     identity of meromorphic functions away from the atoms' own poles.
     """
-    if isinstance(e, (Const, Var, Exp, Wp, WpPrime)):
+    if isinstance(e, (Const, Var, Atom)):
         return e, ONE
-    if isinstance(e, Add) or isinstance(e, Sub):
-        an, ad = as_fraction(e.lhs)
-        bn, bd = as_fraction(e.rhs)
-        left = _mul(an, bd)
-        right = _mul(bn, ad)
-        num = Add(left, right) if isinstance(e, Add) else Sub(left, right)
-        return num, _mul(ad, bd)
-    if isinstance(e, Mul):
-        an, ad = as_fraction(e.lhs)
-        bn, bd = as_fraction(e.rhs)
-        return _mul(an, bn), _mul(ad, bd)
-    if isinstance(e, Div):
-        an, ad = as_fraction(e.lhs)
-        bn, bd = as_fraction(e.rhs)
-        return _mul(an, bd), _mul(ad, bn)
     if isinstance(e, Pow):
         bn, bd = as_fraction(e.base)
         num = bn if bn is ONE else Pow(bn, e.k)
         den = bd if bd is ONE else Pow(bd, e.k)
         return num, den
-    raise TypeError(f"unknown node {e!r}")
+    an, ad = as_fraction(e.lhs)
+    bn, bd = as_fraction(e.rhs)
+    if isinstance(e, (Add, Sub)):
+        return type(e)(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd)
+    if isinstance(e, Mul):
+        return _mul(an, bn), _mul(ad, bd)
+    return _mul(an, bd), _mul(ad, bn)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:

@@ -16,9 +16,12 @@ Q(i) alone.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import DegenerateLatticeError
 from .exprs import (
@@ -52,6 +55,7 @@ from .wp import (
     engine_for,
     invariants_from_case,
     invariants_from_tau,
+    second_derivative_constant,
     tau_cubic_coefficients,
     tau_is_degenerate,
 )
@@ -598,6 +602,145 @@ def build_cubic(tau, beta: Optional[Expr] = None) -> SolutionFamily:
         g=g,
         params=FamilyParams(tau=tau, slot=_slot_label(beta)),
         exact_residual=recipe,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Numeric diagnostics of the cubic family on its engine.
+# ---------------------------------------------------------------------------
+
+#: radius and node count of the near-origin circle of the limit diagnostics
+_LIMIT_RADIUS = 1e-2
+_LIMIT_POINTS = 64
+_UNIT_CIRCLE = np.exp(1j * (2.0 * math.pi * np.arange(_LIMIT_POINTS) / _LIMIT_POINTS))
+#: grid points per axis and edge margin of the H1 cell scan
+_CELL_POINTS_PER_AXIS = 60
+_CELL_MARGIN = 0.08
+#: sample count, finite-difference step, sampling seed and edge margin of
+#: the second-derivative offset scan
+_OFFSET_POINTS = 50
+_OFFSET_FD_STEP = 4e-3
+_OFFSET_SEED = 20260825
+_OFFSET_MARGIN = 0.2
+
+
+@dataclass(frozen=True)
+class LimitReport:
+    label: str
+    target_re: float
+    target_im: float
+    max_dev: float
+    radius: float
+    n_points: int
+
+    def to_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "target_re": self.target_re,
+            "target_im": self.target_im,
+            "max_dev": self.max_dev,
+            "radius": self.radius,
+            "points": self.n_points,
+        }
+
+
+def _h1(tau, eng, p):
+    """H1 = 4 wp^3 + k wp + l - 9(-tau 4^(1/3) wp + 12 + 3 tau^3)^2 at wp
+    values p, where 4 wp^3 + k wp + l = wp'^2 gives k = -g2 and l = -g3."""
+    tc = complex(tau)
+    k, l = -eng.invariants.g2c, -eng.invariants.g3c
+    return 4.0 * p**3 + k * p + l - 9.0 * (-tc * CBRT4 * p + 12.0 + 3.0 * tc**3) ** 2
+
+
+def diagnostic_h1(tau, radius: float = _LIMIT_RADIUS) -> LimitReport:
+    """Near-origin ratio of H1 (see ``_h1``) to wp^3; approaches 4."""
+    eng = engine_for(invariants_from_tau(tau))
+    p, _, _, _ = eng.eval(radius * _UNIT_CIRCLE)
+    h1 = _h1(tau, eng, p)
+    return LimitReport(
+        "h1/wp^3", 4.0, 0.0, float(np.max(np.abs(h1 / p**3 - 4.0))), radius,
+        _LIMIT_POINTS,
+    )
+
+
+def diagnostic_h2(tau) -> LimitReport:
+    """Near-origin ratio of
+    [{c wp'^2 - (c wp + 9 tau^2) wp''}^2 - {36 c (tau^3 + 1) wp'}^2] to wp^6,
+    c = 4^(1/3); approaches 4 c^2."""
+    tc = complex(tau)
+    eng = engine_for(invariants_from_tau(tau))
+    p, pp, ppp, _ = eng.eval(_LIMIT_RADIUS * _UNIT_CIRCLE)
+    c = CBRT4
+    bracket = c * pp**2 - (c * p + 9.0 * tc**2) * ppp
+    h2 = bracket**2 - (36.0 * c * (tc**3 + 1.0) * pp) ** 2
+    target = 4.0 * c * c
+    return LimitReport(
+        "h2/wp^6", target, 0.0, float(np.max(np.abs(h2 / p**6 - target))),
+        _LIMIT_RADIUS, _LIMIT_POINTS,
+    )
+
+
+def h1_cell_min_modulus(tau) -> float:
+    """Minimum |H1| over the interior of the fundamental cell (poles excluded
+    by the margin); positive values support the never-vanishing behavior."""
+    eng = engine_for(invariants_from_tau(tau))
+    t = np.linspace(_CELL_MARGIN, 1.0 - _CELL_MARGIN, _CELL_POINTS_PER_AXIS)
+    x, y = np.meshgrid(t, t)
+    p, _, _, _ = eng.eval(eng.cell_point(x.ravel(), y.ravel()))
+    h1 = _h1(tau, eng, p)
+    vals = np.abs(h1[np.isfinite(h1)])
+    return float(np.min(vals)) if vals.size else float("nan")
+
+
+@dataclass(frozen=True)
+class OffsetReport:
+    expected_re: float
+    expected_im: float
+    max_dev: float
+    n_points: int
+
+    def to_dict(self) -> dict:
+        return {
+            "expected_re": self.expected_re,
+            "expected_im": self.expected_im,
+            "max_dev": self.max_dev,
+            "points": self.n_points,
+        }
+
+
+def second_derivative_offset_scan(tau) -> OffsetReport:
+    """Check that wp'' - 6 wp^2 is the constant (27/2) tau 4^(1/3) (8 - tau^3).
+
+    wp'' comes from a two-level Richardson extrapolation of central
+    differences of wp', so constancy is measured against the engine's first
+    derivative rather than the algebraic second-derivative formula.  The
+    sample points keep ``_OFFSET_MARGIN`` away from the cell edges: closer to
+    the poles, derivative growth pushes the finite-difference error above 1e-8.
+    """
+    expected = second_derivative_constant(tau)
+    eng = engine_for(invariants_from_tau(tau))
+    rng = np.random.default_rng(_OFFSET_SEED)
+    x = rng.uniform(_OFFSET_MARGIN, 1.0 - _OFFSET_MARGIN, _OFFSET_POINTS)
+    y = rng.uniform(_OFFSET_MARGIN, 1.0 - _OFFSET_MARGIN, _OFFSET_POINTS)
+    z = eng.cell_point(x, y)
+
+    def dpp(step):
+        _, pp_plus, _, _ = eng.eval(z + step)
+        _, pp_minus, _, _ = eng.eval(z - step)
+        return (pp_plus - pp_minus) / (2.0 * step)
+
+    def richardson(step):
+        return (4.0 * dpp(step / 2.0) - dpp(step)) / 3.0
+
+    h = _OFFSET_FD_STEP
+    second = (16.0 * richardson(h / 2.0) - richardson(h)) / 15.0
+    p, _, _, _ = eng.eval(z)
+    offset = second - 6.0 * p**2
+    return OffsetReport(
+        expected_re=float(np.real(expected)),
+        expected_im=float(np.imag(expected)),
+        max_dev=float(np.max(np.abs(offset - expected))),
+        n_points=_OFFSET_POINTS,
     )
 
 

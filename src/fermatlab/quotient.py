@@ -99,22 +99,6 @@ class RationalPoly:
         """Coefficients from the top degree down, as exact strings."""
         return [str(self.coefficient(k)) for k in range(self.degree, -1, -1)]
 
-    def format(self, var: str = "P") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c.is_zero:
-                continue
-            if k == 0:
-                parts.append(f"({c})")
-            elif k == 1:
-                parts.append(f"({c})*{var}")
-            else:
-                parts.append(f"({c})*{var}^{k}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class QuotientElement:

@@ -158,52 +158,52 @@ ZETA: tuple[complex, ...] = (1 + 0j, 1j, -1 + 0j, -1j)
 # Parsing / formatting of scalars for the CLI and config surfaces.
 # ---------------------------------------------------------------------------
 
+_NUM = r"(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+# either "a" / "a+bi" / "a-bi", or a pure-imaginary "bi" / "+i" / "-2/3i"
 _COMPLEX_RE = _re.compile(
-    r"""^\s*
-    (?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?(?:/\d+)?)?
-    (?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?)?
-    (?P<unit>[ij])?
-    \s*$""",
-    _re.VERBOSE,
+    rf"^(?P<re>[+-]?{_NUM})(?P<im1>[+-](?:{_NUM})?i)?$"
+    rf"|^(?P<im2>[+-]?(?:{_NUM})?i)$"
 )
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or decimal notation into an exact Fraction."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {text!r}") from exc
+def _part_value(text: str):
+    """One signed real token -> Fraction (exact forms) or float."""
+    if "/" in text:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
+    if _re.fullmatch(r"[+-]?\d+", text):
+        return Fraction(int(text))
+    return float(text)
 
 
-def parse_complex(text: str) -> RationalComplex:
-    """Parse ``a+bi`` (no spaces; parts rational or decimal) exactly.
-
-    Accepted forms include ``2``, ``-1.5``, ``3i``, ``0.3+0.2i``,
-    ``1/2-3/4i``, ``i``, ``-i``.
-    """
+def parse_complex(text: str):
+    """Parse "a+bi" (no spaces) into an exact scalar (Fraction or Gaussian
+    rational) when both parts are integers or p/q fractions, else a complex
+    float."""
     s = text.strip()
-    if not s:
-        raise ValueError("empty complex literal")
     m = _COMPLEX_RE.match(s)
-    if not m or (m.group("re") is None and m.group("im") is None and m.group("unit") is None):
-        raise ValueError(f"cannot parse complex literal {text!r}")
-    re_part, im_part, unit = m.group("re"), m.group("im"), m.group("unit")
-    try:
-        if unit is None:
-            if im_part is not None:
-                raise ValueError(f"cannot parse complex literal {text!r}")
-            return RationalComplex(Fraction(re_part), 0)
-        # trailing i: the imaginary magnitude is im_part if present, else re_part
-        if im_part is not None:
-            re_val = Fraction(re_part) if re_part is not None else Fraction(0)
-            im_val = Fraction(im_part) if im_part not in ("+", "-") else Fraction(im_part + "1")
-            return RationalComplex(re_val, im_val)
-        if re_part is not None:
-            return RationalComplex(0, Fraction(re_part))
-        return RationalComplex(0, 1)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+    if not m:
+        raise ValueError(f"cannot parse complex number {text!r}")
+    re_part = m.group("re")
+    im_part = m.group("im1") or m.group("im2")
+    re_val = _part_value(re_part) if re_part is not None else Fraction(0)
+    if im_part is None:
+        im_val = Fraction(0)
+    else:
+        body = im_part[:-1]  # strip the trailing i
+        if body in ("", "+"):
+            im_val = Fraction(1)
+        elif body == "-":
+            im_val = Fraction(-1)
+        else:
+            im_val = _part_value(body)
+    if isinstance(re_val, Fraction) and isinstance(im_val, Fraction):
+        if im_val == 0:
+            return re_val
+        return RationalComplex(re_val, im_val)
+    return complex(float(re_val), float(im_val))
 
 
 def format_complex(z: complex, digits: int = 17) -> str:
@@ -273,11 +273,16 @@ def right_choice_sqrt(prod: complex, mean: complex) -> complex:
     return root
 
 
-def complex_agm(a: complex, b: complex, rel_tol: float = 1e-14, max_iter: int = 64) -> complex:
+#: the AGM has converged when |a - b| <= _AGM_REL_TOL * max(|a|, |b|), and
+#: must do so within _AGM_MAX_ITER iterations
+_AGM_REL_TOL = 1e-14
+_AGM_MAX_ITER = 64
+
+
+def complex_agm(a: complex, b: complex) -> complex:
     """Common limit of the AGM iteration with right-choice square roots.
 
-    Preconditions: a, b and a + b nonzero.  Convergence is declared when
-    |a - b| <= rel_tol * max(|a|, |b|).
+    Preconditions: a, b and a + b nonzero.
     """
     a = complex(a)
     b = complex(b)
@@ -285,15 +290,15 @@ def complex_agm(a: complex, b: complex, rel_tol: float = 1e-14, max_iter: int = 
         raise ValueError("AGM arguments must be nonzero")
     if a + b == 0:
         raise ValueError("AGM undefined for a + b == 0")
-    for _ in range(max_iter):
-        if abs(a - b) <= rel_tol * max(abs(a), abs(b)):
+    for _ in range(_AGM_MAX_ITER):
+        if abs(a - b) <= _AGM_REL_TOL * max(abs(a), abs(b)):
             return (a + b) / 2
         mean = (a + b) / 2
         geo = right_choice_sqrt(a * b, mean)
         a, b = mean, geo
         if a == 0 or a + b == 0:
             raise ConvergenceError("AGM iteration hit a degenerate pair")
-    raise ConvergenceError(f"AGM did not converge within {max_iter} iterations")
+    raise ConvergenceError(f"AGM did not converge within {_AGM_MAX_ITER} iterations")
 
 
 def rational_sqrt(x: Fraction):

@@ -168,13 +168,6 @@ class LaurentSeries:
     def constant(value, mode, high) -> "LaurentSeries":
         return LaurentSeries.make(mode, 0, [value] + [0] * high, high)
 
-    @staticmethod
-    def identity(mode, high) -> "LaurentSeries":
-        """The series of w itself."""
-        if high < 1:
-            raise ValueError("truncation order must be >= 1 for the identity series")
-        return LaurentSeries.make(mode, 1, [1] + [0] * (high - 1), high)
-
     # -- inspection ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -259,12 +252,6 @@ class LaurentSeries:
         im = [cr * i + ci * r for r, i in zip(self.re, self.im)]
         den, re, im = _reduce(self.mode, self.den * cd, re, im)
         return LaurentSeries(self.mode, self.low, self.high, den, re, im)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by w**k."""
-        return LaurentSeries(
-            self.mode, self.low + k, self.high + k, self.den, self.re, self.im
-        )
 
     def __mul__(self, other):
         self._check(other)

@@ -37,16 +37,37 @@ from .exprs import (
     differentiate,
     evaluate,
     evaluate_many,
+    walk,
     wp_nodes,
 )
 from .families import SolutionFamily
-from .scalars import CBRT4
-from .wp import engine_for, invariants_from_tau, second_derivative_constant
 
 # Below this separation, double precision cannot tell two zeros of a
 # multiplicity >= 3 cluster apart from one zero: accepted Newton iterates
 # scatter across the cancellation basin of radius ~ (eps * scale)^(1/k).
 _CANCELLATION_MERGE_RADIUS = 2.5e-4
+
+# Zero analyzer: Newton steps from every grid seed (and from the best seed
+# of a value-attainment scan), the step size that accepts a root, the
+# radius that merges duplicate iterates, the least allowed distance between
+# certified zeros and poles, the radius and node count of the multiplicity
+# circles, and the least distance of a zero or pole from the window boundary.
+_NEWTON_STEPS = 50
+_STEP_TOL = 1e-12
+_DEDUPE_RADIUS = 1e-7
+_MIN_SPACING = 5e-3
+_MULT_RADIUS = 1e-3
+_MULT_NODES = 256
+_BOUNDARY_MARGIN = 1e-6
+
+#: zeros of two reports closer than this are the same zero
+_MATCH_RADIUS = 1e-6
+
+#: boundary contour nodes per unit length
+_BOUNDARY_NODES_PER_UNIT = 32.0
+
+#: |wp| above this excludes a sample of the boundedness diagnostic
+_POLE_CEILING = 1e8
 
 #: most grid points a window may ask for (about 6x the 401 x 401 grid of a
 #: dense scan); beyond it a scan would exhaust memory or time, so the window
@@ -130,7 +151,7 @@ class ScanWindow:
         )
         return np.where(outside > 0, outside, np.maximum(inside, 0.0))
 
-    def boundary_nodes(self, per_unit: float = 32.0) -> np.ndarray:
+    def boundary_nodes(self) -> np.ndarray:
         """Closed counterclockwise polyline (last node equals the first)."""
         corners = [
             complex(self.re_min, self.im_min),
@@ -140,7 +161,7 @@ class ScanWindow:
         ]
         pts = []
         for a, b in zip(corners, corners[1:] + corners[:1]):
-            n = max(16, int(math.ceil(abs(b - a) * per_unit)))
+            n = max(16, int(math.ceil(abs(b - a) * _BOUNDARY_NODES_PER_UNIT)))
             pts.append(a + (b - a) * np.arange(n) / n)
         return np.concatenate(pts + [np.array([corners[0]])])
 
@@ -211,17 +232,22 @@ def _p95(sorted_vals: np.ndarray) -> float:
     return float(sorted_vals[k])
 
 
-def _exclusion_masks(z, value_arrays, den_values, wp_values, den_floor, wp_ceiling):
-    """(excluded, counts) with reasons counted by priority:
+def _guarded_values(exprs: list, z, den_floor, wp_ceiling):
+    """(values of exprs, excluded, counts) on z, excluding the samples where
+    a value is not finite, a denominator of exprs[0] is small or one of its
+    wp atoms is large; reasons are counted by priority:
     nonfinite > denominator > pole-magnitude."""
+    denos = denominators(exprs[0])
+    vals = evaluate_many(exprs + denos + wp_nodes(exprs[0]), z)
+    n, m = len(exprs), len(exprs) + len(denos)
     nonfinite = np.zeros(z.shape, dtype=bool)
-    for arr in value_arrays:
+    for arr in vals[:n]:
         nonfinite |= ~np.isfinite(arr)
     den_small = np.zeros(z.shape, dtype=bool)
-    for arr in den_values:
+    for arr in vals[n:m]:
         den_small |= ~np.isfinite(arr) | (np.abs(arr) < den_floor)
     wp_big = np.zeros(z.shape, dtype=bool)
-    for arr in wp_values:
+    for arr in vals[m:]:
         wp_big |= ~np.isfinite(arr) | (np.abs(arr) > wp_ceiling)
     excluded = nonfinite | den_small | wp_big
     counts = {
@@ -229,7 +255,7 @@ def _exclusion_masks(z, value_arrays, den_values, wp_values, den_floor, wp_ceili
         "denominator": int(np.count_nonzero(den_small & ~nonfinite)),
         "pole-magnitude": int(np.count_nonzero(wp_big & ~nonfinite & ~den_small)),
     }
-    return excluded, counts
+    return vals[:n], excluded, counts
 
 
 def _family_params(family: SolutionFamily) -> dict:
@@ -254,18 +280,11 @@ def _relative_scan(
         raise ValueError("tolerance must be positive")
     z = window.grid()
     n_re, n_im = window.axis_counts()
-    denos = denominators(residual)
-    wps = wp_nodes(residual)
     terms = [t for t, _ in scale_terms]
-    vals = evaluate_many([residual] + terms + denos + wps, z)
-    rv = vals[0]
-    term_vals = vals[1 : 1 + len(terms)]
-    den_vals = vals[1 + len(terms) : 1 + len(terms) + len(denos)]
-    wp_vals = vals[1 + len(terms) + len(denos) :]
-
-    excluded, counts = _exclusion_masks(
-        z, [rv] + term_vals, den_vals, wp_vals, window.soft_exclusion, pole_ceiling
+    vals, excluded, counts = _guarded_values(
+        [residual] + terms, z, window.soft_exclusion, pole_ceiling
     )
+    rv, term_vals = vals[0], vals[1:]
     scale = np.ones(z.shape, dtype=float)
     for tv, power in zip(term_vals, [p for _, p in scale_terms]):
         scale = scale + np.abs(tv) ** power
@@ -444,17 +463,16 @@ def _phase_track(num: Expr, nodes: np.ndarray, floor: float, max_passes: int = 1
     raise AnalyzerError("phase tracking failed to stabilize on the contour")
 
 
-def _circle_winding(
-    num: Expr, dnum: Expr, center: complex, radius: float, nodes: int
-) -> tuple[int, complex]:
-    """(winding, centroid) about a circle: winding by phase tracking, centroid
+def _circle_winding(num: Expr, dnum: Expr, center: complex) -> tuple[int, complex]:
+    """(winding, centroid) about the circle of radius _MULT_RADIUS on
+    _MULT_NODES uniform angle nodes: winding by phase tracking, centroid
     from (1/2 pi i) contour-integral of z num'/num divided by the winding.
 
     The centroid integral uses the parametrized trapezoid rule on the uniform
     angle nodes (dz = i (z - center) d theta), which is spectrally accurate
     for the circle; a chord-based rule would be ~1e-3 off at this radius."""
-    theta = 2.0 * math.pi * np.arange(nodes + 1) / nodes
-    circ = center + radius * np.exp(1j * theta)
+    theta = 2.0 * math.pi * np.arange(_MULT_NODES + 1) / _MULT_NODES
+    circ = center + _MULT_RADIUS * np.exp(1j * theta)
     raw, _, _ = _phase_track(num, circ, 0.0)
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:
@@ -466,20 +484,16 @@ def _circle_winding(
         return 0, complex(center)
     zs = circ[:-1]
     vs, ds = evaluate_many([num, dnum], zs)
-    integral = np.sum(zs * (ds / vs) * (zs - center)) / nodes
+    integral = np.sum(zs * (ds / vs) * (zs - center)) / _MULT_NODES
     return w, complex(integral / w)
 
 
 def _expr_pole_points(num: Expr, window: ScanWindow):
     """Pole candidates of the numerator inside the window: the lattice points
-    of every elliptic atom.  Atoms must be evaluated at the bare variable;
-    composed arguments have no enumerable pole set here."""
+    of every elliptic atom, which ``_supported_atoms_or_raise`` has checked
+    to be evaluated at the bare variable."""
     engines = []
     for node in wp_nodes(num):
-        if node.arg is not W:
-            raise AnalyzerError(
-                "cannot enumerate poles of an elliptic atom with a composed argument"
-            )
         if all(node.engine is not e for e in engines):
             engines.append(node.engine)
     pts: list[complex] = []
@@ -511,27 +525,16 @@ def _supported_atoms_or_raise(num: Expr):
     """The analyzer needs the numerator meromorphic with an enumerable pole
     set: elliptic atoms at the bare variable, exponential atoms with
     division-free arguments."""
-
-    def walk(node: Expr):
-        if isinstance(node, Exp):
-            if denominators(node.arg):
-                raise AnalyzerError(
-                    "exponential atom with a rational argument has essential "
-                    "singularities; zero accounting is not supported"
-                )
-            walk(node.arg)
-        elif isinstance(node, (Wp, WpPrime)):
-            if node.arg is not W:
-                raise AnalyzerError(
-                    "cannot enumerate poles of an elliptic atom with a composed argument"
-                )
-        elif hasattr(node, "lhs"):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif hasattr(node, "base"):
-            walk(node.base)
-
-    walk(num)
+    for node in walk(num):
+        if isinstance(node, Exp) and denominators(node.arg):
+            raise AnalyzerError(
+                "exponential atom with a rational argument has essential "
+                "singularities; zero accounting is not supported"
+            )
+        if isinstance(node, (Wp, WpPrime)) and node.arg is not W:
+            raise AnalyzerError(
+                "cannot enumerate poles of an elliptic atom with a composed argument"
+            )
 
 
 def _cluster(points: np.ndarray, radius: float) -> list[complex]:
@@ -548,24 +551,14 @@ def _cluster(points: np.ndarray, radius: float) -> list[complex]:
     return [complex(np.mean(np.asarray(c))) for c in clusters]
 
 
-def zero_scan(
-    expr: Expr,
-    window: ScanWindow = ScanWindow(),
-    newton_steps: int = 50,
-    step_tol: float = 1e-12,
-    dedupe_radius: float = 1e-7,
-    min_spacing: float = 5e-3,
-    mult_radius: float = 1e-3,
-    mult_nodes: int = 256,
-    boundary_margin: float = 1e-6,
-) -> ZeroReport:
+def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     """Locate and certify the zero set of ``expr`` inside ``window``.
 
     Newton iteration runs on the cleared-denominator numerator from every
-    grid seed; a root is accepted when the step collapses below step_tol or
+    grid seed; a root is accepted when the step collapses below _STEP_TOL or
     the numerator drops below a floor tied to the grid magnitude (the floor
     is what makes high-multiplicity roots, with their slow linear Newton
-    rate, detectable).  Duplicates merge at dedupe_radius and once more at
+    rate, detectable).  Duplicates merge at _DEDUPE_RADIUS and once more at
     the double-precision cancellation radius; each certified location is the
     winding centroid of its circle, accurate far beyond the raw iterates.
     """
@@ -582,7 +575,7 @@ def zero_scan(
 
     z = seeds.astype(complex).copy()
     step_abs = np.full(z.shape, np.inf)
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         nv, dv = evaluate_many([num, dnum], z)
         with np.errstate(all="ignore"):
             step = nv / dv
@@ -592,37 +585,37 @@ def zero_scan(
         step_abs = np.where(ok, np.abs(step), np.inf)
     nv = evaluate(num, z)
     finite = np.isfinite(z) & np.isfinite(nv)
-    by_step = (step_abs < step_tol) & (np.abs(nv) <= loose_floor)
+    by_step = (step_abs < _STEP_TOL) & (np.abs(nv) <= loose_floor)
     by_floor = np.abs(nv) <= res_floor
     converged = finite & (by_step | by_floor)
 
     roots_raw = z[converged]
-    near = roots_raw[window.boundary_distance(roots_raw) < boundary_margin]
+    near = roots_raw[window.boundary_distance(roots_raw) < _BOUNDARY_MARGIN]
     if near.size:
         raise AnalyzerError(
-            f"zero within {boundary_margin:g} of the window boundary at "
+            f"zero within {_BOUNDARY_MARGIN:g} of the window boundary at "
             f"{complex(near[0]):.9g}; shift the window"
         )
     roots_raw = roots_raw[window.contains(roots_raw)]
 
-    fine = _cluster(roots_raw, dedupe_radius)
+    fine = _cluster(roots_raw, _DEDUPE_RADIUS)
     roots = _cluster(np.asarray(fine, dtype=complex), _CANCELLATION_MERGE_RADIUS) if fine else []
     roots.sort(key=lambda r: (round(r.real, 9), round(r.imag, 9)))
 
     poles = _expr_pole_points(num, window)
     for p in poles:
-        if window.boundary_distance(np.asarray(p)) < boundary_margin:
+        if window.boundary_distance(np.asarray(p)) < _BOUNDARY_MARGIN:
             raise AnalyzerError(
-                f"elliptic pole within {boundary_margin:g} of the window "
+                f"elliptic pole within {_BOUNDARY_MARGIN:g} of the window "
                 f"boundary at {complex(p):.9g}; shift the window"
             )
 
     special = roots + poles
     for i in range(len(special)):
         for j in range(i + 1, len(special)):
-            if abs(special[i] - special[j]) < min_spacing:
+            if abs(special[i] - special[j]) < _MIN_SPACING:
                 raise AnalyzerError(
-                    f"zeros/poles closer than {min_spacing:g} near "
+                    f"zeros/poles closer than {_MIN_SPACING:g} near "
                     f"{complex(special[i]):.6g}; multiplicities cannot be isolated"
                 )
 
@@ -635,10 +628,10 @@ def zero_scan(
     cancelled_records = []
     interior = 0
     for r in roots:
-        mult, refined = _circle_winding(num, dnum, r, mult_radius, mult_nodes)
+        mult, refined = _circle_winding(num, dnum, r)
         if mult < 1:
             raise AnalyzerError(f"winding {mult} at claimed zero {complex(r):.6g}")
-        if abs(refined - r) > 0.5 * mult_radius:
+        if abs(refined - r) > 0.5 * _MULT_RADIUS:
             raise AnalyzerError(
                 f"centroid {refined:.6g} strayed from cluster {complex(r):.6g}"
             )
@@ -650,7 +643,7 @@ def zero_scan(
 
     pole_records = []
     for p in poles:
-        w, _ = _circle_winding(num, dnum, p, mult_radius, mult_nodes)
+        w, _ = _circle_winding(num, dnum, p)
         if w > 0:
             raise AnalyzerError(
                 f"positive winding {w} at an expected pole {complex(p):.6g}"
@@ -714,17 +707,17 @@ class ZeroComparison:
         }
 
 
-def _containment(za, zb, mode: str, radius: float):
+def _containment(za, zb, mode: str):
     """Is every zero of A also one of B (counting: with at least the same
     multiplicity)?  Returns (ok, violations, matched)."""
     violations = []
     matched = []
     for a in za:
-        hits = [b for b in zb if abs(b.z - a.z) <= radius]
+        hits = [b for b in zb if abs(b.z - a.z) <= _MATCH_RADIUS]
         if len(hits) > 1:
             raise AnalyzerError(
                 f"ambiguous match: zero {a.z:.9g} pairs with several zeros "
-                f"within {radius:g}"
+                f"within {_MATCH_RADIUS:g}"
             )
         if not hits:
             violations.append(
@@ -754,8 +747,6 @@ def zero_set_compare(
     mode: str = "counting",
     window: ScanWindow = ScanWindow(),
     strict: bool = False,
-    match_radius: float = 1e-6,
-    **scan_kwargs,
 ) -> ZeroComparison:
     """Compare the zero sets of ``a`` and ``b`` (expressions or precomputed
     ZeroReports) under subset/superset/equal, counting or ignoring
@@ -767,10 +758,10 @@ def zero_set_compare(
         raise ValueError("relation must be 'subset', 'superset' or 'equal'")
     if mode not in ("counting", "ignoring"):
         raise ValueError("mode must be 'counting' or 'ignoring'")
-    ra = a if isinstance(a, ZeroReport) else zero_scan(a, window, **scan_kwargs)
-    rb = b if isinstance(b, ZeroReport) else zero_scan(b, window, **scan_kwargs)
-    ok_ab, viol_ab, match_ab = _containment(ra.zeros, rb.zeros, mode, match_radius)
-    ok_ba, viol_ba, match_ba = _containment(rb.zeros, ra.zeros, mode, match_radius)
+    ra = a if isinstance(a, ZeroReport) else zero_scan(a, window)
+    rb = b if isinstance(b, ZeroReport) else zero_scan(b, window)
+    ok_ab, viol_ab, match_ab = _containment(ra.zeros, rb.zeros, mode)
+    ok_ba, viol_ba, match_ba = _containment(rb.zeros, ra.zeros, mode)
     if relation == "subset":
         verdict, proper = ok_ab, ok_ab and not ok_ba
         matched, violations, proper_wit = match_ab, viol_ab, viol_ba if ok_ab else []
@@ -824,7 +815,6 @@ def value_attainment_scan(
     expr: Expr,
     targets: Sequence[complex],
     window: ScanWindow = ScanWindow(),
-    newton_steps: int = 50,
 ) -> AttainmentReport:
     """Observed distance floors min |expr(z) - c| over the grid, one record
     per target, each refined by Newton on expr - c from the best grid seed.
@@ -848,7 +838,7 @@ def value_attainment_scan(
         best_z, best_d = complex(z[i]), float(d[i])
         refined = False
         zz = best_z
-        for _ in range(newton_steps):
+        for _ in range(_NEWTON_STEPS):
             ev = evaluate(expr, zz)
             dv = evaluate(dexpr, zz)
             if not (np.isfinite(ev) and np.isfinite(dv)) or dv == 0:
@@ -899,9 +889,7 @@ class BoundednessReport:
 
 
 def diagnostic_h0(
-    family: SolutionFamily,
-    window: ScanWindow = ScanWindow(),
-    pole_ceiling: float = 1e8,
+    family: SolutionFamily, window: ScanWindow = ScanWindow()
 ) -> BoundednessReport:
     """Boundedness statistics for f' (g')^2 / ((f^m - 1)(g^n - 1))."""
     fp = differentiate(family.f)
@@ -910,15 +898,7 @@ def diagnostic_h0(
         (family.f**family.m - Const(1)) * (family.g**family.n - Const(1))
     )
     z = window.grid()
-    denos = denominators(h0)
-    wps = wp_nodes(h0)
-    vals = evaluate_many([h0] + denos + wps, z)
-    hv = vals[0]
-    den_vals = vals[1 : 1 + len(denos)]
-    wp_vals = vals[1 + len(denos) :]
-    excluded, _ = _exclusion_masks(
-        z, [hv], den_vals, wp_vals, window.soft_exclusion, pole_ceiling
-    )
+    (hv,), excluded, _ = _guarded_values([h0], z, window.soft_exclusion, _POLE_CEILING)
     good = np.abs(hv[~excluded])
     good = np.sort(good[np.isfinite(good)])
     return BoundednessReport(
@@ -929,127 +909,4 @@ def diagnostic_h0(
         median_abs=float(np.median(good)) if good.size else float("nan"),
         n_valid=int(good.size),
         excluded_fraction=float(np.count_nonzero(excluded) / z.size),
-    )
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    label: str
-    target_re: float
-    target_im: float
-    max_dev: float
-    radius: float
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "target_re": self.target_re,
-            "target_im": self.target_im,
-            "max_dev": self.max_dev,
-            "radius": self.radius,
-            "points": self.n_points,
-        }
-
-
-def _tau_engine_and_coeffs(tau):
-    tc = complex(tau)
-    k = 27.0 * tc * CBRT4 * (8.0 - tc**3)
-    l = 54.0 * (tc**6 + 20.0 * tc**3 - 8.0)
-    return tc, k, l, engine_for(invariants_from_tau(tau))
-
-
-def diagnostic_h1(tau, radius: float = 1e-2, n_points: int = 64) -> LimitReport:
-    """Near-origin ratio of {4 wp^3 + k wp + l - 9(-tau 4^(1/3) wp + 12 + 3 tau^3)^2}
-    to wp^3; approaches 4."""
-    tc, k, l, eng = _tau_engine_and_coeffs(tau)
-    theta = 2.0 * math.pi * np.arange(n_points) / n_points
-    p, _, _, _ = eng.eval(radius * np.exp(1j * theta))
-    h1 = 4.0 * p**3 + k * p + l - 9.0 * (-tc * CBRT4 * p + 12.0 + 3.0 * tc**3) ** 2
-    return LimitReport(
-        "h1/wp^3", 4.0, 0.0, float(np.max(np.abs(h1 / p**3 - 4.0))), radius, n_points
-    )
-
-
-def diagnostic_h2(tau, radius: float = 1e-2, n_points: int = 64) -> LimitReport:
-    """Near-origin ratio of
-    [{c wp'^2 - (c wp + 9 tau^2) wp''}^2 - {36 c (tau^3 + 1) wp'}^2] to wp^6,
-    c = 4^(1/3); approaches 4 c^2."""
-    tc, _, _, eng = _tau_engine_and_coeffs(tau)
-    theta = 2.0 * math.pi * np.arange(n_points) / n_points
-    p, pp, ppp, _ = eng.eval(radius * np.exp(1j * theta))
-    c = CBRT4
-    bracket = c * pp**2 - (c * p + 9.0 * tc**2) * ppp
-    h2 = bracket**2 - (36.0 * c * (tc**3 + 1.0) * pp) ** 2
-    target = 4.0 * c * c
-    return LimitReport(
-        "h2/wp^6", target, 0.0, float(np.max(np.abs(h2 / p**6 - target))), radius,
-        n_points,
-    )
-
-
-def h1_cell_min_modulus(tau, n_per_axis: int = 60, margin: float = 0.08) -> float:
-    """Minimum |H1| over the interior of the fundamental cell (poles excluded
-    by the margin); positive values support the never-vanishing behavior."""
-    tc, k, l, eng = _tau_engine_and_coeffs(tau)
-    t = np.linspace(margin, 1.0 - margin, n_per_axis)
-    x, y = np.meshgrid(t, t)
-    z = eng.cell_point(x.ravel(), y.ravel())
-    p, _, _, _ = eng.eval(z)
-    h1 = 4.0 * p**3 + k * p + l - 9.0 * (-tc * CBRT4 * p + 12.0 + 3.0 * tc**3) ** 2
-    vals = np.abs(h1[np.isfinite(h1)])
-    return float(np.min(vals)) if vals.size else float("nan")
-
-
-@dataclass(frozen=True)
-class OffsetReport:
-    expected_re: float
-    expected_im: float
-    max_dev: float
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "expected_re": self.expected_re,
-            "expected_im": self.expected_im,
-            "max_dev": self.max_dev,
-            "points": self.n_points,
-        }
-
-
-def second_derivative_offset_scan(
-    tau, n_points: int = 50, fd_step: float = 4e-3, seed: int = 20260825,
-    margin: float = 0.2,
-) -> OffsetReport:
-    """Check that wp'' - 6 wp^2 is the constant (27/2) tau 4^(1/3) (8 - tau^3).
-
-    wp'' comes from a two-level Richardson extrapolation of central
-    differences of wp', so constancy is measured against the engine's first
-    derivative rather than the algebraic second-derivative formula.  The
-    sample points keep ``margin`` away from the cell edges: closer to the
-    poles, derivative growth pushes the finite-difference error above 1e-8.
-    """
-    expected = second_derivative_constant(tau)
-    eng = engine_for(invariants_from_tau(tau))
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(margin, 1.0 - margin, n_points)
-    y = rng.uniform(margin, 1.0 - margin, n_points)
-    z = eng.cell_point(x, y)
-
-    def dpp(step):
-        _, pp_plus, _, _ = eng.eval(z + step)
-        _, pp_minus, _, _ = eng.eval(z - step)
-        return (pp_plus - pp_minus) / (2.0 * step)
-
-    def richardson(step):
-        return (4.0 * dpp(step / 2.0) - dpp(step)) / 3.0
-
-    second = (16.0 * richardson(fd_step / 2.0) - richardson(fd_step)) / 15.0
-    p, _, _, _ = eng.eval(z)
-    offset = second - 6.0 * p**2
-    return OffsetReport(
-        expected_re=float(np.real(expected)),
-        expected_im=float(np.imag(expected)),
-        max_dev=float(np.max(np.abs(offset - expected))),
-        n_points=n_points,
     )

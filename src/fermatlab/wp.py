@@ -38,10 +38,14 @@ from .scalars import (
 from .series import wp_coefficients
 
 
-def _to_complex(x) -> complex:
-    if isinstance(x, RationalComplex):
-        return x.to_complex()
-    return complex(x)
+#: order of the Laurent series the engine evaluates near the origin
+_SERIES_ORDER = 40
+#: points closer than this to a lattice point evaluate as poles
+_POLE_RADIUS = 1e-8
+#: most duplication steps a reduced point may need
+_MAX_LADDER = 8
+#: most duplication steps of an unreduced (validation) evaluation
+_MAX_UNREDUCED_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -65,20 +69,11 @@ class Invariants:
 
     @property
     def g2c(self) -> complex:
-        return _to_complex(self.g2)
+        return complex(self.g2)
 
     @property
     def g3c(self) -> complex:
-        return _to_complex(self.g3)
-
-    @property
-    def exact(self) -> bool:
-        return is_exact_scalar(self.g2) and is_exact_scalar(self.g3)
-
-    def exact_pair(self):
-        if not self.exact:
-            return None
-        return (RationalComplex.coerce(self.g2), RationalComplex.coerce(self.g3))
+        return complex(self.g3)
 
     @property
     def discriminant(self) -> complex:
@@ -136,7 +131,7 @@ def invariants_from_tau(tau) -> Invariants:
     te = _tau_exact(tau)
     if te is not None and te.is_zero:
         return Invariants(0, 432)
-    t = _to_complex(tau)
+    t = complex(tau)
     g2 = -27.0 * t * CBRT4 * (8.0 - t**3)
     g3 = -54.0 * (t**6 + 20.0 * t**3 - 8.0)
     return Invariants(g2, g3)
@@ -156,7 +151,7 @@ def tau_cubic_coefficients(tau):
 
 def second_derivative_constant(tau) -> complex:
     """The constant wp'' - 6 wp^2 for the tau family: (27/2) tau 4^(1/3) (8 - tau^3)."""
-    t = _to_complex(tau)
+    t = complex(tau)
     return 13.5 * t * CBRT4 * (8.0 - t**3)
 
 
@@ -198,10 +193,6 @@ def discriminant_of_tau(tau) -> DiscriminantResult:
 class HalfPeriods:
     omega1: complex
     omega3: complex
-
-    @property
-    def ratio(self) -> complex:
-        return self.omega3 / self.omega1
 
 
 def _ladder_eval(z: complex, g2: complex, coeffs: np.ndarray, depth: int):
@@ -263,7 +254,7 @@ def _validate_periods(g2, g3, w1, w3, coeffs) -> bool:
         for shift in (0, 2 * w1, 2 * w3):
             zz = z + shift
             depth = max(0, math.ceil(math.log2(max(abs(zz) / r0, 1.0))))
-            if depth > 40:
+            if depth > _MAX_UNREDUCED_DEPTH:
                 return False
             p, pp = _ladder_eval(zz, g2, coeffs, depth)
             if not (np.isfinite(p) and np.isfinite(pp)):
@@ -290,7 +281,7 @@ def periods_from_invariants(inv: Invariants) -> HalfPeriods:
     """
     g2, g3 = inv.g2c, inv.g3c
     roots = cubic_roots(4.0, -g2, -g3)
-    coeffs = _coeff_array(g2, g3, 40)
+    coeffs = _coeff_array(g2, g3, _SERIES_ORDER)
     last_reason = "no candidate pairing produced a valid lattice"
     for perm in permutations(range(3)):
         e1, e2, e3 = roots[perm[0]], roots[perm[1]], roots[perm[2]]
@@ -338,13 +329,19 @@ def _normalize_periods(w1: complex, w3: complex) -> HalfPeriods:
 
 
 def _gauss_reduce(v1: complex, v2: complex):
-    """Lagrange/Gauss lattice-basis reduction in the plane."""
+    """Lagrange/Gauss lattice-basis reduction in the plane.
+
+    On a lattice with two shortest vectors (hexagonal) a projection of
+    +-1/2 rounded in floating point can flip the basis back and forth; a
+    repeated basis is reduced, so the loop stops there."""
+    seen = set()
     for _ in range(64):
         if abs(v2) < abs(v1):
             v1, v2 = v2, v1
         mu = round((v2 * v1.conjugate()).real / abs(v1) ** 2)
-        if mu == 0:
+        if mu == 0 or (v1, v2) in seen:
             break
+        seen.add((v1, v2))
         v2 = v2 - mu * v1
     else:
         raise LatticeReductionError("basis reduction did not terminate")
@@ -363,15 +360,11 @@ def _gauss_reduce(v1: complex, v2: complex):
 class WeierstrassEngine:
     """Evaluator for one invariant pair; immutable after construction."""
 
-    def __init__(self, inv: Invariants, series_order: int = 40,
-                 pole_radius: float = 1e-8, max_ladder: int = 8):
+    def __init__(self, inv: Invariants):
         self.invariants = inv
-        self.series_order = series_order
-        self.pole_radius = pole_radius
-        self.max_ladder = max_ladder
         self._g2 = inv.g2c
         self._g3 = inv.g3c
-        self._coeffs = _coeff_array(self._g2, self._g3, series_order)
+        self._coeffs = _coeff_array(self._g2, self._g3, _SERIES_ORDER)
         self.periods = periods_from_invariants(inv)
         v1, v2 = _gauss_reduce(2 * self.periods.omega1, 2 * self.periods.omega3)
         self.basis = (v1, v2)
@@ -401,13 +394,13 @@ class WeierstrassEngine:
         """Vectorized evaluation.
 
         Returns (wp, wp', wp'', pole_mask) as arrays shaped like z; entries
-        within pole_radius of a lattice point are NaN with pole_mask True.
+        within _POLE_RADIUS of a lattice point are NaN with pole_mask True.
         """
         z = np.asarray(z, dtype=complex)
         shape = z.shape
         zr = self.reduce(z).ravel()
         r = np.abs(zr)
-        pole = r < self.pole_radius
+        pole = r < _POLE_RADIUS
         safe = np.where(pole, self._halving_radius, zr)
         rsafe = np.abs(safe)
         depth = np.ceil(
@@ -415,9 +408,9 @@ class WeierstrassEngine:
         ).astype(int)
         depth = np.maximum(depth, 0)
         dmax = int(depth.max()) if depth.size else 0
-        if dmax > self.max_ladder:
+        if dmax > _MAX_LADDER:
             raise LatticeReductionError(
-                f"duplication ladder depth {dmax} exceeds budget {self.max_ladder}"
+                f"duplication ladder depth {dmax} exceeds budget {_MAX_LADDER}"
             )
         u = safe / np.exp2(depth)
         p, pp = _series_pair(u, self._coeffs)
@@ -444,7 +437,7 @@ class WeierstrassEngine:
         """(wp, wp', wp'') at one point; raises PoleProximityError at poles."""
         p, pp, ppp, pole = self.eval(np.asarray([z], dtype=complex))
         if bool(pole[0]) or not np.isfinite(p[0]):
-            raise PoleProximityError(f"z={z} is within {self.pole_radius} of a pole")
+            raise PoleProximityError(f"z={z} is within {_POLE_RADIUS} of a pole")
         return complex(p[0]), complex(pp[0]), complex(ppp[0])
 
     def ode_residual(self, z):
@@ -453,12 +446,12 @@ class WeierstrassEngine:
         res = pp * pp - (4.0 * p**3 - self._g2 * p - self._g3)
         return np.abs(res) / (1.0 + np.abs(p)) ** 3
 
-    def eval_unreduced(self, z: complex, extra_depth_budget: int = 40):
+    def eval_unreduced(self, z: complex):
         """Validation-only evaluation without lattice reduction."""
         depth = max(
             0, math.ceil(math.log2(max(abs(z) / self._halving_radius, 1.0)))
         )
-        if depth > extra_depth_budget:
+        if depth > _MAX_UNREDUCED_DEPTH:
             raise LatticeReductionError("unreduced evaluation depth exceeded")
         return _ladder_eval(z, self._g2, self._coeffs, depth)
 
@@ -469,13 +462,13 @@ ENGINE_CACHE_CAPACITY = 64
 _ENGINE_CACHE: OrderedDict = OrderedDict()
 
 
-def engine_for(inv: Invariants, series_order: int = 40) -> WeierstrassEngine:
+def engine_for(inv: Invariants) -> WeierstrassEngine:
     """Shared engine per invariant pair (engines are immutable), from a
     least-recently-used cache of ``ENGINE_CACHE_CAPACITY`` engines."""
-    key = (inv.key, series_order)
+    key = inv.key
     eng = _ENGINE_CACHE.get(key)
     if eng is None:
-        eng = WeierstrassEngine(inv, series_order=series_order)
+        eng = WeierstrassEngine(inv)
         _ENGINE_CACHE[key] = eng
         if len(_ENGINE_CACHE) > ENGINE_CACHE_CAPACITY:
             _ENGINE_CACHE.popitem(last=False)

@@ -100,6 +100,14 @@ def test_wp_eval_invariants(capsys):
     assert abs(data["odeResidual"]) < 1e-8
 
 
+def test_wp_eval_hexagonal_lattice(capsys):
+    code, out, _ = run_cli(
+        ["wp-eval", "--g2", "0", "--g3", "7", "--z", "0.3+0.1i"], capsys
+    )
+    assert code == 0
+    assert abs(json.loads(out)["odeResidual"]) < 1e-8
+
+
 def test_wp_eval_case_and_tau(capsys):
     code, out, _ = run_cli(["wp-eval", "--case", "IV", "--z", "0.4+0.2i"], capsys)
     assert code == 0
@@ -470,11 +478,11 @@ def test_suite_requires_acceptance_flag(capsys):
 def test_suite_detects_mutations(capsys, monkeypatch):
     """Sanity check on the gate itself: corrupt one constant and the suite
     must report a failure."""
-    import fermatlab.verify as verify_mod
+    import fermatlab.families as families_mod
 
-    real = verify_mod.second_derivative_constant
+    real = families_mod.second_derivative_constant
     monkeypatch.setattr(
-        verify_mod, "second_derivative_constant", lambda tau: real(tau) + 1e-4
+        families_mod, "second_derivative_constant", lambda tau: real(tau) + 1e-4
     )
     code, out, _ = run_cli(["suite", "--acceptance"], capsys)
     assert code == 1

@@ -28,6 +28,7 @@ from fermatlab.exprs import (
     make_pow,
     wp_nodes,
 )
+from fermatlab.families import build_family
 from fermatlab.wp import Invariants, engine_for
 
 
@@ -180,6 +181,12 @@ def test_denominators_collects_nested():
     outer = Div(inner, Sub(Exp(W), ONE))
     dens = denominators(outer)
     assert len(dens) == 2
+    # preorder: a division's own denominator comes before those inside it,
+    # and the left operand's before the right operand's
+    assert dens[0] is outer.rhs and dens[1] is inner.rhs
+    right = Div(Const(2), Exp(W))
+    left_first = denominators(Add(outer, right))
+    assert [id(d) for d in left_first] == [id(outer.rhs), id(inner.rhs), id(right.rhs)]
     vals = sorted(abs(evaluate(d, 0.5)) for d in dens)
     assert abs(vals[0] - abs(cmath.exp(0.5) - 1)) < 1e-14
     assert abs(vals[1] - abs(cmath.exp(0.5) + 1)) < 1e-14
@@ -213,3 +220,66 @@ def test_as_fraction_derivative_denominator_squares():
     z = 0.53
     ref = numeric_derivative(expr, z)
     assert abs(evaluate(num, z) / evaluate(den, z) - ref) < 1e-8 * (1 + abs(ref))
+
+
+#: repr of differentiate(e) and as_fraction(e) for two catalog expressions.
+#: The tree shape fixes which operands each node combines, and in which
+#: order, and so the bits of every numeric result; these strings pin it.
+PINNED_TREES = {
+    "case2.f": (
+        "((((Const(0j) + ((Const(0j) * wp'(w)) + (Const((1.7320508075688772+0j)) * (((C"
+        "onst((6+0j)) * (wp(w) ** 2)) - Const(0j)) * Const((1+0j)))))) * (Const((6+0j))"
+        " * wp(w))) - ((Const((3+0j)) + (Const((1.7320508075688772+0j)) * wp'(w))) * (("
+        "Const(0j) * wp(w)) + (Const((6+0j)) * (wp'(w) * Const((1+0j))))))) / ((Const(("
+        "6+0j)) * wp(w)) ** 2))",
+        "((Const((3+0j)) + (Const((1.7320508075688772+0j)) * wp'(w))), (Const((6+0j)) *"
+        " wp(w)))",
+    ),
+    "corollary.g": (
+        "((((((Const(0j) + (exp((Const((2+0j)) * w)) * ((Const(0j) * w) + (Const((2+0j)"
+        ") * Const((1+0j)))))) * (Const((2+0j)) * exp(w))) - ((Const((1+0j)) + exp((Con"
+        "st((2+0j)) * w))) * ((Const(0j) * exp(w)) + (Const((2+0j)) * (exp(w) * Const(("
+        "1+0j))))))) / ((Const((2+0j)) * exp(w)) ** 2)) * ((((Const(0j) - (exp((Const(("
+        "2+0j)) * w)) * ((Const(0j) * w) + (Const((2+0j)) * Const((1+0j)))))) * (Const("
+        "(1+0j)) + exp((Const((2+0j)) * w)))) - ((Const((1+0j)) - exp((Const((2+0j)) * "
+        "w))) * (Const(0j) + (exp((Const((2+0j)) * w)) * ((Const(0j) * w) + (Const((2+0"
+        "j)) * Const((1+0j)))))))) / ((Const((1+0j)) + exp((Const((2+0j)) * w))) ** 2))"
+        ") + (((Const((1+0j)) + exp((Const((2+0j)) * w))) / (Const((2+0j)) * exp(w))) *"
+        " (((((((Const(0j) - (((exp((Const((2+0j)) * w)) * ((Const(0j) * w) + (Const((2"
+        "+0j)) * Const((1+0j))))) * ((Const(0j) * w) + (Const((2+0j)) * Const((1+0j))))"
+        ") + (exp((Const((2+0j)) * w)) * (((Const(0j) * w) + (Const(0j) * Const((1+0j))"
+        ")) + ((Const(0j) * Const((1+0j))) + (Const((2+0j)) * Const(0j))))))) * (Const("
+        "(1+0j)) + exp((Const((2+0j)) * w)))) + ((Const(0j) - (exp((Const((2+0j)) * w))"
+        " * ((Const(0j) * w) + (Const((2+0j)) * Const((1+0j)))))) * (Const(0j) + (exp(("
+        "Const((2+0j)) * w)) * ((Const(0j) * w) + (Const((2+0j)) * Const((1+0j)))))))) "
+        "- (((Const(0j) - (exp((Const((2+0j)) * w)) * ((Const(0j) * w) + (Const((2+0j))"
+        " * Const((1+0j)))))) * (Const(0j) + (exp((Const((2+0j)) * w)) * ((Const(0j) * "
+        "w) + (Const((2+0j)) * Const((1+0j))))))) + ((Const((1+0j)) - exp((Const((2+0j)"
+        ") * w))) * (Const(0j) + (((exp((Const((2+0j)) * w)) * ((Const(0j) * w) + (Cons"
+        "t((2+0j)) * Const((1+0j))))) * ((Const(0j) * w) + (Const((2+0j)) * Const((1+0j"
+        "))))) + (exp((Const((2+0j)) * w)) * (((Const(0j) * w) + (Const(0j) * Const((1+"
+        "0j)))) + ((Const(0j) * Const((1+0j))) + (Const((2+0j)) * Const(0j)))))))))) * "
+        "((Const((1+0j)) + exp((Const((2+0j)) * w))) ** 2)) - ((((Const(0j) - (exp((Con"
+        "st((2+0j)) * w)) * ((Const(0j) * w) + (Const((2+0j)) * Const((1+0j)))))) * (Co"
+        "nst((1+0j)) + exp((Const((2+0j)) * w)))) - ((Const((1+0j)) - exp((Const((2+0j)"
+        ") * w))) * (Const(0j) + (exp((Const((2+0j)) * w)) * ((Const(0j) * w) + (Const("
+        "(2+0j)) * Const((1+0j)))))))) * ((Const((2+0j)) * (Const((1+0j)) + exp((Const("
+        "(2+0j)) * w)))) * (Const(0j) + (exp((Const((2+0j)) * w)) * ((Const(0j) * w) + "
+        "(Const((2+0j)) * Const((1+0j))))))))) / (((Const((1+0j)) + exp((Const((2+0j)) "
+        "* w))) ** 2) ** 2))))",
+        "(((Const((1+0j)) + exp((Const((2+0j)) * w))) * (((Const(0j) - (exp((Const((2+0"
+        "j)) * w)) * ((Const(0j) * w) + Const((2+0j))))) * (Const((1+0j)) + exp((Const("
+        "(2+0j)) * w)))) - ((Const((1+0j)) - exp((Const((2+0j)) * w))) * (Const(0j) + ("
+        "exp((Const((2+0j)) * w)) * ((Const(0j) * w) + Const((2+0j)))))))), ((Const((2+"
+        "0j)) * exp(w)) * ((Const((1+0j)) + exp((Const((2+0j)) * w))) ** 2)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TREES))
+def test_tree_shapes_are_pinned(name):
+    family_id, attr = name.split(".")
+    e = getattr(build_family(family_id), attr)
+    deriv, frac = PINNED_TREES[name]
+    assert repr(differentiate(e)) == deriv
+    assert repr(as_fraction(e)) == frac

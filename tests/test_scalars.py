@@ -19,7 +19,6 @@ from fermatlab.scalars import (
     format_complex,
     is_exact_scalar,
     parse_complex,
-    parse_rational,
     rational_sqrt,
 )
 
@@ -104,17 +103,20 @@ def test_eta_zero_is_one():
 # -- parsing and formatting --------------------------------------------------
 
 
-def test_parse_rational():
-    assert parse_rational("5/4") == Fraction(5, 4)
-    assert parse_rational("-3") == Fraction(-3)
-    with pytest.raises(ValueError):
-        parse_rational("x")
-
-
 def test_parse_complex_exact_forms():
     assert parse_complex("1/3+1/2i") == RationalComplex(Fraction(1, 3), Fraction(1, 2))
     assert parse_complex("-2i") == RationalComplex(0, -2)
-    assert parse_complex("7") == RationalComplex(7)
+    assert parse_complex("7") == Fraction(7)
+    assert parse_complex("5/4") == Fraction(5, 4)
+    assert parse_complex("-3") == Fraction(-3)
+    assert parse_complex("+i") == RationalComplex(0, 1)
+    assert parse_complex("-i") == RationalComplex(0, -1)
+    # decimal parts are floats, not exact
+    z = parse_complex("0.5+0.25i")
+    assert type(z) is complex and z == complex(0.5, 0.25)
+    for bad in ("x", "1+", "1/0"):
+        with pytest.raises(ValueError):
+            parse_complex(bad)
 
 
 def test_format_complex_round_trip():

@@ -20,16 +20,18 @@ from fermatlab.exprs import (
     WpPrime,
     differentiate,
 )
-from fermatlab.families import build_family
+from fermatlab.families import (
+    build_family,
+    diagnostic_h1,
+    diagnostic_h2,
+    h1_cell_min_modulus,
+    second_derivative_offset_scan,
+)
 from fermatlab.verify import (
     ScanWindow,
     derivative_identity_scan,
     diagnostic_h0,
-    diagnostic_h1,
-    diagnostic_h2,
-    h1_cell_min_modulus,
     residual_scan,
-    second_derivative_offset_scan,
     value_attainment_scan,
     zero_scan,
     zero_set_compare,

@@ -285,3 +285,23 @@ def test_basis_lengths_for_equianharmonic(eng01):
     # hexagonal lattice: both generators have the same length 2 * omega1
     assert abs(abs(v1) - 2 * OMEGA1_01) < 1e-9
     assert abs(abs(v2) - 2 * OMEGA1_01) < 1e-9
+
+
+def test_equianharmonic_basis_is_pinned(eng01):
+    assert eng01.basis == (
+        1.5299540370571927 + 2.6499581254281748j,
+        -1.5299540370571936 + 2.6499581254281748j,
+    )
+
+
+@pytest.mark.parametrize("g3", [7, 46, 67, 69])
+def test_hexagonal_lattices_reduce(g3):
+    """With g2 = 0 these invariants give a basis whose projection rounds to
+    +-1/2 by turns; the reduction must still stop, on a valid lattice."""
+    eng = WeierstrassEngine(Invariants(0, g3))
+    v1, v2 = eng.basis
+    assert abs(abs(v1) - abs(v2)) < 1e-9 * abs(v1)
+    t = np.linspace(0.1, 0.9, 9)
+    x, y = np.meshgrid(t, t)
+    res = eng.ode_residual(eng.cell_point(x.ravel(), y.ravel()))
+    assert np.max(res) < 1e-8
