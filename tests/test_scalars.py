@@ -103,12 +103,19 @@ def test_eta_zero_is_one():
 # -- parsing and formatting --------------------------------------------------
 
 
+def test_parse_rational():
+    # real integers and p/q parse to exact Fractions
+    assert parse_complex("5/4") == Fraction(5, 4)
+    assert type(parse_complex("5/4")) is Fraction
+    assert parse_complex("-3") == Fraction(-3)
+    with pytest.raises(ValueError):
+        parse_complex("x")
+
+
 def test_parse_complex_exact_forms():
     assert parse_complex("1/3+1/2i") == RationalComplex(Fraction(1, 3), Fraction(1, 2))
     assert parse_complex("-2i") == RationalComplex(0, -2)
     assert parse_complex("7") == Fraction(7)
-    assert parse_complex("5/4") == Fraction(5, 4)
-    assert parse_complex("-3") == Fraction(-3)
     assert parse_complex("+i") == RationalComplex(0, 1)
     assert parse_complex("-i") == RationalComplex(0, -1)
     # decimal parts are floats, not exact
