@@ -10,8 +10,10 @@ Subcommands:
 * ``suite``         the acceptance criteria
 
 Exit codes: 0 success/PASS/ZERO; 1 runtime refusal (pole hit, scan FAIL,
-NONZERO, analyzer error, refuted zero-set relation); 2 bad invocation or
-invalid parameters; 3 INCONCLUSIVE scan (exclusion budget exhausted).
+NONZERO, analyzer error, refuted zero-set relation); 2 bad invocation,
+invalid parameters or a numeric failure they cause (no valid period lattice,
+overflow); 3 INCONCLUSIVE scan (exclusion budget exhausted).  ``main`` maps
+exceptions to exit codes; the handlers only return verdict codes.
 
 Complex arguments are written without spaces ("0.3+0.2i", "-1.5i", "2");
 exact rationals use a slash ("5/4", "-1/3+2/5i").  Windows are
@@ -25,12 +27,7 @@ import sys
 
 from . import __version__
 from .config import Config, load_config
-from .errors import (
-    AnalyzerError,
-    DegenerateLatticeError,
-    FermatLabError,
-    PoleProximityError,
-)
+from .errors import AnalyzerError, FermatLabError, PoleProximityError
 from .exprs import differentiate
 from .families import FAMILY_IDS, adjudicate, build_family
 from .reports import canonical_json, format_float, scan_payload, write_csv, write_json
@@ -148,31 +145,18 @@ def _cmd_wp_eval(args) -> int:
         args.case is not None,
     ]
     if sum(sources) != 1:
-        print(
-            "error: give exactly one invariant source: --g2/--g3, --tau or --case",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.case is not None:
-            inv = invariants_from_case(args.case)
-        elif args.tau is not None:
-            inv = invariants_from_tau(parse_complex(args.tau))
-        else:
-            if args.g2 is None or args.g3 is None:
-                print("error: --g2 and --g3 must be given together", file=sys.stderr)
-                return 2
-            inv = Invariants(parse_complex(args.g2), parse_complex(args.g3))
-        z = complex(parse_complex(args.z))
-        eng = engine_for(inv)
-    except (ValueError, DegenerateLatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        p, pp, ppp = eng.eval_scalar(z)
-    except PoleProximityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("give exactly one invariant source: --g2/--g3, --tau or --case")
+    if args.case is not None:
+        inv = invariants_from_case(args.case)
+    elif args.tau is not None:
+        inv = invariants_from_tau(parse_complex(args.tau))
+    else:
+        if args.g2 is None or args.g3 is None:
+            raise ValueError("--g2 and --g3 must be given together")
+        inv = Invariants(parse_complex(args.g2), parse_complex(args.g3))
+    z = complex(parse_complex(args.z))
+    eng = engine_for(inv)
+    p, pp, ppp = eng.eval_scalar(z)
     import numpy as np
 
     ode = float(eng.ode_residual(np.asarray([z]))[0])
@@ -188,13 +172,9 @@ def _cmd_wp_eval(args) -> int:
 
 
 def _cmd_adjudicate(args) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else Config()
-        fam = build_family(args.family, **_family_kwargs(args))
-        verdict = adjudicate(fam, order=cfg.series_order)
-    except (OSError, ValueError, TypeError, DegenerateLatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config) if args.config else Config()
+    fam = build_family(args.family, **_family_kwargs(args))
+    verdict = adjudicate(fam, order=cfg.series_order)
     print(f"family:  {fam.family_id}")
     print(f"params:  {fam.params.to_dict()}")
     print(f"verdict: {verdict.verdict}  (route: {verdict.route})")
@@ -214,33 +194,23 @@ def _cmd_adjudicate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else Config()
-        cfg = cfg.override(
-            tol=args.tol,
-            grid_density=args.density,
-            soft_exclusion=args.soft_exclusion,
-        )
-        fam = build_family(args.family, **_family_kwargs(args))
-        window = parse_window(
-            args.window, density=cfg.grid_density, soft=cfg.soft_exclusion
-        )
-    except (OSError, ValueError, TypeError, DegenerateLatticeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config) if args.config else Config()
+    cfg = cfg.override(
+        tol=args.tol,
+        grid_density=args.density,
+        soft_exclusion=args.soft_exclusion,
+    )
+    fam = build_family(args.family, **_family_kwargs(args))
+    window = parse_window(args.window, density=cfg.grid_density, soft=cfg.soft_exclusion)
     scan = residual_scan if args.check == "residual" else derivative_identity_scan
-    try:
-        rep = scan(
-            fam,
-            window,
-            tol=cfg.tol,
-            pole_ceiling=cfg.pole_ceiling,
-            exclusion_budget=cfg.exclusion_budget,
-            keep_samples=args.csv is not None,
-        )
-    except (ValueError, FermatLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = scan(
+        fam,
+        window,
+        tol=cfg.tol,
+        pole_ceiling=cfg.pole_ceiling,
+        exclusion_budget=cfg.exclusion_budget,
+        keep_samples=args.csv is not None,
+    )
     command = "fermatlab " + " ".join(args.raw_argv)
     if args.out:
         write_json(args.out, scan_payload(rep, __version__, command))
@@ -259,62 +229,44 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    try:
-        expr = _resolve_named_expr(args.expr)
-        compare_expr = (
-            _resolve_named_expr(args.compare) if args.compare else None
-        )
-        window = parse_window(args.window, density=args.density)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    expr = _resolve_named_expr(args.expr)
+    compare_expr = _resolve_named_expr(args.compare) if args.compare else None
+    window = parse_window(args.window, density=args.density)
     relation_holds = True
-    try:
-        rep = zero_scan(expr, window)
-        print(f"zeros of {args.expr}: {len(rep.zeros)}")
-        for z in rep.zeros:
+    rep = zero_scan(expr, window)
+    print(f"zeros of {args.expr}: {len(rep.zeros)}")
+    for z in rep.zeros:
+        print(f"  {_format_point(z.re, z.im)}  multiplicity {z.multiplicity}")
+    print(
+        f"interior count {rep.interior_total} == boundary winding "
+        f"{rep.boundary_total}"
+    )
+    payload = {"expr": args.expr, "zeros": rep.to_dict()}
+    if compare_expr is not None:
+        rep_b = zero_scan(compare_expr, window)
+        print(f"zeros of {args.compare}: {len(rep_b.zeros)}")
+        for z in rep_b.zeros:
             print(f"  {_format_point(z.re, z.im)}  multiplicity {z.multiplicity}")
-        print(
-            f"interior count {rep.interior_total} == boundary winding "
-            f"{rep.boundary_total}"
-        )
-        payload = {"expr": args.expr, "zeros": rep.to_dict()}
-        if compare_expr is not None:
-            rep_b = zero_scan(compare_expr, window)
-            print(f"zeros of {args.compare}: {len(rep_b.zeros)}")
-            for z in rep_b.zeros:
-                print(f"  {_format_point(z.re, z.im)}  multiplicity {z.multiplicity}")
-            cmp = zero_set_compare(
-                rep, rep_b, relation=args.relation, mode=args.mode
-            )
-            line = f"{args.relation} ({args.mode}): {'TRUE' if cmp.verdict else 'FALSE'}"
-            if cmp.verdict and cmp.proper:
-                wit = cmp.proper_witnesses[0]
-                line += (
-                    f" (proper; witness {_format_point(wit['re'], wit['im'])})"
-                )
-            elif not cmp.verdict and cmp.violations:
-                bad = cmp.violations[0]
-                line += f" (violation at {_format_point(bad['re'], bad['im'])})"
-            print(line)
-            payload["compare"] = args.compare
-            payload["comparison"] = cmp.to_dict()
-            relation_holds = bool(cmp.verdict)
-        if args.json:
-            write_json(args.json, payload)
-    except AnalyzerError as exc:
-        print(f"analyzer error: {exc}", file=sys.stderr)
-        return 1
+        cmp = zero_set_compare(rep, rep_b, relation=args.relation, mode=args.mode)
+        line = f"{args.relation} ({args.mode}): {'TRUE' if cmp.verdict else 'FALSE'}"
+        if cmp.verdict and cmp.proper:
+            wit = cmp.proper_witnesses[0]
+            line += f" (proper; witness {_format_point(wit['re'], wit['im'])})"
+        elif not cmp.verdict and cmp.violations:
+            bad = cmp.violations[0]
+            line += f" (violation at {_format_point(bad['re'], bad['im'])})"
+        print(line)
+        payload["compare"] = args.compare
+        payload["comparison"] = cmp.to_dict()
+        relation_holds = bool(cmp.verdict)
+    if args.json:
+        write_json(args.json, payload)
     return 0 if relation_holds else 1
 
 
 def _cmd_discriminant(args) -> int:
-    try:
-        tau = parse_complex(args.tau)
-        result = discriminant_of_tau(tau)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tau = parse_complex(args.tau)
+    result = discriminant_of_tau(tau)
 
     def render(x):
         return str(x) if result.exact else _complex_json(complex(x))
@@ -332,8 +284,7 @@ def _cmd_discriminant(args) -> int:
 
 def _cmd_suite(args) -> int:
     if not args.acceptance:
-        print("error: choose a suite with --acceptance", file=sys.stderr)
-        return 2
+        raise ValueError("choose a suite with --acceptance")
     from .acceptance import run_all
 
     suite = run_all()
@@ -416,7 +367,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.raw_argv = argv
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except AnalyzerError as exc:
+        print(f"analyzer error: {exc}", file=sys.stderr)
+        return 1
+    except PoleProximityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ValueError, TypeError, OverflowError, FermatLabError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ from .scalars import (
     is_exact_scalar,
     rational_sqrt,
 )
-from .series import EXACT, LaurentSeries, exp_series
+from .series import LaurentSeries, exp_series
 from .wp import (
     engine_for,
     invariants_from_case,
@@ -521,8 +521,8 @@ def build_quadratic(
         def build(order: int, ratio=ratio, diff=diff, sgn=sgn, two_rho=two_rho):
             e = exp_series(1, order + 4)
             e2 = e * e
-            c_ratio = LaurentSeries.constant(ratio, EXACT, order + 4)
-            unit = LaurentSeries.constant(1, EXACT, order + 4)
+            c_ratio = LaurentSeries.constant(ratio, order + 4)
+            unit = LaurentSeries.constant(1, order + 4)
             fs = (e2 - c_ratio) * (e.scale(1 - ratio)).invert()
             gs = (e2 - unit) * (e.scale(diff)).invert()
             return fs * fs + (fs * gs).scale(sgn * two_rho) + gs * gs - unit
@@ -754,7 +754,7 @@ def build_unit_unit(beta: Optional[Expr] = None) -> SolutionFamily:
 
     def build(order: int) -> LaurentSeries:
         e = exp_series(1, order + 2)
-        unit = LaurentSeries.constant(1, EXACT, order + 2)
+        unit = LaurentSeries.constant(1, order + 2)
         inv = (unit + e).invert()
         return inv + e * inv - unit
 
@@ -783,7 +783,7 @@ def build_m_one(m: int = 3, beta: Optional[Expr] = None) -> SolutionFamily:
     def build(order: int, m=m) -> LaurentSeries:
         e = exp_series(1, order)
         em = exp_series(m, order)
-        unit = LaurentSeries.constant(1, EXACT, order)
+        unit = LaurentSeries.constant(1, order)
         return e**m + (unit - em) - unit
 
     return SolutionFamily(
@@ -844,7 +844,7 @@ def build_corollary_witness(ell: int = 1, beta: Optional[Expr] = None) -> Soluti
     def build(order: int) -> LaurentSeries:
         e2 = exp_series(2, order + 4)
         em = exp_series(-1, order + 4)
-        unit = LaurentSeries.constant(1, EXACT, order + 4)
+        unit = LaurentSeries.constant(1, order + 4)
         fs = (unit - e2) * (unit + e2).invert()
         hs = (unit + e2) * em.scale(Fraction(1, 2))
         fps = fs.differentiate()

@@ -206,9 +206,10 @@ def parse_complex(text: str):
     return complex(float(re_val), float(im_val))
 
 
-def format_complex(z: complex, digits: int = 17) -> str:
-    re_s = format(z.real, f".{digits}g")
-    im_s = format(abs(z.imag), f".{digits}g")
+def format_complex(z: complex) -> str:
+    """z as a+bi with 17 significant digits per part, enough to round-trip."""
+    re_s = format(z.real, ".17g")
+    im_s = format(abs(z.imag), ".17g")
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
 

@@ -1,5 +1,4 @@
-"""Truncated Laurent series with exact (Gaussian-rational) or float
-coefficients.
+"""Truncated Laurent series with exact Gaussian-rational coefficients.
 
 A series is stored densely on the exponent range [low, high]; ``high`` is the
 truncation order: coefficients beyond it are unknown, coefficients inside the
@@ -8,28 +7,25 @@ truncation order pessimistically, so "identically zero through order N" is a
 meaningful, certified statement.
 
 Coefficients are kept as numerators over one common denominator, as FLINT's
-``fmpq_poly`` does: coefficient k is ``(re[k] + i*im[k]) / den``.  In exact
-mode ``re`` and ``im`` are Python ints, ``den`` is a positive int and every
-result is reduced once by ``gcd(den, *re, *im)``, which makes the
-representation canonical.  In float mode the numerators are floats and
-``den`` is 1.  ``coeffs``, ``coefficient()`` and ``leading_terms()`` build
-``RationalComplex`` (exact) or ``complex`` (float) values on demand.
+``fmpq_poly`` does: coefficient k is ``(re[k] + i*im[k]) / den``.  ``re``
+and ``im`` are Python ints, ``den`` is a positive int and every result is
+reduced once by ``gcd(den, *re, *im)``, which makes the representation
+canonical.  ``coeffs``, ``coefficient()`` and ``leading_terms()`` build
+``RationalComplex`` values on demand.  Coefficients are given as ints,
+Fractions or ``RationalComplex``; a float is refused with ``TypeError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
-from .scalars import RationalComplex, is_exact_scalar
-
-EXACT = "exact"
-FLOAT = "float"
+from .scalars import RationalComplex
 
 
-def _exact_parts(c):
+def _parts(c):
     """(re, im, den) integers with c == (re + i*im) / den and den > 0."""
     c = RationalComplex.coerce(c)
     den = lcm(c.re.denominator, c.im.denominator)
@@ -40,25 +36,15 @@ def _exact_parts(c):
     )
 
 
-def _parts(c, mode):
-    if mode == EXACT:
-        return _exact_parts(c)
-    z = complex(c)
-    return z.real, z.imag, 1
+def _view(den, r, i):
+    return RationalComplex(Fraction(r, den), Fraction(i, den))
 
 
-def _view(mode, den, r, i):
-    if mode == EXACT:
-        return RationalComplex(Fraction(r, den), Fraction(i, den))
-    return complex(r, i)
-
-
-def _reduce(mode, den, re, im):
+def _reduce(den, re, im):
     """Divide the numerators and the denominator by their common gcd."""
-    if mode == EXACT:
-        g = gcd(den, *re, *im)
-        if g > 1:
-            return den // g, tuple(x // g for x in re), tuple(x // g for x in im)
+    g = gcd(den, *re, *im)
+    if g > 1:
+        return den // g, tuple(x // g for x in re), tuple(x // g for x in im)
     return den, tuple(re), tuple(im)
 
 
@@ -88,7 +74,7 @@ def _cmul(ar, ai, br, bi, start, stop):
     return re, im
 
 
-def _inverse(mode, den, re, im, n):
+def _inverse(den, re, im, n):
     """(den, re, im) of the first n coefficients of 1/a, where
     a = (re + i*im) / den has a nonzero constant term.
 
@@ -96,11 +82,7 @@ def _inverse(mode, den, re, im, n):
     coefficients p .. 2p-1 as -(B * T), T being coefficients p .. 2p-1 of a B.
     """
     r0, i0 = re[0], im[0]
-    if mode == EXACT:
-        bd, br, bi = r0 * r0 + i0 * i0, (den * r0,), (-den * i0,)
-    else:
-        b = den / complex(r0, i0)
-        bd, br, bi = 1, (b.real,), (b.imag,)
+    bd, br, bi = r0 * r0 + i0 * i0, (den * r0,), (-den * i0,)
     p = 1
     while p < n:
         q = min(2 * p, n)
@@ -108,7 +90,6 @@ def _inverse(mode, den, re, im, n):
         cr, ci = _cmul(br, bi, tr, ti, 0, q - p)  # over den * bd**2
         f = den * bd
         bd, br, bi = _reduce(
-            mode,
             den * bd * bd,
             [x * f for x in br] + [-x for x in cr],
             [x * f for x in bi] + [-x for x in ci],
@@ -117,7 +98,7 @@ def _inverse(mode, den, re, im, n):
     return bd, br, bi
 
 
-def _normal(mode, low, high, den, re, im) -> "LaurentSeries":
+def _normal(low, high, den, re, im) -> "LaurentSeries":
     """Series from numerators on [low, high]: checks the pole order, advances
     past exact leading zeros (keeping the truncation order) and reduces."""
     if low < -LaurentSeries.MAX_POLE_ORDER:
@@ -130,8 +111,8 @@ def _normal(mode, low, high, den, re, im) -> "LaurentSeries":
     lead = 0
     while lead < len(re) and re[lead] == 0 and im[lead] == 0:
         lead += 1
-    den, re, im = _reduce(mode, den, re[lead:], im[lead:])
-    return LaurentSeries(mode, low + lead, high, den, re, im)
+    den, re, im = _reduce(den, re[lead:], im[lead:])
+    return LaurentSeries(low + lead, high, den, re, im)
 
 
 @dataclass(frozen=True)
@@ -139,7 +120,6 @@ class LaurentSeries:
     """sum of (re[k] + i*im[k]) / den * w**(low + k), truncated beyond
     exponent ``high``."""
 
-    mode: str
     low: int
     high: int
     den: int
@@ -151,22 +131,22 @@ class LaurentSeries:
     MAX_POLE_ORDER = 12
 
     @staticmethod
-    def make(mode, low, coeffs, high=None) -> "LaurentSeries":
-        parts = [_parts(c, mode) for c in coeffs]
+    def make(low, coeffs, high=None) -> "LaurentSeries":
+        parts = [_parts(c) for c in coeffs]
         if high is None:
             high = low + len(parts) - 1
         den = lcm(*(d for _, _, d in parts))
         re = [r * (den // d) for r, _, d in parts]
         im = [i * (den // d) for _, i, d in parts]
-        return _normal(mode, low, high, den, re, im)
+        return _normal(low, high, den, re, im)
 
     @staticmethod
-    def zero(mode, high) -> "LaurentSeries":
-        return LaurentSeries(mode, high + 1, high, 1, (), ())
+    def zero(high) -> "LaurentSeries":
+        return LaurentSeries(high + 1, high, 1, (), ())
 
     @staticmethod
-    def constant(value, mode, high) -> "LaurentSeries":
-        return LaurentSeries.make(mode, 0, [value] + [0] * high, high)
+    def constant(value, high) -> "LaurentSeries":
+        return LaurentSeries.make(0, [value] + [0] * high, high)
 
     # -- inspection ---------------------------------------------------------
     @property
@@ -175,17 +155,16 @@ class LaurentSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """Coefficients of exponents low .. high as RationalComplex (exact)
-        or complex (float) values."""
-        return tuple(_view(self.mode, self.den, r, i) for r, i in zip(self.re, self.im))
+        """Coefficients of exponents low .. high as RationalComplex values."""
+        return tuple(_view(self.den, r, i) for r, i in zip(self.re, self.im))
 
     def coefficient(self, k: int):
         """Coefficient of w**k; k must not exceed the truncation order."""
         if k > self.high:
             raise ValueError(f"exponent {k} beyond truncation order {self.high}")
         if k < self.low:
-            return _view(self.mode, 1, 0, 0)
-        return _view(self.mode, self.den, self.re[k - self.low], self.im[k - self.low])
+            return _view(1, 0, 0)
+        return _view(self.den, self.re[k - self.low], self.im[k - self.low])
 
     def is_zero_through(self, order: int) -> bool:
         """True iff every coefficient with exponent <= order is exactly zero.
@@ -204,22 +183,17 @@ class LaurentSeries:
         out = []
         for k, (r, i) in enumerate(zip(self.re, self.im)):
             if r != 0 or i != 0:
-                out.append((self.low + k, _view(self.mode, self.den, r, i)))
+                out.append((self.low + k, _view(self.den, r, i)))
                 if len(out) >= count:
                     break
         return out
 
     # -- arithmetic ---------------------------------------------------------
-    def _check(self, other):
-        if self.mode != other.mode:
-            raise ValueError("cannot mix exact and float series")
-
     def __add__(self, other):
-        self._check(other)
         high = min(self.high, other.high)
         low = min(self.low, other.low)
         if low > high:
-            return LaurentSeries.zero(self.mode, high)
+            return LaurentSeries.zero(high)
         den = lcm(self.den, other.den)
         re = [0] * (high - low + 1)
         im = [0] * (high - low + 1)
@@ -229,11 +203,10 @@ class LaurentSeries:
             for k in range(max(0, high - s.low + 1)):
                 re[off + k] += f * s.re[k]
                 im[off + k] += f * s.im[k]
-        return _normal(self.mode, low, high, den, re, im)
+        return _normal(low, high, den, re, im)
 
     def __neg__(self):
         return LaurentSeries(
-            self.mode,
             self.low,
             self.high,
             self.den,
@@ -245,27 +218,26 @@ class LaurentSeries:
         return self + (-other)
 
     def scale(self, c) -> "LaurentSeries":
-        cr, ci, cd = _parts(c, self.mode)
+        cr, ci, cd = _parts(c)
         if cr == 0 and ci == 0:
-            return LaurentSeries.zero(self.mode, self.high)
+            return LaurentSeries.zero(self.high)
         re = [cr * r - ci * i for r, i in zip(self.re, self.im)]
         im = [cr * i + ci * r for r, i in zip(self.re, self.im)]
-        den, re, im = _reduce(self.mode, self.den * cd, re, im)
-        return LaurentSeries(self.mode, self.low, self.high, den, re, im)
+        den, re, im = _reduce(self.den * cd, re, im)
+        return LaurentSeries(self.low, self.high, den, re, im)
 
     def __mul__(self, other):
-        self._check(other)
         # the first unknown product coefficient comes from one factor's unknown
         # tail (exponent > high) paired with the other's lowest known term
         high = min(self.high + other.low, other.high + self.low)
         if self.is_zero or other.is_zero:
-            return LaurentSeries.zero(self.mode, high)
+            return LaurentSeries.zero(high)
         low = self.low + other.low
         n = high - low + 1
         if n <= 0:
-            return LaurentSeries.zero(self.mode, high)
+            return LaurentSeries.zero(high)
         re, im = _cmul(self.re[:n], self.im[:n], other.re[:n], other.im[:n], 0, n)
-        return _normal(self.mode, low, high, self.den * other.den, re, im)
+        return _normal(low, high, self.den * other.den, re, im)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -273,7 +245,7 @@ class LaurentSeries:
         if k < 0:
             return self.invert() ** (-k)
         if k == 0:
-            return LaurentSeries.constant(1, self.mode, max(self.high, 0))
+            return LaurentSeries.constant(1, max(self.high, 0))
         # repeated multiplication keeps the truncation bookkeeping honest
         out = self
         for _ in range(k - 1):
@@ -292,8 +264,8 @@ class LaurentSeries:
         if self.re[0] == 0 and self.im[0] == 0:
             raise ZeroDivisionError("leading coefficient vanished")
         m = self.low
-        den, re, im = _inverse(self.mode, self.den, self.re, self.im, self.high - m + 1)
-        return _normal(self.mode, -m, self.high - 2 * m, den, re, im)
+        den, re, im = _inverse(self.den, self.re, self.im, self.high - m + 1)
+        return _normal(-m, self.high - 2 * m, den, re, im)
 
     def __truediv__(self, other):
         return self * other.invert()
@@ -301,7 +273,6 @@ class LaurentSeries:
     def differentiate(self) -> "LaurentSeries":
         e = range(self.low, self.low + len(self.re))
         return _normal(
-            self.mode,
             self.low - 1,
             self.high - 1,
             self.den,
@@ -310,19 +281,6 @@ class LaurentSeries:
         )
 
     # -- views --------------------------------------------------------------
-    def to_float(self) -> "LaurentSeries":
-        if self.mode == FLOAT:
-            return self
-        d = self.den
-        return LaurentSeries(
-            FLOAT,
-            self.low,
-            self.high,
-            1,
-            tuple(r / d for r in self.re),
-            tuple(i / d for i in self.im),
-        )
-
     def evaluate(self, z: complex) -> complex:
         """Partial-sum evaluation (float), for small |z| cross-checks."""
         total = 0j
@@ -338,18 +296,10 @@ class LaurentSeries:
 
 
 def exp_series(c, order: int) -> LaurentSeries:
-    """Series of exp(c*w) through w**order; exact when c is exact."""
-    if not is_exact_scalar(c):
-        cc = complex(c)
-        coeffs = []
-        power = 1 + 0j
-        for k in range(order + 1):
-            coeffs.append(power / factorial(k))
-            power = power * cc
-        return LaurentSeries.make(FLOAT, 0, coeffs, order)
+    """Series of exp(c*w) through w**order."""
     # c = (cr + i*ci)/cd, so c^k/k! = (cr + i*ci)^k * scale[k] / scale[0]
     # over the common denominator scale[0] = order! * cd**order
-    cr, ci, cd = _exact_parts(c)
+    cr, ci, cd = _parts(c)
     scale = [1] * (order + 1)
     for k in range(order - 1, -1, -1):
         scale[k] = scale[k + 1] * cd * (k + 1)
@@ -359,14 +309,19 @@ def exp_series(c, order: int) -> LaurentSeries:
         re.append(pr * s)
         im.append(pi * s)
         pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
-    return _normal(EXACT, 0, order, scale[0], re, im)
+    return _normal(0, order, scale[0], re, im)
 
 
 def _wp_tail(g2, g3, kmax: int):
-    """(den, re, im): numerators of the exact c_k of ``wp_coefficients`` for
-    k = 0 .. kmax (c_0 = c_1 = 0) over one common denominator."""
-    r2, i2, d2 = _exact_parts(g2)
-    r3, i3, d3 = _exact_parts(g3)
+    """(den, re, im): numerators of the Taylor tail coefficients c_k of the
+    Weierstrass function for k = 0 .. kmax (c_0 = c_1 = 0) over one common
+    denominator:
+    wp(w) = w**-2 + sum_{k>=2} c_k w**(2k-2), with
+    c_2 = g2/20, c_3 = g3/28 and the classical quadratic recurrence
+    c_k = 3/((2k+1)(k-3)) * sum_{j=2}^{k-2} c_j c_{k-j} for k >= 4.
+    """
+    r2, i2, d2 = _parts(g2)
+    r3, i3, d3 = _parts(g3)
     den = lcm(20 * d2, 28 * d3)
     re = [0] * (kmax + 1)
     im = [0] * (kmax + 1)
@@ -392,48 +347,20 @@ def _wp_tail(g2, g3, kmax: int):
     return den, re, im
 
 
-def wp_coefficients(g2, g3, kmax: int):
-    """Taylor tail coefficients c_k (k = 2..kmax) of the Weierstrass function:
-    wp(w) = w**-2 + sum_{k>=2} c_k w**(2k-2), with
-    c_2 = g2/20, c_3 = g3/28 and the classical quadratic recurrence
-    c_k = 3/((2k+1)(k-3)) * sum_{j=2}^{k-2} c_j c_{k-j} for k >= 4.
-    """
-    if is_exact_scalar(g2) and is_exact_scalar(g3):
-        den, re, im = _wp_tail(g2, g3, max(kmax, 3))
-        return {k: _view(EXACT, den, re[k], im[k]) for k in range(2, max(kmax, 3) + 1)}
-    g2 = complex(g2)
-    g3 = complex(g3)
-    c = {2: g2 / 20.0, 3: g3 / 28.0}
-    for k in range(4, kmax + 1):
-        s = 0j
-        for j in range(2, k - 1):
-            s += c[j] * c[k - j]
-        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
-    return c
-
-
 def wp_series(g2, g3, order: int = 40) -> LaurentSeries:
     """Laurent series of the Weierstrass function for invariants (g2, g3),
-    valid through w**order.  Exact mode when both invariants are exact."""
+    valid through w**order."""
     if order < 4:
         raise ValueError("truncation order must be >= 4")
     kmax = (order + 2) // 2  # exponent 2k-2 <= order
-    if is_exact_scalar(g2) and is_exact_scalar(g3):
-        mode = EXACT
-        den, cre, cim = _wp_tail(g2, g3, kmax)
-    else:
-        mode = FLOAT
-        c = wp_coefficients(g2, g3, kmax)
-        den = 1
-        cre = [0, 0] + [c[k].real for k in range(2, kmax + 1)]
-        cim = [0, 0] + [c[k].imag for k in range(2, kmax + 1)]
+    den, cre, cim = _wp_tail(g2, g3, kmax)
     # exponents -2 .. order; c_k sits at exponent 2k-2, index 2k
     re = [0] * (order + 3)
     im = [0] * (order + 3)
     re[0] = den  # w^-2
     re[4 : 2 * kmax + 1 : 2] = cre[2:]
     im[4 : 2 * kmax + 1 : 2] = cim[2:]
-    return _normal(mode, -2, order, den, re, im)
+    return _normal(-2, order, den, re, im)
 
 
 def ode_residual_series(g2, g3, order: int = 40) -> LaurentSeries:
@@ -446,10 +373,7 @@ def ode_residual_series(g2, g3, order: int = 40) -> LaurentSeries:
         raise ValueError("truncation order must be >= 10 for the cubic-law residual")
     p = wp_series(g2, g3, order + 4)
     dp = p.differentiate()
-    mode = p.mode
-    res = dp * dp - (p * p * p).scale(4) + p.scale(g2) + LaurentSeries.constant(
-        g3, mode, order
-    )
+    res = dp * dp - (p * p * p).scale(4) + p.scale(g2) + LaurentSeries.constant(g3, order)
     if res.high < order:
         raise AssertionError("internal truncation slack was insufficient")
     return res

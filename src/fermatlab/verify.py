@@ -63,6 +63,9 @@ _BOUNDARY_MARGIN = 1e-6
 #: zeros of two reports closer than this are the same zero
 _MATCH_RADIUS = 1e-6
 
+#: most refinement passes of contour phase tracking
+_PHASE_PASSES = 12
+
 #: boundary contour nodes per unit length
 _BOUNDARY_NODES_PER_UNIT = 32.0
 
@@ -440,12 +443,12 @@ class ZeroReport:
         }
 
 
-def _phase_track(num: Expr, nodes: np.ndarray, floor: float, max_passes: int = 12):
+def _phase_track(num: Expr, nodes: np.ndarray, floor: float):
     """Winding of num along a closed polyline by phase tracking with adaptive
     refinement; returns (winding_float, nodes, values)."""
     z = np.asarray(nodes, dtype=complex)
     v = evaluate(num, z)
-    for _ in range(max_passes):
+    for _ in range(_PHASE_PASSES):
         if np.any(~np.isfinite(v)) or np.any(np.abs(v) <= floor):
             raise AnalyzerError(
                 "numerator vanishes or is singular on the contour; "

@@ -35,7 +35,6 @@ from .scalars import (
     cubic_roots,
     is_exact_scalar,
 )
-from .series import wp_coefficients
 
 
 #: order of the Laurent series the engine evaluates near the origin
@@ -233,12 +232,18 @@ def _duplicate(p, pp, g2):
 
 
 def _coeff_array(g2, g3, order: int) -> np.ndarray:
+    """Float Taylor tail coefficients c_0 .. c_K of wp (c_0 = c_1 = 0) through
+    exponent ``order``, by the recurrence that ``series._wp_tail`` runs
+    exactly.  The sum runs in plain Python in this order because scan reports
+    depend on every bit of these coefficients."""
     kmax = max(3, (order + 2) // 2)
-    cs = wp_coefficients(complex(g2), complex(g3), kmax)
-    arr = np.zeros(kmax + 1, dtype=complex)
-    for k in range(2, kmax + 1):
-        arr[k] = cs[k]
-    return arr
+    c = [0j, 0j, complex(g2) / 20.0, complex(g3) / 28.0]
+    for k in range(4, kmax + 1):
+        s = 0j
+        for j in range(2, k - 1):
+            s += c[j] * c[k - j]
+        c.append(3.0 * s / ((2 * k + 1) * (k - 3)))
+    return np.array(c, dtype=complex)
 
 
 def _validate_periods(g2, g3, w1, w3, coeffs) -> bool:

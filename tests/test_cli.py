@@ -18,7 +18,7 @@ from fermatlab.families import adjudicate
 # exit-code contract:
 #   0 success / PASS / ZERO
 #   1 runtime refusal (pole hit, FAIL scan, NONZERO or UNAVAILABLE verdict)
-#   2 invalid invocation or parameters
+#   2 invalid invocation or parameters, or a numeric failure they cause
 #   3 INCONCLUSIVE scan
 
 
@@ -145,6 +145,24 @@ def test_wp_eval_degenerate_tau(capsys):
 def test_wp_eval_bad_complex(capsys):
     code, _, _ = run_cli(["wp-eval", "--case", "II", "--z", "zebra"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no candidate root pairing gives a valid lattice (ConvergenceError)
+        ["verify", "--family", "cubic", "--tau", "1e3"],
+        ["adjudicate", "--family", "cubic", "--tau", "1e3"],
+        # the discriminant overflows (OverflowError)
+        ["wp-eval", "--g2", "1e200", "--g3", "1", "--z", "0.1"],
+        ["verify", "--family", "cubic", "--tau", "1e200"],
+    ],
+)
+def test_numeric_failures_exit_2(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # -- adjudicate --------------------------------------------------------------

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 from fermatlab.families import adjudicate, build_family
 from fermatlab.scalars import RationalComplex
-from fermatlab.series import (
-    EXACT,
-    FLOAT,
-    LaurentSeries,
-    exp_series,
-    ode_residual_series,
-    wp_coefficients,
-    wp_series,
-)
+from fermatlab.series import LaurentSeries, exp_series, ode_residual_series, wp_series
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -27,7 +19,7 @@ small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 def series_strategy(low_min=-3, high=8):
     def build(low, coeffs):
         padded = coeffs + [Fraction(0)] * (high - low + 1 - len(coeffs))
-        return LaurentSeries.make(EXACT, low, padded[: high - low + 1], high)
+        return LaurentSeries.make(low, padded[: high - low + 1], high)
 
     return st.builds(
         build,
@@ -40,45 +32,47 @@ def series_strategy(low_min=-3, high=8):
 
 
 def test_make_trims_leading_zeros():
-    s = LaurentSeries.make(EXACT, -2, [0, 0, 3, 0, 1], 2)
+    s = LaurentSeries.make(-2, [0, 0, 3, 0, 1], 2)
     assert s.low == 0 and s.high == 2
     assert s.coefficient(0) == RationalComplex(3)
     assert s.coefficient(2) == RationalComplex(1)
 
 
 def test_coefficient_beyond_truncation_raises():
-    s = LaurentSeries.constant(1, EXACT, 4)
+    s = LaurentSeries.constant(1, 4)
     with pytest.raises(ValueError, match="beyond truncation"):
         s.coefficient(5)
 
 
 def test_pole_order_cap():
     with pytest.raises(ValueError, match="exceeds the supported maximum"):
-        LaurentSeries.make(EXACT, -13, [1] * 20, 6)
+        LaurentSeries.make(-13, [1] * 20, 6)
     # order 12 itself is allowed
-    LaurentSeries.make(EXACT, -12, [1] * 20, 7)
+    LaurentSeries.make(-12, [1] * 20, 7)
 
 
-def test_mixing_modes_raises():
-    a = LaurentSeries.constant(1, EXACT, 4)
-    b = LaurentSeries.constant(1.0, FLOAT, 4)
-    with pytest.raises(ValueError, match="mix"):
-        a + b
+def test_float_input_is_refused():
+    with pytest.raises(TypeError):
+        LaurentSeries.make(0, [0.5])
+    with pytest.raises(TypeError):
+        exp_series(0.5, 4)
+    with pytest.raises(TypeError):
+        wp_series(0.0, 1.0, 8)
 
 
 def test_truncation_tightens_under_multiplication():
     # (w^-1 + ...) * (w^2 + ...) : the unknown tail of the first factor
     # pollutes exponents above high1 + low2
-    a = LaurentSeries.make(EXACT, -1, [1, 1, 1, 1, 1, 1], 4)
-    b = LaurentSeries.make(EXACT, 2, [1, 1, 1], 4)
+    a = LaurentSeries.make(-1, [1, 1, 1, 1, 1, 1], 4)
+    b = LaurentSeries.make(2, [1, 1, 1], 4)
     prod = a * b
     assert prod.high == min(4 + 2, 4 + (-1))  # = 3
     assert prod.low == 1
 
 
 def test_zero_series_identity():
-    z = LaurentSeries.zero(EXACT, 6)
-    s = LaurentSeries.make(EXACT, -1, [2, 0, 5], 1)
+    z = LaurentSeries.zero(6)
+    s = LaurentSeries.make(-1, [2, 0, 5], 1)
     assert z.is_zero
     assert (s + z).coefficient(-1) == RationalComplex(2)
     assert (s * z).is_zero
@@ -104,28 +98,28 @@ def test_commutativity(a, b):
 @given(series_strategy())
 @settings(max_examples=40, deadline=None)
 def test_derivative_of_product(a):
-    b = LaurentSeries.make(EXACT, 0, [1, 2, 3, 0, 0, 0, 0, 0, 0], 8)
+    b = LaurentSeries.make(0, [1, 2, 3, 0, 0, 0, 0, 0, 0], 8)
     lhs = (a * b).differentiate()
     rhs = a.differentiate() * b + a * b.differentiate()
     assert (lhs - rhs).is_zero_through(min(lhs.high, rhs.high))
 
 
 def test_invert_round_trip():
-    s = LaurentSeries.make(EXACT, -2, [1, 0, Fraction(1, 3), 5, 0, 0, 0, 1], 5)
+    s = LaurentSeries.make(-2, [1, 0, Fraction(1, 3), 5, 0, 0, 0, 1], 5)
     prod = s * s.invert()
     assert prod.coefficient(0) == RationalComplex(1)
     assert prod.is_zero_through(prod.high) is False  # the 1 at exponent 0
-    diff = prod - LaurentSeries.constant(1, EXACT, prod.high)
+    diff = prod - LaurentSeries.constant(1, prod.high)
     assert diff.is_zero_through(diff.high)
 
 
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        LaurentSeries.zero(EXACT, 4).invert()
+        LaurentSeries.zero(4).invert()
 
 
 def test_power_matches_repeated_multiplication():
-    s = LaurentSeries.make(EXACT, -1, [1, 1, 0, 0, 0, 0], 4)
+    s = LaurentSeries.make(-1, [1, 1, 0, 0, 0, 0], 4)
     cube = s**3
     ref = s * s * s
     assert (cube - ref).is_zero_through(min(cube.high, ref.high))
@@ -217,7 +211,7 @@ def raw_series(draw):
     coeffs = [ZERO] * draw(st.integers(min_value=0, max_value=2))
     coeffs += draw(st.lists(gaussian, min_size=1, max_size=10))
     coeffs = (coeffs + [ZERO] * (high - low + 1))[: high - low + 1]
-    s = LaurentSeries.make(EXACT, low, [RationalComplex(*c) for c in coeffs], high)
+    s = LaurentSeries.make(low, [RationalComplex(*c) for c in coeffs], high)
     return s, _ref(high, ((low + k, c) for k, c in enumerate(coeffs)))
 
 
@@ -245,15 +239,14 @@ def test_quadratic_minus_leading_terms_do_not_depend_on_order():
 
 def test_exp_series_is_exact_for_rational_rate():
     s = exp_series(Fraction(2), 8)
-    assert s.mode == EXACT
     assert s.coefficient(3) == RationalComplex(Fraction(8, 6))
 
 
 def test_exp_series_matches_cmath():
-    c = 0.3 - 1.1j
+    c = RationalComplex(Fraction(3, 10), Fraction(-11, 10))
     s = exp_series(c, 30)
     for z in (0.1, -0.2 + 0.15j, 0.05j):
-        assert abs(s.evaluate(z) - cmath.exp(c * z)) < 1e-12
+        assert abs(s.evaluate(z) - cmath.exp(complex(c) * z)) < 1e-12
 
 
 def test_exp_series_derivative_rule():
@@ -268,7 +261,7 @@ def test_exp_series_derivative_rule():
 
 def test_wp_series_shape_and_frozen_coefficients():
     s = wp_series(0, 1, 12)
-    assert s.mode == EXACT and s.low == -2
+    assert s.low == -2
     # only exponents congruent to -2 mod 6 survive when the quadratic
     # invariant vanishes
     nonzero = [k for k, _ in s.leading_terms(10)]
@@ -285,11 +278,12 @@ def test_wp_series_even():
 
 
 def test_wp_coefficients_classical_values():
-    coeffs = wp_coefficients(Fraction(1), Fraction(1), 5)
-    assert coeffs[2] == RationalComplex(Fraction(1, 20))
-    assert coeffs[3] == RationalComplex(Fraction(1, 28))
+    # c_k sits at exponent 2k - 2
+    s = wp_series(1, 1, 8)
+    assert s.coefficient(2) == RationalComplex(Fraction(1, 20))
+    assert s.coefficient(4) == RationalComplex(Fraction(1, 28))
     # c_4 = c_2^2 / 3
-    assert coeffs[4] == RationalComplex(Fraction(1, 1200))
+    assert s.coefficient(6) == RationalComplex(Fraction(1, 1200))
 
 
 def test_order_guards():
@@ -323,16 +317,9 @@ def test_ode_residual_detects_corruption():
     res = (
         wpp * wpp
         - (wp**3).scale(4)
-        + LaurentSeries.constant(Fraction(999, 1000), EXACT, 16)
+        + LaurentSeries.constant(Fraction(999, 1000), 16)
     )
     assert not res.is_zero_through(res.high)
     k, c = res.leading_terms(1)[0]
     assert k == 0 and c == RationalComplex(Fraction(-1, 1000))
 
-
-def test_float_mode_evaluation():
-    s = wp_series(0.0, 1.0, 16)
-    assert s.mode == FLOAT
-    exact = wp_series(0, 1, 16).to_float()
-    z = 0.21 - 0.13j
-    assert abs(s.evaluate(z) - exact.evaluate(z)) < 1e-13

@@ -189,7 +189,7 @@ def test_engine_cache_evicts_least_recently_used(monkeypatch):
 
 
 def test_engine_matches_series_near_origin(eng01):
-    series = wp_series(0, 1, 40).to_float()
+    series = wp_series(0, 1, 40)
     rng = np.random.default_rng(7)
     for _ in range(25):
         z = complex(*rng.uniform(-0.2, 0.2, 2))
@@ -197,6 +197,28 @@ def test_engine_matches_series_near_origin(eng01):
             continue
         p, _, _ = eng01.eval_scalar(z)
         assert abs(p - series.evaluate(z)) < 1e-10 * (1 + abs(p))
+
+
+@pytest.mark.parametrize(
+    "g2,g3",
+    [
+        (0, 1),
+        (Fraction(-1, 12), Fraction(-1, 6)),
+        (
+            RationalComplex(Fraction(1, 3), Fraction(-2, 5)),
+            RationalComplex(Fraction(-3, 4), Fraction(7, 2)),
+        ),
+    ],
+)
+def test_engine_coefficients_match_exact_series(g2, g3):
+    # the engine's float recurrence against the exact one; rounding error
+    # grows with the depth k of the recurrence, so c_k may be k ulps off
+    coeffs = wp._coeff_array(complex(g2), complex(g3), 40)
+    exact = wp_series(g2, g3, 40)
+    assert len(coeffs) == 22
+    for k in range(2, 22):
+        want = complex(exact.coefficient(2 * k - 2))
+        assert abs(coeffs[k] - want) <= k * np.finfo(float).eps * abs(want)
 
 
 def test_engine_parity(eng01):
