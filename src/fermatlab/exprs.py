@@ -11,6 +11,7 @@ pole-aware scanners rely on.
 from __future__ import annotations
 
 import operator
+import struct
 
 import numpy as np
 
@@ -192,6 +193,45 @@ def walk(e: Expr):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children()))
+
+
+def share(*roots: Expr) -> tuple:
+    """The same trees with every set of structurally equal subtrees made one
+    object, so the evaluator's cache computes each distinct subtree once.
+
+    Constants are equal when their float bits are (0.0 and -0.0 stay apart),
+    atoms when their engines are the same object.  The trees keep their
+    shape: ``repr``, ``walk`` order and ``denominators`` do not change.
+    """
+    canon: dict = {}  # structural key -> shared node
+    done: dict = {}  # id(original node) -> shared node
+
+    def visit(node: Expr) -> Expr:
+        hit = done.get(id(node))
+        if hit is not None:
+            return hit
+        kids = tuple(visit(c) for c in node.children())
+        if isinstance(node, Const):
+            v = node.value
+            key = (Const, struct.pack("dd", v.real, v.imag))
+        else:
+            extra = node.k if isinstance(node, Pow) else id(getattr(node, "engine", None))
+            key = (type(node), extra) + tuple(id(c) for c in kids)
+        out = canon.get(key)
+        if out is None:
+            if all(a is b for a, b in zip(kids, node.children())):
+                out = node
+            elif isinstance(node, Pow):
+                out = Pow(kids[0], node.k)
+            elif isinstance(node, (Wp, WpPrime)):
+                out = type(node)(node.engine, kids[0])
+            else:
+                out = type(node)(*kids)
+            canon[key] = out
+        done[id(node)] = out
+        return out
+
+    return tuple(visit(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------

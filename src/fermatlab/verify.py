@@ -37,6 +37,7 @@ from .exprs import (
     differentiate,
     evaluate,
     evaluate_many,
+    share,
     walk,
     wp_nodes,
 )
@@ -541,17 +542,24 @@ def _supported_atoms_or_raise(num: Expr):
 
 
 def _cluster(points: np.ndarray, radius: float) -> list[complex]:
+    """Means of the clusters of ``points``, in order of their heads.
+
+    Points are visited in rounded (re, im) order; the first point no head
+    claims becomes the next head and claims every unclaimed point within
+    ``radius`` of it.  That is the cluster each point would join in a scan
+    of the heads in creation order, with its members in visiting order."""
     order = np.lexsort((np.round(points.imag, 9), np.round(points.real, 9)))
-    clusters: list[list[complex]] = []
-    for idx in order:
-        p = points[idx]
-        for cluster in clusters:
-            if abs(p - cluster[0]) < radius:
-                cluster.append(p)
-                break
-        else:
-            clusters.append([p])
-    return [complex(np.mean(np.asarray(c))) for c in clusters]
+    rest = points[order]
+    means = []
+    while rest.size:
+        # np.hypot rounds like the scalar abs(); np.abs on a complex array
+        # may differ in the last bit, which would move a boundary point
+        d = rest - rest[0]
+        near = np.hypot(d.real, d.imag) < radius
+        near[0] = True
+        means.append(complex(np.mean(rest[near])))
+        rest = rest[~near]
+    return means
 
 
 def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
@@ -567,7 +575,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
-    dnum = differentiate(num)
+    num, dnum, den = share(num, differentiate(num), den)
 
     seeds = window.grid()
     nv0 = evaluate(num, seeds)

@@ -45,6 +45,21 @@ _POLE_RADIUS = 1e-8
 _MAX_LADDER = 8
 #: most duplication steps of an unreduced (validation) evaluation
 _MAX_UNREDUCED_DEPTH = 40
+#: largest real or imaginary part an invariant may have: the discriminant
+#: g2^3 - 27 g3^2 must stay a finite double
+MAX_INVARIANT = 1e100
+#: largest real or imaginary part tau may have: the cubic family's
+#: g3 = -54 (tau^6 + 20 tau^3 - 8) must stay within MAX_INVARIANT
+MAX_TAU = 1e16
+
+
+def _within(name: str, value: complex, limit: float) -> None:
+    """Refuse a parameter whose real or imaginary part exceeds ``limit``."""
+    if not (abs(value.real) <= limit and abs(value.imag) <= limit):
+        raise ValueError(
+            f"{name}={value} is out of range: its real and imaginary parts "
+            f"must not exceed {limit:g} in magnitude"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,8 @@ class Invariants:
         if not (math.isfinite(g2c.real) and math.isfinite(g2c.imag)
                 and math.isfinite(g3c.real) and math.isfinite(g3c.imag)):
             raise ValueError("invariants must be finite")
+        _within("g2", g2c, MAX_INVARIANT)
+        _within("g3", g3c, MAX_INVARIANT)
         disc = self.discriminant
         scale = max(1.0, abs(g2c) ** 3, 27.0 * abs(g3c) ** 2)
         if abs(disc) <= 1e-12 * scale:
@@ -110,7 +127,9 @@ def _tau_exact(tau):
 
 
 def tau_is_degenerate(tau) -> bool:
-    """True when tau^3 == -1, where the one-parameter family degenerates."""
+    """True when tau^3 == -1, where the one-parameter family degenerates.
+    Raises ValueError when a part of tau exceeds MAX_TAU in magnitude."""
+    _within("tau", complex(tau), MAX_TAU)
     te = _tau_exact(tau)
     if te is not None:
         return (te**3 + 1).is_zero
@@ -176,6 +195,7 @@ def discriminant_of_tau(tau) -> DiscriminantResult:
         factored = ((t3 + 1) ** 3) * (-5038848)
         return DiscriminantResult(brace, factored, brace - factored, True)
     t = complex(tau)
+    _within("tau", t, MAX_TAU)
     brace = (-27.0 * t * CBRT4 * (8.0 - t**3)) ** 3 - 27.0 * (
         54.0 * (t**6 + 20.0 * t**3 - 8.0)
     ) ** 2

@@ -153,7 +153,7 @@ def test_wp_eval_bad_complex(capsys):
         # no candidate root pairing gives a valid lattice (ConvergenceError)
         ["verify", "--family", "cubic", "--tau", "1e3"],
         ["adjudicate", "--family", "cubic", "--tau", "1e3"],
-        # the discriminant overflows (OverflowError)
+        # the discriminant would overflow: refused by name (ValueError)
         ["wp-eval", "--g2", "1e200", "--g3", "1", "--z", "0.1"],
         ["verify", "--family", "cubic", "--tau", "1e200"],
     ],
@@ -163,6 +163,9 @@ def test_numeric_failures_exit_2(argv, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if "1e200" in argv:
+        param = argv[argv.index("1e200") - 1].lstrip("-")
+        assert err.startswith(f"error: {param}=") and "must not exceed" in err
 
 
 # -- adjudicate --------------------------------------------------------------

@@ -26,6 +26,8 @@ from fermatlab.exprs import (
     evaluate,
     evaluate_many,
     make_pow,
+    share,
+    walk,
     wp_nodes,
 )
 from fermatlab.families import build_family
@@ -220,6 +222,65 @@ def test_as_fraction_derivative_denominator_squares():
     z = 0.53
     ref = numeric_derivative(expr, z)
     assert abs(evaluate(num, z) / evaluate(den, z) - ref) < 1e-8 * (1 + abs(ref))
+
+
+# -- structural sharing ------------------------------------------------------
+
+
+def _corollary_gprime_pair():
+    num, _ = as_fraction(differentiate(build_family("corollary").g))
+    return num, differentiate(num)
+
+
+def _distinct_nodes(roots) -> int:
+    return len({id(n) for r in roots for n in walk(r)})
+
+
+def test_share_keeps_the_trees():
+    pair = _corollary_gprime_pair()
+    shared = share(*pair)
+    for orig, new in zip(pair, shared):
+        assert repr(new) == repr(orig)
+        assert [repr(n) for n in walk(new)] == [repr(n) for n in walk(orig)]
+        assert [repr(d) for d in denominators(new)] == [repr(d) for d in denominators(orig)]
+
+
+def test_share_merges_equal_subtrees_once():
+    pair = _corollary_gprime_pair()
+    assert _distinct_nodes(pair) == 601
+    # exp atoms only, no engine: repr tells structurally distinct nodes apart
+    structural = len({repr(n) for r in pair for n in walk(r)})
+    assert _distinct_nodes(share(*pair)) == structural < 601
+
+
+def test_share_evaluates_bit_identically():
+    pair = _corollary_gprime_pair()
+    z = np.concatenate([
+        (np.linspace(-1, 1, 9)[:, None] + 1j * np.linspace(-7, 7, 15)).ravel(),
+        # overflowing exp, the cancelled zeros 1 + e^{2w} = 0, and a NaN
+        [710.0, 1000 + 1j, 0.5j * np.pi, -1.5j * np.pi, complex("nan")],
+    ])
+    plain = evaluate_many(list(pair), z)
+    shared = evaluate_many(list(share(*pair)), z)
+    assert not all(np.isfinite(a).all() for a in plain)
+    for a, b in zip(plain, shared):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_share_keeps_signed_zero_constants_apart():
+    pos, neg, pos2 = share(Const(0.0), Const(-0.0), Const(0.0))
+    assert pos is not neg and pos is pos2
+    a, b = share(Add(W, Const(0.0)), Add(W, Const(-0.0)))
+    assert a is not b and a.lhs is b.lhs is W
+
+
+def test_share_keeps_engines_apart():
+    e1 = engine_for(Invariants(0, 1))
+    e2 = engine_for(Invariants(1, 0))
+    a, b, c = share(Wp(e1, W), Wp(e2, W), WpPrime(e1, W))
+    assert len({id(a), id(b), id(c)}) == 3
+    x, y = share(Wp(e1, W), Wp(e1, W))
+    assert x is y
 
 
 #: repr of differentiate(e) and as_fraction(e) for two catalog expressions.

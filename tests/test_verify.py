@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatlab.errors import AnalyzerError
 from fermatlab.exprs import (
@@ -28,7 +30,10 @@ from fermatlab.families import (
     second_derivative_offset_scan,
 )
 from fermatlab.verify import (
+    _CANCELLATION_MERGE_RADIUS,
+    _DEDUPE_RADIUS,
     ScanWindow,
+    _cluster,
     derivative_identity_scan,
     diagnostic_h0,
     residual_scan,
@@ -216,6 +221,100 @@ def test_zero_scan_reports_cancelled_numerator_zeros(corollary_zero_reports):
     assert ims == [-1.5, -0.5, 0.5, 1.5]
     # cancelled roots still participate in the winding reconciliation
     assert rg.interior_total == rg.boundary_total == 21
+
+
+def test_zero_scan_bits_are_pinned(corollary_zero_reports):
+    """Every bit of the g' report on the tall window.  Sharing subtrees and
+    clustering in numpy left them unchanged; a change of method or radii
+    that moves them must say so and pin them again."""
+    _, rg = corollary_zero_reports
+    hexed = lambda recs: [(r.re.hex(), r.im.hex(), r.multiplicity) for r in recs]
+    assert hexed(rg.zeros) == [
+        ("-0x1.b8a0000000000p-47", "-0x1.921fb54442d29p+2", 1),
+        ("-0x1.3080000000000p-49", "-0x1.921fb54442d26p+1", 1),
+        ("0x1.0c40000000000p-55", "0x0.0p+0", 1),
+        ("0x1.d300000000000p-51", "0x1.921fb54442d60p+1", 1),
+        ("0x1.7000000000000p-53", "0x1.921fb54442d12p+2", 1),
+    ]
+    assert hexed(rg.cancelled) == [
+        ("-0x1.86e0000000000p-49", "-0x1.2d97c7f3321ccp+2", 4),
+        ("-0x1.0fba000000000p-48", "-0x1.921fb54442d3ap+0", 4),
+        ("-0x1.015a000000000p-48", "0x1.921fb54442d3ap+0", 4),
+        ("0x1.23d0000000000p-48", "0x1.2d97c7f3321d6p+2", 4),
+    ]
+    assert rg.poles == ()
+    assert (rg.n_seeds, rg.interior_total, rg.boundary_total) == (11521, 21, 21)
+
+
+def _cluster_reference(points: np.ndarray, radius: float) -> list[complex]:
+    """Per-point loop: each point joins the first cluster, in creation
+    order, whose first member lies within radius of it."""
+    order = np.lexsort((np.round(points.imag, 9), np.round(points.real, 9)))
+    clusters: list[list[complex]] = []
+    for idx in order:
+        p = points[idx]
+        for cluster in clusters:
+            if abs(p - cluster[0]) < radius:
+                cluster.append(p)
+                break
+        else:
+            clusters.append([p])
+    return [complex(np.mean(np.asarray(c))) for c in clusters]
+
+
+def _assert_cluster_matches_reference(points: np.ndarray, radius: float):
+    hexed = lambda zs: [(z.real.hex(), z.imag.hex()) for z in zs]
+    assert hexed(_cluster(points, radius)) == hexed(_cluster_reference(points, radius))
+
+
+_RADII = (_DEDUPE_RADIUS, _CANCELLATION_MERGE_RADIUS)
+
+
+@pytest.mark.parametrize("radius", _RADII)
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [0.25 - 1j],
+        # equal rounded sort keys: the sort keeps input order among them
+        [1e-10 + 0j, 0j, -2e-10 + 3e-11j, 1e-10 + 0j],
+    ],
+    ids=["empty", "one", "ties"],
+)
+def test_cluster_edge_cases_match_reference(points, radius):
+    _assert_cluster_matches_reference(np.asarray(points, dtype=complex), radius)
+
+
+def test_cluster_distance_rounds_like_scalar_abs():
+    """A point exactly one radius away by the scalar abs() stays out of the
+    cluster.  numpy's vectorized complex abs rounds this distance one bit
+    low on AVX-512 machines, which would pull the point in."""
+    d = complex(float.fromhex("0x1.84d8ee260f0d0p-24"), float.fromhex("0x1.682eda80c8ef6p-24"))
+    points = np.asarray([0j, d])
+    assert len(_cluster(points, abs(d))) == 2
+    _assert_cluster_matches_reference(points, abs(d))
+
+
+@st.composite
+def _clouds(draw):
+    """Points scattered about a few centres at distances around the radius,
+    some closer than the 1e-9 rounding of the sort key."""
+    radius = draw(st.sampled_from(_RADII))
+    centres = draw(st.lists(
+        st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=4))
+    offsets = st.tuples(
+        st.sampled_from(centres),
+        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+        st.sampled_from([1.0, 1e-3, 1e-6]))
+    pts = [c + radius * s * complex(a, b) for c, a, b, s in draw(st.lists(offsets, max_size=40))]
+    return np.asarray(pts, dtype=complex), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds())
+def test_cluster_matches_reference_loop(cloud):
+    _assert_cluster_matches_reference(*cloud)
 
 
 def test_zero_scan_multiplicity_three():

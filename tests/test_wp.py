@@ -4,6 +4,7 @@ the reduction-based evaluation engine."""
 import cmath
 import math
 import random
+import re
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -60,6 +61,28 @@ def test_degenerate_tau_detection():
     assert not tau_is_degenerate(Fraction(2))
     with pytest.raises(DegenerateLatticeError):
         invariants_from_tau(Fraction(-1))
+
+
+@pytest.mark.parametrize(
+    "build, name, limit",
+    [
+        (lambda: Invariants(1e101, 1), "g2", wp.MAX_INVARIANT),
+        (lambda: Invariants(1, -1e101j), "g3", wp.MAX_INVARIANT),
+        (lambda: tau_is_degenerate(2e16), "tau", wp.MAX_TAU),
+        (lambda: tau_is_degenerate(Fraction(10**17)), "tau", wp.MAX_TAU),
+        (lambda: discriminant_of_tau(-3e16j), "tau", wp.MAX_TAU),
+    ],
+)
+def test_out_of_range_parameters_are_refused_by_name(build, name, limit):
+    with pytest.raises(ValueError, match=f"^{name}=.*{re.escape(format(limit, 'g'))}"):
+        build()
+
+
+def test_largest_tau_keeps_invariants_in_range():
+    """At MAX_TAU the invariants pass their own limit: the refusal is the
+    relative discriminant test (disc / g3^2 ~ tau^-3), not the g3 limit."""
+    with pytest.raises(DegenerateLatticeError):
+        invariants_from_tau(wp.MAX_TAU)
 
 
 def test_cubic_coefficients_consistent_with_invariants():
