@@ -79,22 +79,9 @@ CSV_HEADER = "z_re,z_im,residual_abs,residual_rel,excluded"
 
 
 def points_csv(samples) -> str:
-    """Per-point CSV text from ScanReport.samples rows
-    (z_re, z_im, abs, rel, excluded)."""
-    lines = [CSV_HEADER]
-    for z_re, z_im, r_abs, r_rel, excl in samples:
-        lines.append(
-            ",".join(
-                (
-                    format_float(z_re),
-                    format_float(z_im),
-                    format_float(r_abs),
-                    format_float(r_rel),
-                    str(int(excl)),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Per-point CSV text from a ScanReport.samples array."""
+    row = "%.17g,%.17g,%.17g,%.17g,%d\n"  # "%.17g" renders as format_float does
+    return CSV_HEADER + "\n" + "".join([row % r for r in samples.tolist()])
 
 
 def write_csv(path, samples) -> None:

@@ -200,7 +200,7 @@ class ScanReport:
     window: dict
     grid: dict
     failures: tuple = ()
-    samples: Optional[tuple] = None  # (z_re, z_im, abs, rel, excluded) rows
+    samples: Optional[np.ndarray] = None  # _SAMPLE_DTYPE rows, one per point
 
     @property
     def passed(self) -> bool:
@@ -228,6 +228,11 @@ class ScanReport:
         }
 
 
+#: one row of ScanReport.samples; non-finite residuals are stored as nan
+_SAMPLE_DTYPE = np.dtype([("z_re", "f8"), ("z_im", "f8"), ("residual_abs", "f8"),
+                          ("residual_rel", "f8"), ("excluded", "i1")])
+
+
 def _p95(sorted_vals: np.ndarray) -> float:
     n = sorted_vals.size
     if n == 0:
@@ -242,17 +247,19 @@ def _guarded_values(exprs: list, z, den_floor, wp_ceiling):
     wp atoms is large; reasons are counted by priority:
     nonfinite > denominator > pole-magnitude."""
     denos = denominators(exprs[0])
-    vals = evaluate_many(exprs + denos + wp_nodes(exprs[0]), z)
+    vals = evaluate_many(share(*exprs, *denos, *wp_nodes(exprs[0])), z)
     n, m = len(exprs), len(exprs) + len(denos)
-    nonfinite = np.zeros(z.shape, dtype=bool)
-    for arr in vals[:n]:
-        nonfinite |= ~np.isfinite(arr)
-    den_small = np.zeros(z.shape, dtype=bool)
-    for arr in vals[n:m]:
-        den_small |= ~np.isfinite(arr) | (np.abs(arr) < den_floor)
-    wp_big = np.zeros(z.shape, dtype=bool)
-    for arr in vals[m:]:
-        wp_big |= ~np.isfinite(arr) | (np.abs(arr) > wp_ceiling)
+
+    def flagged(arrs, test) -> np.ndarray:
+        # nodes that share a subtree evaluate to one array: test it once
+        out = np.zeros(z.shape, dtype=bool)
+        for arr in {id(a): a for a in arrs}.values():
+            out |= test(arr)
+        return out
+
+    nonfinite = flagged(vals[:n], lambda a: ~np.isfinite(a))
+    den_small = flagged(vals[n:m], lambda a: ~np.isfinite(a) | (np.abs(a) < den_floor))
+    wp_big = flagged(vals[m:], lambda a: ~np.isfinite(a) | (np.abs(a) > wp_ceiling))
     excluded = nonfinite | den_small | wp_big
     counts = {
         "nonfinite": int(np.count_nonzero(nonfinite)),
@@ -312,6 +319,11 @@ def _relative_scan(
         verdict = "FAIL"
 
     valid_idx = np.flatnonzero(~excluded)
+    k = valid_idx.size - 20
+    if k > 0:
+        # the stable order's first 20 lie among the points at or above the
+        # 20th largest value; keeping every tie there keeps them exact
+        valid_idx = valid_idx[rel[valid_idx] >= np.partition(rel[valid_idx], k)[k]]
     order = valid_idx[np.argsort(-rel[valid_idx], kind="stable")]
     failures = tuple(
         {"z_re": float(z[i].real), "z_im": float(z[i].imag), "residual_rel": float(rel[i])}
@@ -319,16 +331,11 @@ def _relative_scan(
     )
     samples = None
     if keep_samples:
-        samples = tuple(
-            (
-                float(z[i].real),
-                float(z[i].imag),
-                float(np.abs(rv[i])) if np.isfinite(rv[i]) else float("nan"),
-                float(rel[i]) if np.isfinite(rel[i]) else float("nan"),
-                int(excluded[i]),
-            )
-            for i in range(n)
-        )
+        samples = np.empty(n, dtype=_SAMPLE_DTYPE)
+        samples["z_re"], samples["z_im"] = z.real, z.imag
+        samples["residual_abs"] = np.where(np.isfinite(rv), np.abs(rv), np.nan)
+        samples["residual_rel"] = np.where(np.isfinite(rel), rel, np.nan)
+        samples["excluded"] = excluded
     return ScanReport(
         check=check,
         family_id=family.family_id,

@@ -53,9 +53,12 @@ MAX_INVARIANT = 1e100
 MAX_TAU = 1e16
 
 
-def _within(name: str, value: complex, limit: float) -> None:
-    """Refuse a parameter whose real or imaginary part exceeds ``limit``."""
-    if not (abs(value.real) <= limit and abs(value.imag) <= limit):
+def _within(name: str, value, limit: float) -> None:
+    """Refuse a parameter whose real or imaginary part is not finite or
+    exceeds ``limit``.  Exact parts are compared exactly, since ``complex()``
+    of one beyond the float range overflows."""
+    parts = (value.re, value.im) if isinstance(value, RationalComplex) else (value.real, value.imag)
+    if not all(abs(p) <= limit for p in parts):
         raise ValueError(
             f"{name}={value} is out of range: its real and imaginary parts "
             f"must not exceed {limit:g} in magnitude"
@@ -70,12 +73,9 @@ class Invariants:
     g3: object
 
     def __post_init__(self):
+        _within("g2", self.g2, MAX_INVARIANT)
+        _within("g3", self.g3, MAX_INVARIANT)
         g2c, g3c = self.g2c, self.g3c
-        if not (math.isfinite(g2c.real) and math.isfinite(g2c.imag)
-                and math.isfinite(g3c.real) and math.isfinite(g3c.imag)):
-            raise ValueError("invariants must be finite")
-        _within("g2", g2c, MAX_INVARIANT)
-        _within("g3", g3c, MAX_INVARIANT)
         disc = self.discriminant
         scale = max(1.0, abs(g2c) ** 3, 27.0 * abs(g3c) ** 2)
         if abs(disc) <= 1e-12 * scale:
@@ -129,7 +129,7 @@ def _tau_exact(tau):
 def tau_is_degenerate(tau) -> bool:
     """True when tau^3 == -1, where the one-parameter family degenerates.
     Raises ValueError when a part of tau exceeds MAX_TAU in magnitude."""
-    _within("tau", complex(tau), MAX_TAU)
+    _within("tau", tau, MAX_TAU)
     te = _tau_exact(tau)
     if te is not None:
         return (te**3 + 1).is_zero

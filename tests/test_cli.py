@@ -147,6 +147,9 @@ def test_wp_eval_bad_complex(capsys):
     assert code == 2
 
 
+_HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -156,6 +159,9 @@ def test_wp_eval_bad_complex(capsys):
         # the discriminant would overflow: refused by name (ValueError)
         ["wp-eval", "--g2", "1e200", "--g3", "1", "--z", "0.1"],
         ["verify", "--family", "cubic", "--tau", "1e200"],
+        # exact integers beyond the float range: refused before complex()
+        ["wp-eval", "--g2", _HUGE, "--g3", "1", "--z", "0.1"],
+        ["verify", "--family", "cubic", "--tau", _HUGE],
     ],
 )
 def test_numeric_failures_exit_2(argv, capsys):
@@ -163,9 +169,10 @@ def test_numeric_failures_exit_2(argv, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
-    if "1e200" in argv:
-        param = argv[argv.index("1e200") - 1].lstrip("-")
-        assert err.startswith(f"error: {param}=") and "must not exceed" in err
+    for big in ("1e200", _HUGE):
+        if big in argv:
+            param = argv[argv.index(big) - 1].lstrip("-")
+            assert err.startswith(f"error: {param}=") and "must not exceed" in err
 
 
 # -- adjudicate --------------------------------------------------------------

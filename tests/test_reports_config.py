@@ -1,5 +1,6 @@
 """Deterministic serialization and the layered configuration."""
 
+import hashlib
 import json
 import math
 
@@ -140,6 +141,28 @@ def test_points_csv_layout(small_scan):
     assert len(first) == 5
     assert first[4] in ("0", "1")
     assert float(first[0]) == -1.0
+
+
+@pytest.mark.parametrize(
+    "family_id, params, denominator, digest",
+    [
+        ("case2", {}, 0, "d9e425e1b74cc20d07b7bcefa95a2589d888bf6da298b57a0b00bba29bc699a4"),
+        (
+            "case4",
+            {"variant": 1, "zeta_index": 0},
+            562,
+            "f08f7b06318d88d02ec97efb11d08f21ec533ba2accc0a5faa779b50a60d7006",
+        ),
+    ],
+)
+def test_points_csv_bytes_are_pinned(family_id, params, denominator, digest):
+    """Both scans have excluded rows and a row whose residual is not finite
+    (written nan); the digests pin every byte of the 81 x 81 CSV."""
+    rep = residual_scan(build_family(family_id, **params), keep_samples=True)
+    text = points_csv(rep.samples)
+    assert ",nan,nan,1\n" in text
+    assert rep.exclusion_reasons == {"nonfinite": 1, "denominator": denominator, "pole-magnitude": 0}
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_write_json_and_csv_are_byte_stable(tmp_path, small_scan):

@@ -147,6 +147,23 @@ def test_scan_keep_samples():
     rep = residual_scan(build_family("case2"), window=w, keep_samples=True)
     assert rep.samples is not None
     assert len(rep.samples) == rep.points_total
+    assert rep.samples.dtype.names == (
+        "z_re", "z_im", "residual_abs", "residual_rel", "excluded"
+    )
+    assert int(rep.samples["excluded"].sum()) == rep.points_excluded
+    z_re, z_im, _, _, excluded = rep.samples[0]
+    assert (z_re, z_im) == (-1.0, -1.0) and excluded in (0, 1)
+
+
+def test_failures_are_the_stable_top_20():
+    """The worst 20 points come in descending order, ties by grid index,
+    exactly as a stable sort of every valid point gives them."""
+    rep = residual_scan(build_family("case4"), keep_samples=True)
+    s = rep.samples[rep.samples["excluded"] == 0]
+    top = s[np.argsort(-s["residual_rel"], kind="stable")[:20]]
+    assert [(f["z_re"], f["z_im"], f["residual_rel"]) for f in rep.failures] == [
+        (r["z_re"], r["z_im"], r["residual_rel"]) for r in top
+    ]
 
 
 def test_scan_inconclusive_when_exclusions_dominate():
