@@ -88,9 +88,9 @@ def _family_kwargs(args) -> dict:
     if args.ell is not None:
         kwargs["ell"] = args.ell
     if args.gamma is not None:
-        kwargs["gamma"] = complex(parse_complex(args.gamma))
+        kwargs["gamma"] = parse_complex(args.gamma)
     if args.delta is not None:
-        kwargs["delta"] = complex(parse_complex(args.delta))
+        kwargs["delta"] = parse_complex(args.delta)
     if getattr(args, "slot", None) is not None:
         kwargs["slot"] = args.slot
     return kwargs

@@ -16,6 +16,7 @@ Q(i) alone.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,7 @@ from .scalars import (
 )
 from .series import LaurentSeries, exp_series
 from .wp import (
+    check_range,
     engine_for,
     invariants_from_case,
     invariants_from_tau,
@@ -106,14 +108,10 @@ class FamilyParams:
 
     def to_dict(self) -> dict:
         out = {}
-        for key in (
-            "eta_index", "zeta_index", "variant", "rho", "sign", "tau",
-            "exponent", "ell", "gamma", "delta", "slot",
-        ):
-            val = getattr(self, key)
-            if val is None:
-                continue
-            out[key] = _format_param(val)
+        for field in dataclasses.fields(self):
+            val = getattr(self, field.name)
+            if val is not None:
+                out[field.name] = _format_param(val)
         return out
 
 
@@ -271,6 +269,19 @@ def _slot_label(expr: Optional[Expr]) -> str:
 # ---------------------------------------------------------------------------
 # Builders.
 # ---------------------------------------------------------------------------
+
+#: largest real or imaginary part of the quadratic family's rho: the float
+#: route's rho_2 = rho - sqrt(rho^2 - 1), about 1/(2 rho), cancels and
+#: rounds to zero from about 1e8 on, and f then divides by it
+MAX_RHO = 1e7
+#: largest m of the m-one family: its exact series takes m - 1 products;
+#: at m = 16 and [series] order = 400, adjudication takes about 10 s on
+#: one core of a 2-core Xeon VM with CPython 3.11
+MAX_M_ONE_EXPONENT = 16
+#: largest real or imaginary part of the picard-pair exponents gamma and
+#: delta: e^gamma overflows a double beyond Re(gamma) = 709.78, and e^gamma
+#: is periodic in Im(gamma), so a larger imaginary part adds nothing
+MAX_PAIR_EXPONENT = 700
 
 
 def build_case_i(alpha: Optional[Expr] = None) -> SolutionFamily:
@@ -478,22 +489,6 @@ def _quadratic_ratio_diff(rho, exact):
     return (rho_c + root_c) / (rho_c - root_c), 2.0 * root_c
 
 
-def quadratic_printed_derivatives(rho, h: Optional[Expr] = None):
-    """The closed-form derivative pair that accompanies the quadratic family:
-
-        f' = h' (h^2 + rho1/rho2) / ((1 - rho1/rho2) h^2)
-        g' = h' (h^2 + 1) / ((rho1 - rho2) h^2)
-
-    Returned as expressions so they can be checked against the structural
-    differentiation of f and g."""
-    ratio, diff = _quadratic_ratio_diff(rho, _exact_rho_parts(rho))
-    h_expr = Exp(W) if h is None else h
-    hp = differentiate(h_expr)
-    fp = hp * (h_expr**2 + Const(ratio)) / (Const(1 - ratio) * h_expr**2)
-    gp = hp * (h_expr**2 + Const(1)) / (Const(diff) * h_expr**2)
-    return fp, gp
-
-
 def build_quadratic(
     rho, sign: str = "plus", h: Optional[Expr] = None
 ) -> SolutionFamily:
@@ -505,6 +500,7 @@ def build_quadratic(
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
+    check_range("rho", rho, MAX_RHO)
     exact = _exact_rho_parts(rho)
     ratio, diff = _quadratic_ratio_diff(rho, exact)
     if exact is not None:
@@ -613,9 +609,6 @@ def build_cubic(tau, beta: Optional[Expr] = None) -> SolutionFamily:
 _LIMIT_RADIUS = 1e-2
 _LIMIT_POINTS = 64
 _UNIT_CIRCLE = np.exp(1j * (2.0 * math.pi * np.arange(_LIMIT_POINTS) / _LIMIT_POINTS))
-#: grid points per axis and edge margin of the H1 cell scan
-_CELL_POINTS_PER_AXIS = 60
-_CELL_MARGIN = 0.08
 #: sample count, finite-difference step, sampling seed and edge margin of
 #: the second-derivative offset scan
 _OFFSET_POINTS = 50
@@ -678,18 +671,6 @@ def diagnostic_h2(tau) -> LimitReport:
         "h2/wp^6", target, 0.0, float(np.max(np.abs(h2 / p**6 - target))),
         _LIMIT_RADIUS, _LIMIT_POINTS,
     )
-
-
-def h1_cell_min_modulus(tau) -> float:
-    """Minimum |H1| over the interior of the fundamental cell (poles excluded
-    by the margin); positive values support the never-vanishing behavior."""
-    eng = engine_for(invariants_from_tau(tau))
-    t = np.linspace(_CELL_MARGIN, 1.0 - _CELL_MARGIN, _CELL_POINTS_PER_AXIS)
-    x, y = np.meshgrid(t, t)
-    p, _, _, _ = eng.eval(eng.cell_point(x.ravel(), y.ravel()))
-    h1 = _h1(tau, eng, p)
-    vals = np.abs(h1[np.isfinite(h1)])
-    return float(np.min(vals)) if vals.size else float("nan")
 
 
 @dataclass(frozen=True)
@@ -774,8 +755,11 @@ def build_unit_unit(beta: Optional[Expr] = None) -> SolutionFamily:
 
 def build_m_one(m: int = 3, beta: Optional[Expr] = None) -> SolutionFamily:
     """f = e^w, g = 1 - e^(m w) solving f^m + g = 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= MAX_M_ONE_EXPONENT:
+        raise ValueError(
+            f"m={m} is out of range: it must be at least 1 and must not "
+            f"exceed {MAX_M_ONE_EXPONENT}"
+        )
     beta = W if beta is None else beta
     f = Exp(beta)
     g = Const(1) - Exp(Const(m) * beta)
@@ -805,6 +789,8 @@ def build_picard_pair(m: int, n: int, gamma, delta) -> SolutionFamily:
     e^gamma + e^delta = 1 (checked within float tolerance)."""
     if m < 1 or n < 1:
         raise ValueError("exponents must be >= 1")
+    check_range("gamma", gamma, MAX_PAIR_EXPONENT)
+    check_range("delta", delta, MAX_PAIR_EXPONENT)
     gc, dc = complex(gamma), complex(delta)
     if abs(cmath.exp(gc) + cmath.exp(dc) - 1.0) > 1e-9:
         raise ValueError("picard-pair constants must satisfy e^gamma + e^delta = 1")

@@ -86,12 +86,6 @@ class RationalPoly:
             out = out * self
         return out
 
-    def __call__(self, x: RationalComplex) -> RationalComplex:
-        acc = RationalComplex(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def leading_coefficient(self) -> RationalComplex:
         return self.coeffs[-1] if self.coeffs else RationalComplex(0)
 

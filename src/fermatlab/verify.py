@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import AnalyzerError
 from .exprs import (
-    Const,
     Exp,
     Expr,
     W,
@@ -48,11 +47,11 @@ from .families import SolutionFamily
 # scatter across the cancellation basin of radius ~ (eps * scale)^(1/k).
 _CANCELLATION_MERGE_RADIUS = 2.5e-4
 
-# Zero analyzer: Newton steps from every grid seed (and from the best seed
-# of a value-attainment scan), the step size that accepts a root, the
-# radius that merges duplicate iterates, the least allowed distance between
-# certified zeros and poles, the radius and node count of the multiplicity
-# circles, and the least distance of a zero or pole from the window boundary.
+# Zero analyzer: Newton steps from every grid seed, the step size that
+# accepts a root, the radius that merges duplicate iterates, the least
+# allowed distance between certified zeros and poles, the radius and node
+# count of the multiplicity circles, and the least distance of a zero or
+# pole from the window boundary.
 _NEWTON_STEPS = 50
 _STEP_TOL = 1e-12
 _DEDUPE_RADIUS = 1e-7
@@ -69,9 +68,6 @@ _PHASE_PASSES = 12
 
 #: boundary contour nodes per unit length
 _BOUNDARY_NODES_PER_UNIT = 32.0
-
-#: |wp| above this excludes a sample of the boundedness diagnostic
-_POLE_CEILING = 1e8
 
 #: most grid points a window may ask for (about 6x the 401 x 401 grid of a
 #: dense scan); beyond it a scan would exhaust memory or time, so the window
@@ -759,25 +755,19 @@ def _containment(za, zb, mode: str):
 
 
 def zero_set_compare(
-    a,
-    b,
+    ra: ZeroReport,
+    rb: ZeroReport,
     relation: str = "subset",
     mode: str = "counting",
-    window: ScanWindow = ScanWindow(),
-    strict: bool = False,
 ) -> ZeroComparison:
-    """Compare the zero sets of ``a`` and ``b`` (expressions or precomputed
-    ZeroReports) under subset/superset/equal, counting or ignoring
-    multiplicity.  For subset/superset the result also says whether the
-    inclusion is proper, with the extra zeros as witnesses.  ``strict``
-    escalates a False verdict to AnalyzerError.
+    """Compare the zero sets of two ZeroReports under subset/superset/equal,
+    counting or ignoring multiplicity.  For subset/superset the result also
+    says whether the inclusion is proper, with the extra zeros as witnesses.
     """
     if relation not in ("subset", "superset", "equal"):
         raise ValueError("relation must be 'subset', 'superset' or 'equal'")
     if mode not in ("counting", "ignoring"):
         raise ValueError("mode must be 'counting' or 'ignoring'")
-    ra = a if isinstance(a, ZeroReport) else zero_scan(a, window)
-    rb = b if isinstance(b, ZeroReport) else zero_scan(b, window)
     ok_ab, viol_ab, match_ab = _containment(ra.zeros, rb.zeros, mode)
     ok_ba, viol_ba, match_ba = _containment(rb.zeros, ra.zeros, mode)
     if relation == "subset":
@@ -793,12 +783,6 @@ def zero_set_compare(
             dict(v, side="B") for v in viol_ba
         ]
         proper_wit = []
-    if strict and not verdict:
-        first = violations[0]
-        raise AnalyzerError(
-            f"zero-set {relation} ({mode}) violated at "
-            f"{first['re']:.9g}{first['im']:+.9g}i"
-        )
     return ZeroComparison(
         relation=relation,
         mode=mode,
@@ -807,124 +791,4 @@ def zero_set_compare(
         matched=tuple(matched),
         violations=tuple(violations),
         proper_witnesses=tuple(proper_wit),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Attainment and diagnostics.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttainmentReport:
-    window: dict
-    n_points: int
-    floors: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "window": dict(self.window),
-            "points": self.n_points,
-            "floors": [dict(f) for f in self.floors],
-        }
-
-
-def value_attainment_scan(
-    expr: Expr,
-    targets: Sequence[complex],
-    window: ScanWindow = ScanWindow(),
-) -> AttainmentReport:
-    """Observed distance floors min |expr(z) - c| over the grid, one record
-    per target, each refined by Newton on expr - c from the best grid seed.
-    Refinements that leave the window are discarded: the floor stays the
-    observed one, never a presumed zero."""
-    z = window.grid()
-    vals = evaluate(expr, z)
-    finite = np.isfinite(vals)
-    dexpr = differentiate(expr)
-    floors = []
-    for c in targets:
-        c = complex(c)
-        if not np.any(finite):
-            floors.append(
-                {"target_re": c.real, "target_im": c.imag, "min_abs": float("nan"),
-                 "at_re": float("nan"), "at_im": float("nan"), "refined": False}
-            )
-            continue
-        d = np.where(finite, np.abs(vals - c), np.inf)
-        i = int(np.argmin(d))
-        best_z, best_d = complex(z[i]), float(d[i])
-        refined = False
-        zz = best_z
-        for _ in range(_NEWTON_STEPS):
-            ev = evaluate(expr, zz)
-            dv = evaluate(dexpr, zz)
-            if not (np.isfinite(ev) and np.isfinite(dv)) or dv == 0:
-                break
-            step = (ev - c) / dv
-            zz = zz - step
-            if abs(step) < 1e-12:
-                break
-        if np.isfinite(zz) and window.contains(zz):
-            ev = evaluate(expr, zz)
-            if np.isfinite(ev) and abs(ev - c) < best_d:
-                best_z, best_d, refined = complex(zz), float(abs(ev - c)), True
-        floors.append(
-            {
-                "target_re": c.real,
-                "target_im": c.imag,
-                "min_abs": best_d,
-                "at_re": best_z.real,
-                "at_im": best_z.imag,
-                "refined": refined,
-            }
-        )
-    return AttainmentReport(
-        window=window.to_dict(), n_points=int(z.size), floors=tuple(floors)
-    )
-
-
-@dataclass(frozen=True)
-class BoundednessReport:
-    family_id: str
-    window: dict
-    max_abs: float
-    p95_abs: float
-    median_abs: float
-    n_valid: int
-    excluded_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family_id,
-            "window": dict(self.window),
-            "max_abs": self.max_abs,
-            "p95_abs": self.p95_abs,
-            "median_abs": self.median_abs,
-            "valid_points": self.n_valid,
-            "excluded_fraction": self.excluded_fraction,
-        }
-
-
-def diagnostic_h0(
-    family: SolutionFamily, window: ScanWindow = ScanWindow()
-) -> BoundednessReport:
-    """Boundedness statistics for f' (g')^2 / ((f^m - 1)(g^n - 1))."""
-    fp = differentiate(family.f)
-    gp = differentiate(family.g)
-    h0 = (fp * gp**2) / (
-        (family.f**family.m - Const(1)) * (family.g**family.n - Const(1))
-    )
-    z = window.grid()
-    (hv,), excluded, _ = _guarded_values([h0], z, window.soft_exclusion, _POLE_CEILING)
-    good = np.abs(hv[~excluded])
-    good = np.sort(good[np.isfinite(good)])
-    return BoundednessReport(
-        family_id=family.family_id,
-        window=window.to_dict(),
-        max_abs=float(good[-1]) if good.size else float("nan"),
-        p95_abs=_p95(good),
-        median_abs=float(np.median(good)) if good.size else float("nan"),
-        n_valid=int(good.size),
-        excluded_fraction=float(np.count_nonzero(excluded) / z.size),
     )

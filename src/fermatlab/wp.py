@@ -53,7 +53,7 @@ MAX_INVARIANT = 1e100
 MAX_TAU = 1e16
 
 
-def _within(name: str, value, limit: float) -> None:
+def check_range(name: str, value, limit: float) -> None:
     """Refuse a parameter whose real or imaginary part is not finite or
     exceeds ``limit``.  Exact parts are compared exactly, since ``complex()``
     of one beyond the float range overflows."""
@@ -73,8 +73,8 @@ class Invariants:
     g3: object
 
     def __post_init__(self):
-        _within("g2", self.g2, MAX_INVARIANT)
-        _within("g3", self.g3, MAX_INVARIANT)
+        check_range("g2", self.g2, MAX_INVARIANT)
+        check_range("g3", self.g3, MAX_INVARIANT)
         g2c, g3c = self.g2c, self.g3c
         disc = self.discriminant
         scale = max(1.0, abs(g2c) ** 3, 27.0 * abs(g3c) ** 2)
@@ -129,7 +129,7 @@ def _tau_exact(tau):
 def tau_is_degenerate(tau) -> bool:
     """True when tau^3 == -1, where the one-parameter family degenerates.
     Raises ValueError when a part of tau exceeds MAX_TAU in magnitude."""
-    _within("tau", tau, MAX_TAU)
+    check_range("tau", tau, MAX_TAU)
     te = _tau_exact(tau)
     if te is not None:
         return (te**3 + 1).is_zero
@@ -195,7 +195,7 @@ def discriminant_of_tau(tau) -> DiscriminantResult:
         factored = ((t3 + 1) ** 3) * (-5038848)
         return DiscriminantResult(brace, factored, brace - factored, True)
     t = complex(tau)
-    _within("tau", t, MAX_TAU)
+    check_range("tau", t, MAX_TAU)
     brace = (-27.0 * t * CBRT4 * (8.0 - t**3)) ** 3 - 27.0 * (
         54.0 * (t**6 + 20.0 * t**3 - 8.0)
     ) ** 2
@@ -393,10 +393,9 @@ class WeierstrassEngine:
         self.periods = periods_from_invariants(inv)
         v1, v2 = _gauss_reduce(2 * self.periods.omega1, 2 * self.periods.omega3)
         self.basis = (v1, v2)
-        self.shortest = abs(v1)
         m = np.array([[v1.real, v2.real], [v1.imag, v2.imag]], dtype=float)
         self._basis_inv = np.linalg.inv(m)
-        self._halving_radius = 0.3 * self.shortest
+        self._halving_radius = 0.3 * abs(v1)
 
     # -- lattice ------------------------------------------------------------
     def reduce(self, z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from fermatlab import cli
 from fermatlab.cli import main
-from fermatlab.families import adjudicate
+from fermatlab.families import MAX_M_ONE_EXPONENT, adjudicate
 
 # exit-code contract:
 #   0 success / PASS / ZERO
@@ -162,6 +162,14 @@ _HUGE = "1" + "0" * 400
         # exact integers beyond the float range: refused before complex()
         ["wp-eval", "--g2", _HUGE, "--g3", "1", "--z", "0.1"],
         ["verify", "--family", "cubic", "--tau", _HUGE],
+        ["verify", "--family", "quadratic", "--rho", _HUGE],
+        ["adjudicate", "--family", "quadratic", "--rho", _HUGE],
+        ["verify", "--family", "picard-pair", "--gamma", _HUGE, "--delta", "0"],
+        ["verify", "--family", "picard-pair", "--gamma", "0", "--delta", _HUGE],
+        # e^1000 overflows a double
+        ["verify", "--family", "picard-pair", "--gamma", "1000", "--delta", "0"],
+        # rho - sqrt(rho^2 - 1) rounds to zero in floats
+        ["verify", "--family", "quadratic", "--rho", "1e8"],
     ],
 )
 def test_numeric_failures_exit_2(argv, capsys):
@@ -169,7 +177,7 @@ def test_numeric_failures_exit_2(argv, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
-    for big in ("1e200", _HUGE):
+    for big in ("1e200", _HUGE, "1000", "1e8"):
         if big in argv:
             param = argv[argv.index(big) - 1].lstrip("-")
             assert err.startswith(f"error: {param}=") and "must not exceed" in err
@@ -253,6 +261,17 @@ def test_adjudicate_bad_series_order(capsys, tmp_path):
     )
     assert code == 2
     assert "series order" in err
+
+
+def test_adjudicate_m_one_exponent_is_bounded(capsys):
+    top = str(MAX_M_ONE_EXPONENT)
+    code, out, _ = run_cli(["adjudicate", "--family", "m-one", "--exponent", top], capsys)
+    assert code == 0 and "ZERO" in out
+    code, _, err = run_cli(
+        ["adjudicate", "--family", "m-one", "--exponent", "100000"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: m=100000 is out of range") and top in err
 
 
 # -- verify ------------------------------------------------------------------

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatlab.errors import DegenerateLatticeError
-from fermatlab.exprs import ONE, Exp, W, differentiate, evaluate
+from fermatlab.exprs import ONE, Const, Exp, W, differentiate, evaluate
 from fermatlab.families import (
     FAMILY_IDS,
     adjudicate,
     build_family,
-    quadratic_printed_derivatives,
     swapped,
 )
 from fermatlab.scalars import RationalComplex
@@ -185,6 +184,23 @@ def test_quadratic_rho_one_excluded():
 def test_quadratic_bad_sign():
     with pytest.raises(ValueError, match="plus.*minus"):
         build_family("quadratic", sign="pm")
+
+
+def quadratic_printed_derivatives(rho):
+    """The closed-form derivative pair printed with the quadratic family,
+    for h = e^w and rho_1,2 = rho +/- sqrt(rho^2 - 1):
+
+        f' = h' (h^2 + rho1/rho2) / ((1 - rho1/rho2) h^2)
+        g' = h' (h^2 + 1) / ((rho1 - rho2) h^2)
+    """
+    root = cmath.sqrt(complex(rho) ** 2 - 1)
+    rho1, rho2 = complex(rho) + root, complex(rho) - root
+    ratio = rho1 / rho2
+    h = Exp(W)
+    hp = differentiate(h)
+    fp = hp * (h**2 + Const(ratio)) / (Const(1 - ratio) * h**2)
+    gp = hp * (h**2 + ONE) / (Const(rho1 - rho2) * h**2)
+    return fp, gp
 
 
 def test_quadratic_printed_derivatives_match_autodiff():

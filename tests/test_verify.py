@@ -1,5 +1,6 @@
 """Pole-aware numeric scanners: residual grids, zero-set analysis with
-argument-principle reconciliation, and the near-pole diagnostics."""
+argument-principle reconciliation, omitted values certified by zero counts,
+and the near-pole diagnostics."""
 
 import math
 from fractions import Fraction
@@ -19,14 +20,15 @@ from fermatlab.exprs import (
     Pow,
     Sub,
     W,
+    Wp,
     WpPrime,
     differentiate,
 )
 from fermatlab.families import (
+    _h1,
     build_family,
     diagnostic_h1,
     diagnostic_h2,
-    h1_cell_min_modulus,
     second_derivative_offset_scan,
 )
 from fermatlab.verify import (
@@ -35,13 +37,16 @@ from fermatlab.verify import (
     ScanWindow,
     _cluster,
     derivative_identity_scan,
-    diagnostic_h0,
     residual_scan,
-    value_attainment_scan,
     zero_scan,
     zero_set_compare,
 )
-from fermatlab.wp import Invariants, engine_for, periods_from_invariants
+from fermatlab.wp import (
+    Invariants,
+    engine_for,
+    invariants_from_tau,
+    periods_from_invariants,
+)
 
 
 # -- windows -----------------------------------------------------------------
@@ -434,55 +439,61 @@ def test_zero_compare_multiplicity_modes():
     assert ignoring.proper is False  # same locations, so not proper
 
 
-def test_zero_compare_strict_escalates(corollary_zero_reports):
-    rf, rg = corollary_zero_reports
-    with pytest.raises(AnalyzerError):
-        zero_set_compare(rf, rg, relation="superset", strict=True)
-
-
-def test_zero_compare_accepts_expressions():
-    cmp = zero_set_compare(
-        Sub(Exp(W), ONE),
-        Sub(Exp(W), ONE),
-        relation="equal",
-        window=ScanWindow(-1, 1, -1, 1),
-    )
-    assert cmp.verdict is True
-
-
 def test_zero_compare_bad_relation():
+    rep = zero_scan(Sub(Exp(W), ONE), ScanWindow(-1, 1, -1, 1))
     with pytest.raises(ValueError):
-        zero_set_compare(
-            Sub(Exp(W), ONE), Sub(Exp(W), ONE), relation="disjoint",
-            window=ScanWindow(-1, 1, -1, 1),
-        )
+        zero_set_compare(rep, rep, relation="disjoint")
 
 
-# -- value attainment --------------------------------------------------------
+# -- omitted and attained values ---------------------------------------------
+
+SQ = ScanWindow(-1.0, 1.0, -1.0, 1.0)
 
 
-def test_value_attainment_scan():
-    rep = value_attainment_scan(Exp(W), [0.0, 2.0], ScanWindow(-1, 1, -1, 1))
-    zero_floor, two_floor = rep.floors
-    # e^w omits 0: the floor stays at the observed grid minimum e^{-1}
-    assert zero_floor["refined"] is False
-    assert zero_floor["min_abs"] == pytest.approx(math.exp(-1), rel=1e-6)
-    # 2 is attained at ln 2, and Newton polishes the seed to it
-    assert two_floor["refined"] is True
-    assert two_floor["min_abs"] < 1e-10
-    assert two_floor["at_re"] == pytest.approx(math.log(2), abs=1e-9)
-    assert abs(two_floor["at_im"]) < 1e-9
+def _certified_simple_zeros(expr, window):
+    """Zeros of ``expr`` in ``window``, each certified simple, with the
+    interior count reconciled against the boundary winding."""
+    rep = zero_scan(expr, window)
+    assert rep.reconciled
+    assert rep.cancelled == () and rep.poles == ()
+    assert all(z.multiplicity == 1 for z in rep.zeros)
+    return sorted((z.z for z in rep.zeros), key=lambda z: (z.imag, z.real))
 
 
-# -- boundedness and near-pole diagnostics -----------------------------------
+def _assert_at(got, expected):
+    expected = sorted(expected, key=lambda z: (z.imag, z.real))
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert abs(a - b) < 1e-9
 
 
-def test_diagnostic_h0_bounded():
-    rep = diagnostic_h0(build_family("picard-pair"), ScanWindow(-2, 2, -2, 2))
-    assert math.isfinite(rep.max_abs)
-    assert rep.max_abs < 100.0
-    assert rep.p95_abs <= rep.max_abs
-    assert rep.n_valid > 0
+@pytest.mark.parametrize("window", [SQ, TALL], ids=["sq", "tall"])
+def test_exp_omits_zero(window):
+    assert _certified_simple_zeros(Exp(W), window) == []
+
+
+def test_exp_attains_two_at_its_logarithms():
+    got = _certified_simple_zeros(Exp(W) - Const(2), TALL)
+    _assert_at(got, [complex(math.log(2), 2 * math.pi * k) for k in (-1, 0, 1)])
+
+
+def test_unit_unit_omits_zero_and_one():
+    f = build_family("unit-unit").f
+    assert _certified_simple_zeros(f, TALL) == []
+    assert _certified_simple_zeros(f - ONE, TALL) == []
+    got = _certified_simple_zeros(f - Const(0.5), TALL)
+    _assert_at(got, [complex(0, 2 * math.pi * k) for k in (-1, 0, 1)])
+
+
+def test_case1_omits_plus_and_minus_one():
+    f = build_family("case1").f
+    assert _certified_simple_zeros(f - ONE, TALL) == []
+    assert _certified_simple_zeros(f + ONE, TALL) == []
+    got = _certified_simple_zeros(f, TALL)
+    _assert_at(got, [complex(0, math.pi * k) for k in range(-2, 3)])
+
+
+# -- near-pole diagnostics and the zeros of H1 -------------------------------
 
 
 @pytest.mark.parametrize("tau", [0, Fraction(3, 10) + 0j, 1])
@@ -504,10 +515,14 @@ def test_diagnostic_h2_limit():
     assert rep.max_dev < 1e-2
 
 
-def test_h1_cell_min_modulus_positive():
-    val = h1_cell_min_modulus(0.0)
-    assert val == pytest.approx(78.26, abs=0.5)
-    assert val > 1.0
+def test_h1_vanishes_at_three_torsion_points():
+    """At tau = 0, H1 = 4 wp^3 - 1728 vanishes where wp^3 = 432: at the
+    3-torsion points, four of which lie in this window of the cell."""
+    eng = engine_for(invariants_from_tau(0))
+    window = ScanWindow(0.05, 1.0, 0.05, 0.9)
+    got = _certified_simple_zeros(_h1(0.0, eng, Wp(eng, W)), window)
+    v1, v2 = eng.basis
+    _assert_at(got, [v2 / 3, 2 * v2 / 3, (v1 + 2 * v2) / 3, (2 * v1 + v2) / 3])
 
 
 # -- second-derivative offset ------------------------------------------------
