@@ -54,8 +54,6 @@ def residual_detail(verdict) -> str:
         return "; ".join(parts)
     if verdict.series_leading is not None:
         return f"leading series {verdict.series_leading}"
-    if verdict.poly_coeffs_desc is not None:
-        return f"poly {verdict.poly_coeffs_desc}"
     return ""
 
 

@@ -59,24 +59,16 @@ class Config:
         return replace(self, **updates) if updates else self
 
 
+#: section -> key -> (Config field, type)
 _SCHEMA = {
     "scan": {
-        "tol": float,
-        "grid_density": float,
-        "soft_exclusion": float,
-        "pole_ceiling": float,
-        "exclusion_budget": float,
+        "tol": ("tol", float),
+        "grid_density": ("grid_density", float),
+        "soft_exclusion": ("soft_exclusion", float),
+        "pole_ceiling": ("pole_ceiling", float),
+        "exclusion_budget": ("exclusion_budget", float),
     },
-    "series": {"order": int},
-}
-
-_FIELD_NAMES = {
-    ("scan", "tol"): "tol",
-    ("scan", "grid_density"): "grid_density",
-    ("scan", "soft_exclusion"): "soft_exclusion",
-    ("scan", "pole_ceiling"): "pole_ceiling",
-    ("scan", "exclusion_budget"): "exclusion_budget",
-    ("series", "order"): "series_order",
+    "series": {"order": ("series_order", int)},
 }
 
 
@@ -91,11 +83,12 @@ def load_config(path) -> Config:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
+            field, kind = _SCHEMA[section][key]
             try:
-                values[_FIELD_NAMES[(section, key)]] = _SCHEMA[section][key](raw)
+                values[field] = kind(raw)
             except ValueError as exc:
                 raise ValueError(
                     f"config key {key!r} in [{section}]: {raw!r} is not a "
-                    f"{_SCHEMA[section][key].__name__}"
+                    f"{kind.__name__}"
                 ) from exc
     return Config(**values)

@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+from .scalars import is_exact_scalar
+
 
 class Expr:
     """Base node; build trees with ordinary operators."""
@@ -63,10 +65,12 @@ def as_expr(x) -> Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "exact")
 
     def __init__(self, value):
         self.value = complex(value)
+        # the int, Fraction or RationalComplex it was built from; None for a float
+        self.exact = value if is_exact_scalar(value) else None
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -199,7 +203,8 @@ def share(*roots: Expr) -> tuple:
     """The same trees with every set of structurally equal subtrees made one
     object, so the evaluator's cache computes each distinct subtree once.
 
-    Constants are equal when their float bits are (0.0 and -0.0 stay apart),
+    Constants are equal when their float bits and their exact values are
+    (0.0 and -0.0 stay apart, and so do Fraction(1, 3) and the float 1/3),
     atoms when their engines are the same object.  The trees keep their
     shape: ``repr``, ``walk`` order and ``denominators`` do not change.
     """
@@ -213,7 +218,7 @@ def share(*roots: Expr) -> tuple:
         kids = tuple(visit(c) for c in node.children())
         if isinstance(node, Const):
             v = node.value
-            key = (Const, struct.pack("dd", v.real, v.imag))
+            key = (Const, struct.pack("dd", v.real, v.imag), node.exact)
         else:
             extra = node.k if isinstance(node, Pow) else id(getattr(node, "engine", None))
             key = (type(node), extra) + tuple(id(c) for c in kids)

@@ -1,38 +1,47 @@
 """The catalog of explicit solution families.
 
 Each builder returns a SolutionFamily carrying numeric expression trees
-(f, g, and for the derivative-coupled kind also h) together with an exact
-residual recipe.  The exact recipe is stated in the base variable w; since
-composition with an entire reparametrization preserves pointwise identities,
-one exact adjudication covers every choice of the composition slot.
+(f, g, and for the derivative-coupled kind also h) and the slot subtree beta
+they are composed with.  The elliptic families also carry an exact ring
+residual; the others are adjudicated by lowering their own trees to exact
+Laurent series in the slot variable t = beta.  Since composition with an
+entire reparametrization preserves pointwise identities, one exact
+adjudication covers every choice of the composition slot.
 
 Irrational constants (sqrt(3), the real cube root of 4, cube roots of unity)
-never reach the exact layer: the stored residuals are hand-rationalized by
-parity pairing -- (a+b)^k + (a-b)^k keeps only even powers of b -- and by the
-exact cubes/fourth powers of the roots of unity, so adjudication happens in
-Q(i) alone.
+never reach the exact layer: the stored ring residuals are hand-rationalized
+by parity pairing -- (a+b)^k + (a-b)^k keeps only even powers of b -- and by
+the exact cubes/fourth powers of the roots of unity, so adjudication happens
+in Q(i) alone.  A tree holding a float constant has no exact series.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateLatticeError
 from .exprs import (
+    Add,
+    BinOp,
     Const,
+    Div,
     Exp,
     Expr,
+    Mul,
+    Pow,
     W,
     Wp,
     WpPrime,
     differentiate,
+    share,
 )
 from .quotient import (
     QuotientElement,
@@ -62,33 +71,12 @@ from .wp import (
     tau_is_degenerate,
 )
 
-# ---------------------------------------------------------------------------
-# Exact residual recipes.
-# ---------------------------------------------------------------------------
-
 
 @dataclass(frozen=True)
 class RingResidual:
     """Cleared-denominator residual as a quotient-ring element."""
 
     element: QuotientElement
-    description: str
-
-
-@dataclass(frozen=True)
-class SeriesResidual:
-    """Exact Laurent-series recipe for the residual in the base variable."""
-
-    build: Callable[[int], LaurentSeries]
-    description: str
-
-
-@dataclass(frozen=True)
-class PolyResidual:
-    """Residual as a polynomial identity in one formal parameter."""
-
-    poly: RationalPoly
-    var: str
     description: str
 
 
@@ -131,7 +119,9 @@ def _format_param(v) -> object:
 
 @dataclass(frozen=True)
 class SolutionFamily:
-    """One catalog entry: expressions, exponents, kind and exact residual."""
+    """One catalog entry: expressions, exponents, kind, the slot subtree
+    ``beta`` the members are composed with, and an exact ring residual
+    where the family has one."""
 
     family_id: str
     kind: str  # fermat | quadratic | cubic | corollary
@@ -140,18 +130,19 @@ class SolutionFamily:
     f: Expr
     g: Expr
     params: FamilyParams
-    exact_residual: object = None
+    exact_residual: Optional[RingResidual] = None
     h: Optional[Expr] = None
     ell: Optional[int] = None
-    degenerate: bool = False
+    beta: Optional[Expr] = None
 
     def residual_expr(self) -> Expr:
         """The defining equation's left side minus one."""
         if self.kind in ("fermat", "corollary"):
             return self.f**self.m + self.g**self.n - Const(1)
         if self.kind == "quadratic":
-            rho = complex(self.params.rho)
-            coeff = 2.0 * rho if self.params.sign == "plus" else -2.0 * rho
+            rho = self.params.rho
+            two_rho = 2 * rho if is_exact_scalar(rho) else 2.0 * complex(rho)
+            coeff = two_rho if self.params.sign == "plus" else -two_rho
             return self.f**2 + Const(coeff) * self.f * self.g + self.g**2 - Const(1)
         if self.kind == "cubic":
             tc = complex(self.params.tau)
@@ -177,12 +168,11 @@ class SolutionFamily:
 class FamilyVerdict:
     family_id: str
     verdict: str  # ZERO | NONZERO | UNAVAILABLE
-    route: str  # ring | series | poly | none
+    route: str  # ring | series | none
     description: str
     even_coeffs_desc: Optional[list] = None
     odd_coeffs_desc: Optional[list] = None
     series_leading: Optional[list] = None
-    poly_coeffs_desc: Optional[list] = None
 
     @property
     def is_zero(self) -> bool:
@@ -194,17 +184,11 @@ def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
 
     Ring residuals are reported sign-normalized (leading coefficient with
     positive real part) so that algebraically equivalent write-ups of the
-    same failure produce identical reports.
+    same failure produce identical reports.  Every other family takes the
+    series route, certified through t**order.
     """
     res = family.exact_residual
-    if res is None:
-        return FamilyVerdict(
-            family.family_id,
-            "UNAVAILABLE",
-            "none",
-            "no exact residual recipe for these parameters (numeric scans only)",
-        )
-    if isinstance(res, RingResidual):
+    if res is not None:
         rv: RingVerdict = quotient_adjudicate(res.element)
         if rv.is_zero:
             return FamilyVerdict(family.family_id, "ZERO", "ring", res.description)
@@ -218,29 +202,144 @@ def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
             even_coeffs_desc=even.descending_strings(),
             odd_coeffs_desc=odd.descending_strings(),
         )
-    if isinstance(res, SeriesResidual):
-        s = res.build(order)
-        if s.is_zero_through(order):
-            return FamilyVerdict(family.family_id, "ZERO", "series", res.description)
-        leading = [[k, str(c)] for k, c in s.leading_terms(4)]
+    lowered = _lowered_series(family, order)
+    if lowered is None:
         return FamilyVerdict(
             family.family_id,
-            "NONZERO",
-            "series",
-            res.description,
-            series_leading=leading,
+            "UNAVAILABLE",
+            "none",
+            "no exact residual recipe for these parameters (numeric scans only)",
         )
-    if isinstance(res, PolyResidual):
-        if res.poly.is_zero:
-            return FamilyVerdict(family.family_id, "ZERO", "poly", res.description)
-        return FamilyVerdict(
-            family.family_id,
-            "NONZERO",
-            "poly",
-            res.description,
-            poly_coeffs_desc=sign_normalized(res.poly).descending_strings(),
-        )
-    raise TypeError(f"unknown residual recipe {res!r}")
+    members = "f and h, with g = h beta' df/dt" if family.kind == "corollary" else "f and g"
+    desc = "the equation's residual on %s, lowered from their trees to exact series in t = %s" % (
+        members,
+        _slot_label(family.beta),
+    )
+    s = lowered[2]
+    if s.is_zero_through(order):
+        return FamilyVerdict(family.family_id, "ZERO", "series", desc)
+    leading = [[k, str(c)] for k, c in s.leading_terms(4)]
+    return FamilyVerdict(
+        family.family_id, "NONZERO", "series", desc, series_leading=leading
+    )
+
+
+#: extra truncation order of the lowered series, spent by quotients by
+#: series that vanish at t = 0 and by the corollary's derivative
+_SERIES_SLACK = 4
+
+
+class _NotLowerable(Exception):
+    """The trees hold a node the exact series route cannot represent."""
+
+
+def _times(a, b):
+    """Product of two lowered values (exact scalars or series); a scalar
+    factor is a ``scale``, so only series pairs are series products."""
+    if isinstance(a, LaurentSeries):
+        return a * b if isinstance(b, LaurentSeries) else a.scale(b)
+    return b.scale(a) if isinstance(b, LaurentSeries) else a * b
+
+
+def _plus(a, b):
+    """Sum of two lowered values."""
+    if not isinstance(a, LaurentSeries):
+        a, b = b, a
+    if not isinstance(a, LaurentSeries):
+        return a + b
+    if not isinstance(b, LaurentSeries):
+        b = LaurentSeries.constant(b, a.high)
+    return a + b
+
+
+def _lowered_series(family: SolutionFamily, order: int):
+    """(f, g, residual of the family's equation) as exact Laurent series in
+    t = beta, valid through t**order; None when the trees hold a float
+    constant, a wp / wp' atom, a w outside beta, or exp of anything but c t.
+
+    The trees pass through ``exprs.share``, and one id-keyed cache lowers
+    each distinct subtree once.  Constant subtrees stay exact scalars, and a
+    quotient multiplies by a cached inverse of its denominator:
+    1/(c x) = (1/x)/c, 1/e^(c t) = e^(-c t) and 1/b^k = (1/b)^k.  The
+    corollary's g = h (f')^ell is not lowered from its expanded tree but
+    formed on the series by the chain rule through the slot,
+    g = h (beta' df/dt)^ell, where beta' is 1 at slot w and t at slot e^w.
+    """
+    if family.beta is None:
+        return None
+    high = order + _SERIES_SLACK
+    roots = [family.residual_expr(), family.beta, family.f, family.g]
+    if family.kind == "corollary":
+        roots += [family.h, differentiate(family.beta)]
+    residual, slot, f, g, *rest = share(*roots)
+    # id(node) -> exact scalar or series; share's output keeps every node alive
+    values = {id(slot): LaurentSeries.make(1, [1] + [0] * (high - 1), high)}
+    inverses = {}
+
+    def rate(arg: Expr):
+        """c for an exponent arg = c t."""
+        if arg is slot:
+            return 1
+        if isinstance(arg, Mul):
+            for c, x in ((arg.lhs, arg.rhs), (arg.rhs, arg.lhs)):
+                if x is slot and isinstance(c, Const) and c.exact is not None:
+                    return c.exact
+        raise _NotLowerable
+
+    def lower(node: Expr):
+        out = values.get(id(node))
+        if out is not None:
+            return out
+        if isinstance(node, Const):
+            if node.exact is None:
+                raise _NotLowerable
+            out = node.exact
+        elif isinstance(node, Div):
+            out = _times(lower(node.lhs), inverse(node.rhs))
+        elif isinstance(node, Mul):
+            out = _times(lower(node.lhs), lower(node.rhs))
+        elif isinstance(node, BinOp):
+            b = lower(node.rhs)
+            out = _plus(lower(node.lhs), b if isinstance(node, Add) else _times(-1, b))
+        elif isinstance(node, Pow):
+            out = lower(node.base) ** node.k
+        elif isinstance(node, Exp):
+            out = exp_series(rate(node.arg), high)
+        else:  # wp, wp', or w outside the slot
+            raise _NotLowerable
+        values[id(node)] = out
+        return out
+
+    def inverse(node: Expr):
+        out = inverses.get(id(node))
+        if out is not None:
+            return out
+        if isinstance(node, Exp) and node is not slot:
+            out = exp_series(-rate(node.arg), high)
+        elif isinstance(node, Pow):
+            out = inverse(node.base) ** node.k
+        elif isinstance(node, Mul) and Const in (type(node.lhs), type(node.rhs)):
+            out = _times(inverse(node.lhs), inverse(node.rhs))
+        else:
+            x = lower(node)
+            out = x.invert() if isinstance(x, LaurentSeries) else Fraction(1) / x
+        inverses[id(node)] = out
+        return out
+
+    try:
+        fs = lower(f)
+        if family.kind == "corollary":
+            h, dbeta = rest
+            df = fs.differentiate()
+            values[id(g)] = _times(lower(h), _times(lower(dbeta), df) ** family.ell)
+        return fs, lower(g), lower(residual)
+    except _NotLowerable:
+        return None
+    finally:
+        # lower and inverse refer to each other, a cycle that only the
+        # cyclic collector frees: drop the intermediate series now
+        values.clear()
+        inverses.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +355,21 @@ def _ring(cubic_coeffs_ascending):
     return cubic, one, p, x
 
 
-def _slot_label(expr: Optional[Expr]) -> str:
-    if expr is None or expr is W:
+def _slot_label(expr: Expr) -> str:
+    if expr is W:
         return "w"
     if isinstance(expr, Exp) and expr.arg is W:
         return "e^w"
-    if isinstance(expr, Const):
-        return "constant"
     return "custom"
+
+
+def _slot_expr(name: str) -> Expr:
+    """The slot subtree beta for a ``--slot`` name."""
+    if name == "w":
+        return W
+    if name in ("exp", "e^w"):
+        return Exp(W)
+    raise ValueError(f"unknown composition slot {name!r}; use 'w' or 'exp'")
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +390,13 @@ MAX_M_ONE_EXPONENT = 16
 MAX_PAIR_EXPONENT = 700
 
 
-def build_case_i(alpha: Optional[Expr] = None) -> SolutionFamily:
+def build_case_i(slot: str = "exp") -> SolutionFamily:
     """Degree-(2,2) pair f = (1-a^2)/(1+a^2), g = 2a/(1+a^2) for a
-    meromorphic parameter a; the identity is polynomial in the parameter."""
-    alpha = Exp(W) if alpha is None else alpha
+    meromorphic parameter a, the slot: the identity is rational in a."""
+    alpha = _slot_expr(slot)
     one = Const(1)
     f = (one - alpha**2) / (one + alpha**2)
     g = (Const(2) * alpha) / (one + alpha**2)
-    a = RationalPoly.monomial(1, 1)
-    unit = RationalPoly.constant(1)
-    poly = (unit - a * a) ** 2 + (a * a).scale(4) - (unit + a * a) ** 2
     return SolutionFamily(
         family_id="case1",
         kind="fermat",
@@ -302,21 +405,16 @@ def build_case_i(alpha: Optional[Expr] = None) -> SolutionFamily:
         f=f,
         g=g,
         params=FamilyParams(slot=_slot_label(alpha)),
-        exact_residual=PolyResidual(
-            poly,
-            "a",
-            "(1-a^2)^2 + 4a^2 - (1+a^2)^2 as a polynomial in the parameter a",
-        ),
-        degenerate=isinstance(alpha, Const),
+        beta=alpha,
     )
 
 
-def build_case_ii(eta_index: int = 0, beta: Optional[Expr] = None) -> SolutionFamily:
+def build_case_ii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     """Degree-(3,3) elliptic pair on invariants (0, 1):
     f = (3 + sqrt(3) X)/(6 P), g = eta (3 - sqrt(3) X)/(6 P)."""
     if eta_index not in (0, 1, 2):
         raise ValueError("eta_index must be 0, 1 or 2")
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     eng = engine_for(invariants_from_case("II"))
     p = Wp(eng, beta)
     x = WpPrime(eng, beta)
@@ -335,18 +433,19 @@ def build_case_ii(eta_index: int = 0, beta: Optional[Expr] = None) -> SolutionFa
         f=f,
         g=g,
         params=FamilyParams(eta_index=eta_index, slot=_slot_label(beta)),
+        beta=beta,
         exact_residual=RingResidual(
             elem, "54 + 54 X^2 - 216 P^3 with X^2 -> 4P^3 - 1"
         ),
     )
 
 
-def build_case_iii(eta_index: int = 0, beta: Optional[Expr] = None) -> SolutionFamily:
+def build_case_iii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     """Degree-(2,3) elliptic pair on invariants (0, 1):
     f = i X, g = eta 4^(1/3) P."""
     if eta_index not in (0, 1, 2):
         raise ValueError("eta_index must be 0, 1 or 2")
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     eng = engine_for(invariants_from_case("III"))
     p = Wp(eng, beta)
     x = WpPrime(eng, beta)
@@ -365,15 +464,14 @@ def build_case_iii(eta_index: int = 0, beta: Optional[Expr] = None) -> SolutionF
         f=f,
         g=g,
         params=FamilyParams(eta_index=eta_index, slot=_slot_label(beta)),
+        beta=beta,
         exact_residual=RingResidual(
             elem, "(iX)^2 + 4P^3 - 1 with X^2 -> 4P^3 - 1 (cube of eta and of 4^(1/3) rationalized)"
         ),
     )
 
 
-def build_case_iv(
-    variant: int = 1, zeta_index: int = 0, beta: Optional[Expr] = None
-) -> SolutionFamily:
+def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> SolutionFamily:
     """Degree-(2,4) elliptic pair on invariants (-1/12, -1/6), as printed.
 
     variant 1: f = (-4P^3 + P/12 + 1/3)/(4P^3 + P/12 + 1/6), g = 2 zeta P / X
@@ -383,7 +481,7 @@ def build_case_iv(
         raise ValueError("variant must be 1 or 2")
     if zeta_index not in (0, 1, 2, 3):
         raise ValueError("zeta_index must be 0..3")
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     eng = engine_for(invariants_from_case("IV"))
     p = Wp(eng, beta)
     x = WpPrime(eng, beta)
@@ -427,60 +525,33 @@ def build_case_iv(
             zeta_index=zeta_index, variant=variant, slot=_slot_label(beta)
         ),
         exact_residual=RingResidual(elem, desc),
+        beta=beta,
     )
 
 
 def swapped(fam: SolutionFamily, new_id: str) -> SolutionFamily:
     """Exchange the two members (and exponents); verdicts are unchanged."""
-    return SolutionFamily(
-        family_id=new_id,
-        kind=fam.kind,
-        m=fam.n,
-        n=fam.m,
-        f=fam.g,
-        g=fam.f,
-        params=fam.params,
-        exact_residual=fam.exact_residual,
-        h=fam.h,
-        ell=fam.ell,
-        degenerate=fam.degenerate,
-    )
+    return dataclasses.replace(fam, family_id=new_id, m=fam.n, n=fam.m, f=fam.g, g=fam.f)
 
 
-def build_case_v(eta_index: int = 0, beta: Optional[Expr] = None) -> SolutionFamily:
-    return swapped(build_case_iii(eta_index, beta), "case5")
+def build_case_v(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
+    return swapped(build_case_iii(eta_index, slot), "case5")
 
 
-def build_case_vi(
-    variant: int = 1, zeta_index: int = 0, beta: Optional[Expr] = None
-) -> SolutionFamily:
-    return swapped(build_case_iv(variant, zeta_index, beta), "case6")
+def build_case_vi(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> SolutionFamily:
+    return swapped(build_case_iv(variant, zeta_index, slot), "case6")
 
 
-def _exact_rho_parts(rho):
-    """(rho, root) as exact scalars when rho is rational with rational
-    sqrt(rho^2 - 1); otherwise None."""
-    if not is_exact_scalar(rho):
-        return None
-    rc = RationalComplex.coerce(rho)
-    if not rc.is_real:
-        return None
-    disc = rc.re * rc.re - 1
-    root = rational_sqrt(disc) if disc >= 0 else None
-    if root is None:
-        return None
-    return rc.re, root
-
-
-def _quadratic_ratio_diff(rho, exact):
-    """(rho1/rho2, rho1 - rho2) for rho_1,2 = rho +/- sqrt(rho^2 - 1),
-    exact Fractions when possible, complex floats otherwise."""
-    if exact is not None:
-        rho_val, root = exact
-        if rho_val * rho_val == 1:
+def _quadratic_ratio_diff(rho):
+    """(rho1/rho2, rho1 - rho2) for rho_1,2 = rho +/- sqrt(rho^2 - 1): exact
+    Fractions when rho is rational with rational sqrt(rho^2 - 1), complex
+    floats otherwise."""
+    rc = RationalComplex.coerce(rho) if is_exact_scalar(rho) else None
+    root = rational_sqrt(rc.re * rc.re - 1) if rc is not None and rc.is_real else None
+    if root is not None:
+        if root == 0:
             raise ValueError("rho^2 == 1 is excluded")
-        rho1 = Fraction(rho_val + root)
-        rho2 = Fraction(rho_val - root)
+        rho1, rho2 = rc.re + root, rc.re - root
         return rho1 / rho2, rho1 - rho2
     rho_c = complex(rho)
     if abs(rho_c * rho_c - 1.0) <= 1e-12:
@@ -490,44 +561,23 @@ def _quadratic_ratio_diff(rho, exact):
 
 
 def build_quadratic(
-    rho, sign: str = "plus", h: Optional[Expr] = None
+    rho=Fraction(5, 4), sign: str = "plus", slot: str = "w"
 ) -> SolutionFamily:
     """Pair solving f^2 +/- 2 rho f g + g^2 = 1 via f + rho_i g = h^(+-1),
-    rho_1,2 = rho +/- sqrt(rho^2 - 1) (so rho_1 rho_2 = 1), h nonvanishing.
+    rho_1,2 = rho +/- sqrt(rho^2 - 1) (so rho_1 rho_2 = 1), h = e^beta.
 
     ``sign`` selects the equation being tested: "plus" for +2 rho f g,
-    "minus" for -2 rho f g.
+    "minus" for -2 rho f g.  The constants are exact when rho and
+    sqrt(rho^2 - 1) are rational, which is when the series route applies.
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     check_range("rho", rho, MAX_RHO)
-    exact = _exact_rho_parts(rho)
-    ratio, diff = _quadratic_ratio_diff(rho, exact)
-    if exact is not None:
-        rho_val, _ = exact
-    h_expr = Exp(W) if h is None else h
-    one = Const(1)
-    f = (h_expr**2 - Const(ratio)) / (Const(1 - ratio) * h_expr)
-    g = (h_expr**2 - one) / (Const(diff) * h_expr)
-    recipe = None
-    if exact is not None:
-        sgn = 1 if sign == "plus" else -1
-        two_rho = 2 * Fraction(rho_val)
-
-        def build(order: int, ratio=ratio, diff=diff, sgn=sgn, two_rho=two_rho):
-            e = exp_series(1, order + 4)
-            e2 = e * e
-            c_ratio = LaurentSeries.constant(ratio, order + 4)
-            unit = LaurentSeries.constant(1, order + 4)
-            fs = (e2 - c_ratio) * (e.scale(1 - ratio)).invert()
-            gs = (e2 - unit) * (e.scale(diff)).invert()
-            return fs * fs + (fs * gs).scale(sgn * two_rho) + gs * gs - unit
-
-        recipe = SeriesResidual(
-            build,
-            "f^2 %s 2 rho f g + g^2 - 1 as an exact series with h = e^w"
-            % ("+" if sign == "plus" else "-"),
-        )
+    ratio, diff = _quadratic_ratio_diff(rho)
+    beta = _slot_expr(slot)
+    h = Exp(beta)
+    f = (h**2 - Const(ratio)) / (Const(1 - ratio) * h)
+    g = (h**2 - Const(1)) / (Const(diff) * h)
     return SolutionFamily(
         family_id="quadratic",
         kind="quadratic",
@@ -535,18 +585,18 @@ def build_quadratic(
         n=2,
         f=f,
         g=g,
-        params=FamilyParams(rho=rho, sign=sign, slot=_slot_label(h_expr)),
-        exact_residual=recipe,
+        params=FamilyParams(rho=rho, sign=sign, slot=_slot_label(h)),
+        beta=beta,
     )
 
 
-def build_cubic(tau, beta: Optional[Expr] = None) -> SolutionFamily:
+def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
     """Pair solving f^3 - 3 tau f g + g^3 = 1:
     f, g = (-3 tau 4^(1/3) P + 36 + 9 tau^3 +/- X) / (6 (4^(1/3) P + 9 tau^2))
     on the tau-family invariants."""
     if tau_is_degenerate(tau):
         raise DegenerateLatticeError(f"tau={tau!r} has tau^3 == -1")
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     inv = invariants_from_tau(tau)
     eng = engine_for(inv)
     p = Wp(eng, beta)
@@ -598,6 +648,7 @@ def build_cubic(tau, beta: Optional[Expr] = None) -> SolutionFamily:
         g=g,
         params=FamilyParams(tau=tau, slot=_slot_label(beta)),
         exact_residual=recipe,
+        beta=beta,
     )
 
 
@@ -725,20 +776,13 @@ def second_derivative_offset_scan(tau) -> OffsetReport:
     )
 
 
-def build_unit_unit(beta: Optional[Expr] = None) -> SolutionFamily:
+def build_unit_unit(slot: str = "w") -> SolutionFamily:
     """f = 1/(1 + e^w), g = e^w/(1 + e^w) solving f + g = 1."""
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     u = Exp(beta)
     one = Const(1)
     f = one / (one + u)
     g = u / (one + u)
-
-    def build(order: int) -> LaurentSeries:
-        e = exp_series(1, order + 2)
-        unit = LaurentSeries.constant(1, order + 2)
-        inv = (unit + e).invert()
-        return inv + e * inv - unit
-
     return SolutionFamily(
         family_id="unit-unit",
         kind="fermat",
@@ -747,29 +791,20 @@ def build_unit_unit(beta: Optional[Expr] = None) -> SolutionFamily:
         f=f,
         g=g,
         params=FamilyParams(slot=_slot_label(beta)),
-        exact_residual=SeriesResidual(
-            build, "1/(1+e^w) + e^w/(1+e^w) - 1 as an exact series"
-        ),
+        beta=beta,
     )
 
 
-def build_m_one(m: int = 3, beta: Optional[Expr] = None) -> SolutionFamily:
+def build_m_one(m: int = 3, slot: str = "w") -> SolutionFamily:
     """f = e^w, g = 1 - e^(m w) solving f^m + g = 1."""
     if not 1 <= m <= MAX_M_ONE_EXPONENT:
         raise ValueError(
             f"m={m} is out of range: it must be at least 1 and must not "
             f"exceed {MAX_M_ONE_EXPONENT}"
         )
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     f = Exp(beta)
     g = Const(1) - Exp(Const(m) * beta)
-
-    def build(order: int, m=m) -> LaurentSeries:
-        e = exp_series(1, order)
-        em = exp_series(m, order)
-        unit = LaurentSeries.constant(1, order)
-        return e**m + (unit - em) - unit
-
     return SolutionFamily(
         family_id="m-one",
         kind="fermat",
@@ -778,15 +813,18 @@ def build_m_one(m: int = 3, beta: Optional[Expr] = None) -> SolutionFamily:
         f=f,
         g=g,
         params=FamilyParams(exponent=m, slot=_slot_label(beta)),
-        exact_residual=SeriesResidual(
-            build, "(e^w)^m + (1 - e^(mw)) - 1 as an exact series"
-        ),
+        beta=beta,
     )
 
 
-def build_picard_pair(m: int, n: int, gamma, delta) -> SolutionFamily:
+def build_picard_pair(m: int = 3, n: int = 2, gamma=None, delta=None) -> SolutionFamily:
     """Constant pair f = e^(gamma/m), g = e^(delta/n); requires
-    e^gamma + e^delta = 1 (checked within float tolerance)."""
+    e^gamma + e^delta = 1 (checked within float tolerance).  With neither
+    constant given, gamma = delta = log(1/2)."""
+    if gamma is None and delta is None:
+        gamma = delta = cmath.log(0.5)
+    if gamma is None or delta is None:
+        raise ValueError("picard-pair requires both gamma and delta")
     if m < 1 or n < 1:
         raise ValueError("exponents must be >= 1")
     check_range("gamma", gamma, MAX_PAIR_EXPONENT)
@@ -804,11 +842,10 @@ def build_picard_pair(m: int, n: int, gamma, delta) -> SolutionFamily:
         f=f,
         g=g,
         params=FamilyParams(gamma=gc, delta=dc, slot="constant"),
-        degenerate=True,
     )
 
 
-def build_corollary_witness(ell: int = 1, beta: Optional[Expr] = None) -> SolutionFamily:
+def build_corollary_witness(ell: int = 1, slot: str = "w") -> SolutionFamily:
     """Witness for the derivative-coupled equation f^2 + h^2 (f')^2 = 1:
     f = (1 - e^(2w))/(1 + e^(2w)), h = (1 + e^(2w))/(2 e^w).
 
@@ -817,7 +854,7 @@ def build_corollary_witness(ell: int = 1, beta: Optional[Expr] = None) -> Soluti
     """
     if ell != 1:
         raise ValueError("the catalog only contains the ell = 1 witness")
-    beta = W if beta is None else beta
+    beta = _slot_expr(slot)
     u = Exp(Const(2) * beta)
     one = Const(1)
     f = (one - u) / (one + u)
@@ -826,16 +863,6 @@ def build_corollary_witness(ell: int = 1, beta: Optional[Expr] = None) -> Soluti
         # keep h * (d/dw f) matched to the identity after reparametrization
         h = h / differentiate(beta)
     g = h * differentiate(f) ** ell
-
-    def build(order: int) -> LaurentSeries:
-        e2 = exp_series(2, order + 4)
-        em = exp_series(-1, order + 4)
-        unit = LaurentSeries.constant(1, order + 4)
-        fs = (unit - e2) * (unit + e2).invert()
-        hs = (unit + e2) * em.scale(Fraction(1, 2))
-        fps = fs.differentiate()
-        return fs * fs + (hs * fps) * (hs * fps) - unit
-
     return SolutionFamily(
         family_id="corollary",
         kind="corollary",
@@ -844,11 +871,9 @@ def build_corollary_witness(ell: int = 1, beta: Optional[Expr] = None) -> Soluti
         f=f,
         g=g,
         params=FamilyParams(ell=ell, slot=_slot_label(beta)),
-        exact_residual=SeriesResidual(
-            build, "f^2 + (h f')^2 - 1 as an exact series, h f' = -2e^w/(1+e^(2w))"
-        ),
         h=h,
         ell=ell,
+        beta=beta,
     )
 
 
@@ -856,76 +881,35 @@ def build_corollary_witness(ell: int = 1, beta: Optional[Expr] = None) -> Soluti
 # Registry for the command-line surface.
 # ---------------------------------------------------------------------------
 
-FAMILY_IDS = (
-    "case1",
-    "case2",
-    "case3",
-    "case4",
-    "case5",
-    "case6",
-    "quadratic",
-    "cubic",
-    "unit-unit",
-    "m-one",
-    "picard-pair",
-    "corollary",
-)
+_BUILDERS = {
+    "case1": build_case_i,
+    "case2": build_case_ii,
+    "case3": build_case_iii,
+    "case4": build_case_iv,
+    "case5": build_case_v,
+    "case6": build_case_vi,
+    "quadratic": build_quadratic,
+    "cubic": build_cubic,
+    "unit-unit": build_unit_unit,
+    "m-one": build_m_one,
+    "picard-pair": build_picard_pair,
+    "corollary": build_corollary_witness,
+}
+
+FAMILY_IDS = tuple(_BUILDERS)
 
 
-def _slot_expr(name: str) -> Optional[Expr]:
-    if name in (None, "w"):
-        return None
-    if name in ("exp", "e^w"):
-        return Exp(W)
-    raise ValueError(f"unknown composition slot {name!r}; use 'w' or 'exp'")
+def build_family(family_id: str, **params) -> SolutionFamily:
+    """Build a registry family from scalar parameters (the CLI entry path).
 
-
-def build_family(
-    family_id: str,
-    *,
-    eta_index: int = 0,
-    zeta_index: int = 0,
-    variant: int = 1,
-    rho=Fraction(5, 4),
-    sign: str = "plus",
-    tau=0,
-    m: int = 3,
-    n: int = 2,
-    ell: int = 1,
-    gamma=None,
-    delta=None,
-    slot: str = None,
-) -> SolutionFamily:
-    """Build a registry family from scalar parameters (the CLI entry path)."""
-    if family_id == "case1":
-        alpha = _slot_expr(slot) if slot else Exp(W)
-        return build_case_i(alpha if alpha is not None else W)
-    beta = _slot_expr(slot)
-    if family_id == "case2":
-        return build_case_ii(eta_index, beta)
-    if family_id == "case3":
-        return build_case_iii(eta_index, beta)
-    if family_id == "case4":
-        return build_case_iv(variant, zeta_index, beta)
-    if family_id == "case5":
-        return build_case_v(eta_index, beta)
-    if family_id == "case6":
-        return build_case_vi(variant, zeta_index, beta)
-    if family_id == "quadratic":
-        h = None if beta is None else Exp(beta)
-        return build_quadratic(rho, sign, h)
-    if family_id == "cubic":
-        return build_cubic(tau, beta)
-    if family_id == "unit-unit":
-        return build_unit_unit(beta)
-    if family_id == "m-one":
-        return build_m_one(m, beta)
-    if family_id == "picard-pair":
-        if gamma is None and delta is None:
-            gamma = delta = cmath.log(0.5)  # e^gamma + e^delta = 1
-        if gamma is None or delta is None:
-            raise ValueError("picard-pair requires both gamma and delta")
-        return build_picard_pair(m, n, gamma, delta)
-    if family_id == "corollary":
-        return build_corollary_witness(ell, beta)
-    raise ValueError(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
+    The parameters and their defaults are those of the family's builder; a
+    parameter the builder does not take is refused, not ignored.
+    """
+    builder = _BUILDERS.get(family_id)
+    if builder is None:
+        raise ValueError(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
+    taken = inspect.signature(builder).parameters
+    for name in params:
+        if name not in taken:
+            raise ValueError(f"family {family_id!r} does not take the parameter {name!r}")
+    return builder(**params)

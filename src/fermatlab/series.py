@@ -27,6 +27,8 @@ from .scalars import RationalComplex
 
 def _parts(c):
     """(re, im, den) integers with c == (re + i*im) / den and den > 0."""
+    if type(c) is int:
+        return c, 0, 1
     c = RationalComplex.coerce(c)
     den = lcm(c.re.denominator, c.im.denominator)
     return (

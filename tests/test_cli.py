@@ -319,6 +319,24 @@ def test_verify_reports_are_byte_identical(capsys, tmp_path):
     assert c.read_bytes() == first_csv
 
 
+@pytest.mark.parametrize(
+    "argv,param",
+    [
+        (["verify", "--family", "case2", "--rho", "3", "--gamma", "7"], "rho"),
+        (["verify", "--family", "picard-pair", "--slot", "exp"], "slot"),
+        (["adjudicate", "--family", "unit-unit", "--exponent", "4"], "m"),
+    ],
+)
+def test_flag_the_family_does_not_use_is_refused(argv, param, capsys, tmp_path):
+    out = tmp_path / "report.json"
+    if argv[0] == "verify":
+        argv = argv + ["--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: family {argv[2]!r} does not take the parameter {param!r}")
+    assert stdout == "" and not out.exists()
+
+
 def test_verify_fail_exit_code(capsys):
     code, out, _ = run_cli(
         ["verify", "--family", "case4", "--window=-1,1,-1,1", "--density", "5"],

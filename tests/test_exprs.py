@@ -274,6 +274,13 @@ def test_share_keeps_signed_zero_constants_apart():
     assert a is not b and a.lhs is b.lhs is W
 
 
+def test_share_keeps_exact_and_float_constants_apart():
+    exact, flt, exact2 = share(Const(Fraction(1, 3)), Const(1 / 3), Const(Fraction(1, 3)))
+    assert exact.value == flt.value
+    assert exact is not flt and exact is exact2
+    assert (exact.exact, flt.exact) == (Fraction(1, 3), None)
+
+
 def test_share_keeps_engines_apart():
     e1 = engine_for(Invariants(0, 1))
     e2 = engine_for(Invariants(1, 0))

@@ -1,6 +1,7 @@
 """Catalog of explicit solution families and the exact adjudicator verdicts."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatlab.errors import DegenerateLatticeError
-from fermatlab.exprs import ONE, Const, Exp, W, differentiate, evaluate
+from fermatlab.exprs import ONE, Const, Exp, W, Wp, differentiate, evaluate
 from fermatlab.families import (
     FAMILY_IDS,
+    _lowered_series,
     adjudicate,
     build_family,
     swapped,
@@ -21,7 +23,7 @@ from fermatlab.scalars import RationalComplex
 
 #: family_id -> (verdict, route) with default parameters
 EXPECTED_VERDICTS = {
-    "case1": ("ZERO", "poly"),
+    "case1": ("ZERO", "series"),
     "case2": ("ZERO", "ring"),
     "case3": ("ZERO", "ring"),
     "case4": ("NONZERO", "ring"),
@@ -87,6 +89,36 @@ def test_unknown_family_rejected():
         build_family("case7")
 
 
+@pytest.mark.parametrize(
+    "family_id,param",
+    [
+        ("case2", "rho"),
+        ("case2", "gamma"),
+        ("case1", "eta_index"),
+        ("quadratic", "tau"),
+        ("corollary", "gamma"),
+        ("m-one", "n"),
+        ("picard-pair", "slot"),
+    ],
+)
+def test_parameter_the_family_does_not_take_is_refused(family_id, param):
+    want = f"family '{family_id}' does not take the parameter '{param}'"
+    with pytest.raises(ValueError, match=want):
+        build_family(family_id, **{param: 3})
+
+
+def test_builder_defaults_are_the_registry_defaults():
+    assert build_family("quadratic").params.rho == Fraction(5, 4)
+    assert build_family("quadratic").params.sign == "plus"
+    assert build_family("case1").params.slot == "e^w"
+    assert build_family("case4").params.variant == 1
+    assert build_family("cubic").params.tau == 0
+    assert (build_family("m-one").m, build_family("picard-pair").m) == (3, 3)
+    assert build_family("picard-pair").n == 2
+    with pytest.raises(ValueError, match="requires both gamma and delta"):
+        build_family("picard-pair", gamma=0.1)
+
+
 # -- exact refutation detail -------------------------------------------------
 
 
@@ -109,6 +141,72 @@ def test_quadratic_minus_sign_leading_series():
         [3, "-40/9"],
         [4, "100/27"],
     ]
+
+
+# -- the exact series route ---------------------------------------------------
+
+#: (family_id, params) of the families whose exact route is the series one
+SERIES_FAMILIES = [
+    ("quadratic", {"sign": "plus"}),
+    ("quadratic", {"sign": "minus"}),
+    ("unit-unit", {}),
+    ("m-one", {"m": 2}),
+    ("m-one", {"m": 3}),
+    ("m-one", {"m": 5}),
+    ("corollary", {}),
+    ("case1", {}),
+]
+
+
+@pytest.mark.parametrize("family_id,params", SERIES_FAMILIES)
+def test_series_route_is_the_same_in_both_slots(family_id, params):
+    at_w = adjudicate(build_family(family_id, slot="w", **params))
+    at_exp = adjudicate(build_family(family_id, slot="exp", **params))
+    assert at_w.route == "series"
+    assert at_w.verdict == ("NONZERO" if params.get("sign") == "minus" else "ZERO")
+    assert (at_exp.verdict, at_exp.route, at_exp.series_leading) == (
+        at_w.verdict,
+        at_w.route,
+        at_w.series_leading,
+    )
+
+
+@pytest.mark.parametrize("family_id,params", SERIES_FAMILIES)
+def test_lowered_members_agree_with_the_trees(family_id, params):
+    """The lowered f and g, summed as power series near 0, give the values
+    of the trees: a wrong lowering shows here even where the residual of
+    the equation still vanishes."""
+    fam = build_family(family_id, slot="w", **params)
+    f, g, _ = _lowered_series(fam, 40)
+    for z in (0.05, 0.05 * cmath.exp(2.1j), 0.05 * cmath.exp(-1.3j)):
+        assert abs(f.evaluate(z) - evaluate(fam.f, z)) < 1e-12
+        assert abs(g.evaluate(z) - evaluate(fam.g, z)) < 1e-12
+
+
+def test_series_route_refuses_a_float_constant():
+    fam = build_family("unit-unit")
+    third = Fraction(1, 3)
+    exact = dataclasses.replace(fam, f=fam.f + Const(third) - Const(third))
+    assert adjudicate(exact).verdict == "ZERO"
+    # the same value as a float: share must not merge it into the exact one
+    mixed = dataclasses.replace(fam, f=fam.f + Const(third) - Const(1 / 3))
+    verdict = adjudicate(mixed)
+    assert (verdict.verdict, verdict.route) == ("UNAVAILABLE", "none")
+
+
+@pytest.mark.parametrize(
+    "make_f",
+    [
+        lambda fam: fam.f * W,  # a w outside the slot e^w
+        lambda fam: fam.f * Exp(Exp(W) * Exp(W)),  # exp of t^2
+        lambda fam: fam.f + Const(0.5),  # a float constant
+        lambda fam: fam.f * Wp(None, fam.beta),  # a wp atom
+    ],
+)
+def test_series_route_refuses_what_it_cannot_represent(make_f):
+    fam = build_family("unit-unit", slot="exp")
+    verdict = adjudicate(dataclasses.replace(fam, f=make_f(fam)))
+    assert (verdict.verdict, verdict.route) == ("UNAVAILABLE", "none")
 
 
 # -- variant invariance ------------------------------------------------------

@@ -231,6 +231,7 @@ def test_quadratic_minus_leading_terms_do_not_depend_on_order():
     fam = build_family("quadratic", rho=Fraction(5, 4), sign="minus")
     want = [[1, "-20/3"], [2, "100/9"], [3, "-40/9"], [4, "100/27"]]
     assert adjudicate(fam, order=40).series_leading == want
+    assert adjudicate(fam, order=80).series_leading == want
     assert adjudicate(fam, order=120).series_leading == want
 
 
