@@ -585,7 +585,7 @@ def build_quadratic(
         n=2,
         f=f,
         g=g,
-        params=FamilyParams(rho=rho, sign=sign, slot=_slot_label(h)),
+        params=FamilyParams(rho=rho, sign=sign, slot=_slot_label(beta)),
         beta=beta,
     )
 

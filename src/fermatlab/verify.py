@@ -8,16 +8,19 @@ exclusion fraction exceeds the budget refuses to certify and reports
 INCONCLUSIVE instead of PASS/FAIL.
 
 The zero analyzer works on the cleared-denominator numerator of the target
-expression, certifies every reported multiplicity by a small-circle winding
-number, refines each location by the winding centroid, and reconciles the
-interior count (zeros minus elliptic pole orders) against an independently
-computed boundary winding.  Any ambiguity -- near-boundary zeros,
-unresolvable phase tracking, count mismatch -- raises AnalyzerError rather
-than guessing.
+expression.  It subdivides the window into cells, counts each cell's zeros
+by its boundary winding and locates a lone zero by the contour moments of
+the logarithmic derivative, certifies every reported multiplicity by a
+small-circle winding number, refines each location by the winding
+centroid, and reconciles the interior count (zeros minus elliptic pole
+orders) against an independently computed boundary winding.  Any ambiguity
+-- near-boundary zeros, unresolvable phase tracking, zeros too close to
+separate, count mismatch -- raises AnalyzerError rather than guessing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,23 +45,32 @@ from .exprs import (
 )
 from .families import SolutionFamily
 
-# Below this separation, double precision cannot tell two zeros of a
-# multiplicity >= 3 cluster apart from one zero: accepted Newton iterates
-# scatter across the cancellation basin of radius ~ (eps * scale)^(1/k).
-_CANCELLATION_MERGE_RADIUS = 2.5e-4
-
-# Zero analyzer: Newton steps from every grid seed, the step size that
-# accepts a root, the radius that merges duplicate iterates, the least
-# allowed distance between certified zeros and poles, the radius and node
-# count of the multiplicity circles, and the least distance of a zero or
-# pole from the window boundary.
-_NEWTON_STEPS = 50
-_STEP_TOL = 1e-12
-_DEDUPE_RADIUS = 1e-7
+# Zero analyzer: the least allowed distance between certified zeros and
+# poles, the radius and node count of the certifying circles, and the least
+# distance of a pole from the window boundary.
 _MIN_SPACING = 5e-3
 _MULT_RADIUS = 1e-3
 _MULT_NODES = 256
 _BOUNDARY_MARGIN = 1e-6
+
+#: nodes of the Gauss-Legendre rule of each panel of a cell edge; an edge
+#: has at least _EDGE_PANELS panels and as many rule nodes per unit length
+#: as the window boundary has tracking nodes
+_GL_NODES = 8
+_EDGE_PANELS = 4
+
+#: fractions of a cell's longer side tried in turn for its split line
+_SPLIT_FRACTIONS = (0.5, 0.4, 0.6, 0.3, 0.7)
+
+#: moments (s0, s1, s2) about a centre show one distinct zero when
+#: |s0 s2 - s1^2| <= _ONE_ZERO_TOL * |s0 * size|^2, size that of the cell or
+#: of the certifying circle's radius
+_ONE_ZERO_TOL = 1e-6
+
+#: a split is taken when its children's moment counts s0 miss their winding
+#: counts by at most this in sum; a zero on or near the split line spoils
+#: the quadrature and so the match
+_COUNT_TOL = 1e-3
 
 #: zeros of two reports closer than this are the same zero
 _MATCH_RADIUS = 1e-6
@@ -428,7 +440,7 @@ class ZeroReport:
     poles: tuple  # (re, im, order) of elliptic-atom poles inside the window
     interior_total: int  # numerator zeros minus pole orders, with multiplicity
     boundary_total: int  # boundary winding of the numerator
-    n_seeds: int
+    n_seeds: int  # grid points sampled for the magnitude floors
 
     @property
     def reconciled(self) -> bool:
@@ -447,16 +459,18 @@ class ZeroReport:
         }
 
 
-def _phase_track(num: Expr, nodes: np.ndarray, floor: float):
-    """Winding of num along a closed polyline by phase tracking with adaptive
-    refinement; returns (winding_float, nodes, values)."""
+def _phase_track(num: Expr, nodes: np.ndarray, floor: float, values=None):
+    """Phase change of num in turns along a polyline (its winding when the
+    polyline is closed) by phase tracking with adaptive refinement; returns
+    (turns, nodes, values).  ``values``, when given, are num on ``nodes``."""
     z = np.asarray(nodes, dtype=complex)
-    v = evaluate(num, z)
+    v = evaluate(num, z) if values is None else values
     for _ in range(_PHASE_PASSES):
-        if np.any(~np.isfinite(v)) or np.any(np.abs(v) <= floor):
+        lost = ~np.isfinite(v) | (np.abs(v) <= floor)
+        if np.any(lost):
             raise AnalyzerError(
-                "numerator vanishes or is singular on the contour; "
-                "a zero or pole sits too close to it"
+                f"numerator vanishes or is singular on the contour at "
+                f"{complex(z[np.argmax(lost)]):.9g}; a zero or pole sits too close to it"
             )
         step = np.angle(v[1:] / v[:-1])
         bad = np.abs(step) > 0.5 * math.pi
@@ -467,32 +481,250 @@ def _phase_track(num: Expr, nodes: np.ndarray, floor: float):
         idx = np.flatnonzero(bad) + 1
         z = np.insert(z, idx, mids)
         v = np.insert(v, idx, mv)
-    raise AnalyzerError("phase tracking failed to stabilize on the contour")
+    raise AnalyzerError(
+        f"phase tracking failed to stabilize on the contour near {complex(mids[0]):.9g}"
+    )
 
 
-def _circle_winding(num: Expr, dnum: Expr, center: complex) -> tuple[int, complex]:
-    """(winding, centroid) about the circle of radius _MULT_RADIUS on
-    _MULT_NODES uniform angle nodes: winding by phase tracking, centroid
-    from (1/2 pi i) contour-integral of z num'/num divided by the winding.
+def _phase_changes(num: Expr, z: np.ndarray, v: np.ndarray, starts: np.ndarray,
+                   floor: float):
+    """The phase change of num, in turns, along each polyline
+    ``z[starts[i]:starts[i + 1]]`` from its values ``v``, nan where tracking
+    fails.  Only a polyline with a step beyond a quarter turn, or a value
+    that is not finite or not above ``floor``, goes through
+    ``_phase_track``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.append(np.angle(v[1:] / v[:-1]), 0.0)
+    step[starts[1:] - 1] = 0.0  # no step from one polyline to the next
+    bad = ~np.isfinite(v) | (np.abs(v) <= floor) | (np.abs(step) > 0.5 * math.pi)
+    turns = np.add.reduceat(step, starts[:-1]) / (2.0 * math.pi)
+    for i in np.flatnonzero(np.logical_or.reduceat(bad, starts[:-1])):
+        lo, hi = starts[i], starts[i + 1]
+        try:
+            turns[i] = _phase_track(num, z[lo:hi], floor, v[lo:hi])[0]
+        except AnalyzerError:
+            turns[i] = np.nan
+    return turns
 
-    The centroid integral uses the parametrized trapezoid rule on the uniform
-    angle nodes (dz = i (z - center) d theta), which is spectrally accurate
-    for the circle; a chord-based rule would be ~1e-3 off at this radius."""
-    theta = 2.0 * math.pi * np.arange(_MULT_NODES + 1) / _MULT_NODES
-    circ = center + _MULT_RADIUS * np.exp(1j * theta)
-    raw, _, _ = _phase_track(num, circ, 0.0)
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.1:
-        raise AnalyzerError(
-            f"winding about {complex(center):.6g} is not close to an integer ({raw:.4f})"
+
+def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
+    """Certify each centre by the circle of radius _MULT_RADIUS about it on
+    _MULT_NODES uniform angle nodes, all circles in one evaluation.
+
+    Per centre: None when the winding is not close to an integer, else
+    (winding, centroid, several).  With s_k the moments (1/2 pi i)
+    contour-integral (z - centre)^k num'/num dz, the centroid is
+    centre + s_1 / winding, and ``several`` says that s_0 s_2 - s_1^2 shows
+    more than one distinct zero or pole inside.
+
+    The moments use the parametrized trapezoid rule on the uniform angle
+    nodes (dz = i (z - centre) d theta), which is spectrally accurate for the
+    circle; a chord-based rule would be ~1e-3 off at this radius."""
+    n = _MULT_NODES
+    c = np.asarray(centers, dtype=complex)
+    z = (c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)).ravel()
+    nv, dv = evaluate_many([num, dnum], z)
+    closed = (np.arange(c.size)[:, None] * n + np.arange(n + 1) % n).ravel()
+    turns = _phase_changes(num, z[closed], nv[closed], np.arange(c.size + 1) * (n + 1), 0.0)
+    d = z.reshape(c.size, n) - c[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ld = d * (dv / nv).reshape(c.size, n)
+        s1 = np.mean(ld * d, axis=1)
+        s2 = np.mean(ld * d * d, axis=1)
+    out = []
+    for i, raw in enumerate(turns):
+        if not (math.isfinite(raw) and abs(raw - round(raw)) <= 0.1):
+            out.append(None)
+            continue
+        w = int(round(raw))
+        several = w != 0 and abs(w * s2[i] - s1[i] ** 2) > _ONE_ZERO_TOL * (w * _MULT_RADIUS) ** 2
+        out.append((w, complex(c[i] + s1[i] / w) if w else complex(c[i]), several))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_rule(panels: int):
+    """(t, q) on [0, 1], read-only: the panel ends and Gauss-Legendre nodes
+    of ``panels`` equal panels in order, and their quadrature weights (zero
+    at the panel ends, which only phase tracking uses).  The rule comes from
+    the eigenvalues of its Jacobi matrix (Golub-Welsch)."""
+    k = np.arange(1.0, _GL_NODES)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), "U")
+    ends = np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * np.diff(ends)[:, None]
+    t = np.hstack([ends[:-1, None], ends[:-1, None] + half * (1.0 + x)])
+    q = np.hstack([np.zeros((panels, 1)), half * 2.0 * v[0] ** 2])
+    t, q = np.append(t.ravel(), 1.0), np.append(q.ravel(), 0.0)
+    t.flags.writeable = q.flags.writeable = False
+    return t, q
+
+
+def _edges(num: Expr, dnum: Expr, ends: list, floor: float):
+    """(turns, moments): the phase change of num in turns (nan where
+    tracking fails) and its moments along the straight edges a -> b of
+    ``ends``, all in one evaluation.
+
+    moments[i] = (s0, s1, s2), the moments (1/2 pi i) integral (z - m)^k
+    num'/num dz along edge i about its midpoint m, by the panels'
+    Gauss-Legendre rule."""
+    zs, qs = [], []
+    for a, b in ends:
+        per = max(_EDGE_PANELS, math.ceil(abs(b - a) * _BOUNDARY_NODES_PER_UNIT / _GL_NODES))
+        t, q = _edge_rule(per)
+        z = a + (b - a) * t
+        z[-1] = b
+        zs.append(z)
+        qs.append((b - a) * q)
+    starts = np.cumsum([0] + [z.size for z in zs])
+    z, q = np.concatenate(zs), np.concatenate(qs)
+    nv, dv = evaluate_many([num, dnum], z)
+    turns = _phase_changes(num, z, nv, starts, floor)
+    d = z - np.repeat([0.5 * (a + b) for a, b in ends], np.diff(starts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(q != 0, q * dv / nv, 0.0) / (2j * math.pi)
+    lo = starts[:-1]
+    moments = np.stack([np.add.reduceat(f * d**k, lo) for k in range(3)], axis=1)
+    return turns, moments
+
+
+def _spacing_error(near: complex) -> AnalyzerError:
+    return AnalyzerError(
+        f"zeros/poles closer than {_MIN_SPACING:g} near "
+        f"{complex(near):.6g}; multiplicities cannot be isolated"
+    )
+
+
+def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
+                floor: float) -> list:
+    """[(location, multiplicity)] of the zeros of num inside the window, by
+    recursive subdivision of the window into cells (x0, x1, y0, y1).
+
+    A cell's zero count is its boundary winding plus the orders of the
+    ``poles`` ((point, order) pairs) inside it; its moments s_k about its
+    centre c come from its edges, with each pole's order (p - c)^k added
+    back.  A cell with no zeros is dropped; one whose moments show a single
+    distinct zero is certified at c + s1/s0 by _circle_windings, which must
+    return the cell's count; every other cell is split in two across its
+    longer side.  Each edge is evaluated once, for every cell that has it,
+    and the new edges of one level go to one evaluation."""
+    edges: dict = {}  # (a, b) -> (turns, moments about (a + b)/2) along a -> b
+
+    def sides(cell) -> list:
+        x0, x1, y0, y1 = cell
+        c = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+        return list(zip(c, c[1:] + c[:1]))
+
+    def add_edges(cells: list):
+        new: dict = {}  # a split line is a side of both children: once
+        for s in (s for cell in cells for s in sides(cell)):
+            if not any(k in known for k in (s, s[::-1]) for known in (edges, new)):
+                new[s] = None
+        if new:
+            turns, moments = _edges(num, dnum, list(new), floor)
+            edges.update(zip(new, zip(turns.tolist(), moments.tolist())))
+
+    def shifted(m, d: complex):
+        """Moments about c of moments m taken about c + d."""
+        return m[0], m[1] + d * m[0], m[2] + d * (2.0 * m[1] + d * m[0])
+
+    def measure(cell):
+        """(count, c, (s0, s1, s2)): the cell's zero count (nan when an edge
+        failed to track) and its zero moments about its centre c."""
+        x0, x1, y0, y1 = cell
+        c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        turns, parts = 0.0, []
+        for a, b in sides(cell):
+            sign = 1.0 if (a, b) in edges else -1.0
+            t, m = edges[(a, b)] if sign > 0 else edges[(b, a)]
+            turns += sign * t
+            parts.append([sign * x for x in shifted(m, 0.5 * (a + b) - c)])
+        count = round(turns) if math.isfinite(turns) else math.nan
+        for p, order in poles:
+            if x0 < p.real < x1 and y0 < p.imag < y1:
+                count += order
+                parts.append(shifted((order, 0.0, 0.0), p - c))
+        return count, c, tuple(sum(col) for col in zip(*parts))
+
+    def halves(cell, frac: float):
+        """(children, split line from its lower left end) of cell."""
+        x0, x1, y0, y1 = cell
+        if x1 - x0 >= y1 - y0:
+            xs = x0 + frac * (x1 - x0)
+            return [(x0, xs, y0, y1), (xs, x1, y0, y1)], (complex(xs, y0), complex(xs, y1))
+        ys = y0 + frac * (y1 - y0)
+        return [(x0, x1, y0, ys), (x0, x1, ys, y1)], (complex(x0, ys), complex(x1, ys))
+
+    def near_pole(a: complex, b: complex) -> bool:
+        return any(
+            abs(p - complex(min(max(p.real, a.real), b.real), min(max(p.imag, a.imag), b.imag)))
+            < _MULT_RADIUS
+            for p, _ in poles
         )
-    w = int(nearest)
-    if w == 0:
-        return 0, complex(center)
-    zs = circ[:-1]
-    vs, ds = evaluate_many([num, dnum], zs)
-    integral = np.sum(zs * (ds / vs) * (zs - center)) / _MULT_NODES
-    return w, complex(integral / w)
+
+    def split(cells: list) -> list:
+        """Children of every cell, split at the first fraction whose
+        children's moment counts s0 match their winding counts; failing
+        that, at the one that matches best.  A split line passing within
+        _MULT_RADIUS of a known pole is never tried."""
+        best = [(math.inf, None)] * len(cells)
+        for frac in _SPLIT_FRACTIONS:
+            todo = []
+            for i, cell in enumerate(cells):
+                kids, line = halves(cell, frac)
+                if best[i][0] > _COUNT_TOL and not near_pole(*line):
+                    todo.append((i, kids))
+            add_edges([kid for _, kids in todo for kid in kids])
+            for i, kids in todo:
+                miss = sum(abs(s[0] - n) for n, _, s in map(measure, kids))
+                if miss < best[i][0]:  # False for nan: an edge failed to track
+                    best[i] = (miss, kids)
+        out = []
+        for cell, (_, kids) in zip(cells, best):
+            if kids is None:
+                raise AnalyzerError(
+                    "no split line of the cell [%.6g, %.6g] x [%.6g, %.6g] avoids its "
+                    "zeros and poles" % cell
+                )
+            out.extend(kids)
+        return out
+
+    cells = [(window.re_min, window.re_max, window.im_min, window.im_max)]
+    add_edges(cells)
+    found = []
+    while cells:
+        certify, to_split = [], []
+        for cell in cells:
+            count, c, (s0, s1, s2) = measure(cell)
+            if math.isnan(count):
+                raise AnalyzerError(f"phase tracking failed on an edge of the cell about {c:.6g}")
+            if count < 0:
+                raise AnalyzerError(f"negative zero count {count} in the cell about {c:.6g}")
+            if count == 0:
+                continue
+            size = max(cell[1] - cell[0], cell[3] - cell[2])
+            if size < _MIN_SPACING:
+                raise _spacing_error(c)
+            guess = c + s1 / s0 if s0 else c
+            if abs(s0 * s2 - s1 * s1) <= _ONE_ZERO_TOL * abs(s0 * size) ** 2 and _in(cell, guess):
+                certify.append((cell, count, guess))
+            else:
+                to_split.append(cell)
+        results = _circle_windings(num, dnum, [g for _, _, g in certify]) if certify else []
+        for (cell, count, guess), res in zip(certify, results):
+            if res is not None and res[0] == count:
+                if res[2]:
+                    raise _spacing_error(guess)
+                if abs(res[1] - guess) <= 0.5 * _MULT_RADIUS and _in(cell, res[1]):
+                    found.append((res[1], count))
+                    continue
+            to_split.append(cell)
+        cells = split(to_split)
+    return found
+
+
+def _in(cell, z: complex) -> bool:
+    x0, x1, y0, y1 = cell
+    return x0 <= z.real <= x1 and y0 <= z.imag <= y1
 
 
 def _expr_pole_points(num: Expr, window: ScanWindow):
@@ -544,77 +776,34 @@ def _supported_atoms_or_raise(num: Expr):
             )
 
 
-def _cluster(points: np.ndarray, radius: float) -> list[complex]:
-    """Means of the clusters of ``points``, in order of their heads.
-
-    Points are visited in rounded (re, im) order; the first point no head
-    claims becomes the next head and claims every unclaimed point within
-    ``radius`` of it.  That is the cluster each point would join in a scan
-    of the heads in creation order, with its members in visiting order."""
-    order = np.lexsort((np.round(points.imag, 9), np.round(points.real, 9)))
-    rest = points[order]
-    means = []
-    while rest.size:
-        # np.hypot rounds like the scalar abs(); np.abs on a complex array
-        # may differ in the last bit, which would move a boundary point
-        d = rest - rest[0]
-        near = np.hypot(d.real, d.imag) < radius
-        near[0] = True
-        means.append(complex(np.mean(rest[near])))
-        rest = rest[~near]
-    return means
+def _max_abs(values: np.ndarray) -> float:
+    finite = np.abs(values[np.isfinite(values)])
+    return float(np.max(finite)) if finite.size else 1.0
 
 
 def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     """Locate and certify the zero set of ``expr`` inside ``window``.
 
-    Newton iteration runs on the cleared-denominator numerator from every
-    grid seed; a root is accepted when the step collapses below _STEP_TOL or
-    the numerator drops below a floor tied to the grid magnitude (the floor
-    is what makes high-multiplicity roots, with their slow linear Newton
-    rate, detectable).  Duplicates merge at _DEDUPE_RADIUS and once more at
-    the double-precision cancellation radius; each certified location is the
-    winding centroid of its circle, accurate far beyond the raw iterates.
+    Works on the cleared-denominator numerator N.  One pass over the window
+    grid sets the magnitude floors of N and of the denominator.  The
+    window is then subdivided recursively into cells; each cell's zero count
+    comes from its boundary winding and the known elliptic poles inside it,
+    and the moments of N'/N about its centre say when it holds one distinct
+    zero and where (the Delves-Lyness method).  Each such zero is certified
+    by a small circle whose winding must equal the cell's count, and its
+    location is that circle's winding centroid.  Zeros that the denominator
+    shares are reported as cancelled, and the interior total is reconciled
+    against the window's own boundary winding.
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
     num, dnum, den = share(num, differentiate(num), den)
 
-    seeds = window.grid()
-    nv0 = evaluate(num, seeds)
-    finite0 = np.abs(nv0[np.isfinite(nv0)])
-    grid_scale = float(np.max(finite0)) if finite0.size else 1.0
-    res_floor = 1e-24 * (1.0 + grid_scale)
-    loose_floor = 1e-6 * (1.0 + grid_scale)
-
-    z = seeds.astype(complex).copy()
-    step_abs = np.full(z.shape, np.inf)
-    for _ in range(_NEWTON_STEPS):
-        nv, dv = evaluate_many([num, dnum], z)
-        with np.errstate(all="ignore"):
-            step = nv / dv
-        ok = np.isfinite(step)
-        step = np.where(ok, step, 0.0)
-        z = z - step
-        step_abs = np.where(ok, np.abs(step), np.inf)
-    nv = evaluate(num, z)
-    finite = np.isfinite(z) & np.isfinite(nv)
-    by_step = (step_abs < _STEP_TOL) & (np.abs(nv) <= loose_floor)
-    by_floor = np.abs(nv) <= res_floor
-    converged = finite & (by_step | by_floor)
-
-    roots_raw = z[converged]
-    near = roots_raw[window.boundary_distance(roots_raw) < _BOUNDARY_MARGIN]
-    if near.size:
-        raise AnalyzerError(
-            f"zero within {_BOUNDARY_MARGIN:g} of the window boundary at "
-            f"{complex(near[0]):.9g}; shift the window"
-        )
-    roots_raw = roots_raw[window.contains(roots_raw)]
-
-    fine = _cluster(roots_raw, _DEDUPE_RADIUS)
-    roots = _cluster(np.asarray(fine, dtype=complex), _CANCELLATION_MERGE_RADIUS) if fine else []
-    roots.sort(key=lambda r: (round(r.real, 9), round(r.imag, 9)))
+    grid = window.grid()
+    num_grid, den_grid = evaluate_many([num, den], grid)
+    grid_scale = _max_abs(num_grid)
+    den_floor = 1e-9 * (1.0 + _max_abs(den_grid))
+    b_floor = 1e-12 * (1.0 + grid_scale)
 
     poles = _expr_pole_points(num, window)
     for p in poles:
@@ -624,50 +813,10 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
                 f"boundary at {complex(p):.9g}; shift the window"
             )
 
-    special = roots + poles
-    for i in range(len(special)):
-        for j in range(i + 1, len(special)):
-            if abs(special[i] - special[j]) < _MIN_SPACING:
-                raise AnalyzerError(
-                    f"zeros/poles closer than {_MIN_SPACING:g} near "
-                    f"{complex(special[i]):.6g}; multiplicities cannot be isolated"
-                )
-
-    den_grid = evaluate(den, seeds)
-    den_finite = np.abs(den_grid[np.isfinite(den_grid)])
-    den_scale = float(np.max(den_finite)) if den_finite.size else 1.0
-    den_floor = 1e-9 * (1.0 + den_scale)
-
-    zero_records = []
-    cancelled_records = []
-    interior = 0
-    for r in roots:
-        mult, refined = _circle_winding(num, dnum, r)
-        if mult < 1:
-            raise AnalyzerError(f"winding {mult} at claimed zero {complex(r):.6g}")
-        if abs(refined - r) > 0.5 * _MULT_RADIUS:
-            raise AnalyzerError(
-                f"centroid {refined:.6g} strayed from cluster {complex(r):.6g}"
-            )
-        interior += mult
-        dv = evaluate(den, np.asarray([refined]))[0]
-        den_zero = (not np.isfinite(dv)) or abs(dv) <= den_floor
-        rec = ZeroRecord(float(refined.real), float(refined.imag), int(mult))
-        (cancelled_records if den_zero else zero_records).append(rec)
-
-    pole_records = []
-    for p in poles:
-        w, _ = _circle_winding(num, dnum, p)
-        if w > 0:
-            raise AnalyzerError(
-                f"positive winding {w} at an expected pole {complex(p):.6g}"
-            )
-        interior += w
-        if w < 0:
-            pole_records.append((float(p.real), float(p.imag), int(-w)))
-
-    b_floor = 1e-12 * (1.0 + grid_scale)
-    raw, nodes_z, vv = _phase_track(num, window.boundary_nodes(), b_floor)
+    try:
+        raw, nodes_z, vv = _phase_track(num, window.boundary_nodes(), b_floor)
+    except AnalyzerError as exc:
+        raise AnalyzerError(f"window boundary: {exc}; shift the window") from None
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:
         raise AnalyzerError(f"boundary winding {raw:.4f} is not close to an integer")
@@ -681,10 +830,38 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
             f"quadrature {integral:.4f}"
         )
     boundary_total = int(nearest)
+
+    pole_orders = []
+    for p, res in zip(poles, _circle_windings(num, dnum, poles) if poles else []):
+        if res is None:
+            raise AnalyzerError(f"winding about {p:.6g} is not close to an integer")
+        w, _, several = res
+        if w > 0:
+            raise AnalyzerError(f"positive winding {w} at an expected pole {p:.6g}")
+        if several:
+            raise _spacing_error(p)
+        pole_orders.append((p, -w))
+
+    roots = _find_zeros(num, dnum, window, pole_orders, b_floor)
+    special = [r for r, _ in roots] + poles
+    for i in range(len(special)):
+        for j in range(i + 1, len(special)):
+            if abs(special[i] - special[j]) < _MIN_SPACING:
+                raise _spacing_error(special[i])
+
+    zero_records = []
+    cancelled_records = []
+    den_at = evaluate(den, np.asarray([r for r, _ in roots], dtype=complex))
+    for (r, mult), dv in zip(roots, den_at):
+        den_zero = (not np.isfinite(dv)) or abs(dv) <= den_floor
+        rec = ZeroRecord(float(r.real), float(r.imag), int(mult))
+        (cancelled_records if den_zero else zero_records).append(rec)
+    interior = sum(m for _, m in roots) - sum(k for _, k in pole_orders)
+
     if interior != boundary_total:
         raise AnalyzerError(
             f"argument-principle mismatch: interior {interior} vs boundary "
-            f"{boundary_total}; seeds likely missed a zero"
+            f"{boundary_total}"
         )
     zero_records.sort(key=lambda r: (round(r.re, 9), round(r.im, 9)))
     cancelled_records.sort(key=lambda r: (round(r.re, 9), round(r.im, 9)))
@@ -692,10 +869,10 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
         window=window.to_dict(),
         zeros=tuple(zero_records),
         cancelled=tuple(cancelled_records),
-        poles=tuple(pole_records),
+        poles=tuple((float(p.real), float(p.imag), k) for p, k in pole_orders if k),
         interior_total=interior,
         boundary_total=boundary_total,
-        n_seeds=int(seeds.size),
+        n_seeds=int(grid.size),
     )
 
 

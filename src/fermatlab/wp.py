@@ -266,9 +266,12 @@ def _coeff_array(g2, g3, order: int) -> np.ndarray:
     return np.array(c, dtype=complex)
 
 
-def _validate_periods(g2, g3, w1, w3, coeffs) -> bool:
+def _validate_periods(g2, g3, w1, w3, coeffs, scale: float = 1.0) -> bool:
     """Genuine post-contract: unreduced evaluation must satisfy the cubic
-    differential equation and be invariant under both period shifts."""
+    differential equation and be invariant under both period shifts, to
+    1e-6 relative to |wp| + scale^2 and |wp'| + scale^3.  ``scale`` is the
+    lam of a lattice scaled by homogeneity, whose wp is lam^2 times that of
+    invariants of unit size."""
     s = min(abs(2 * w1), abs(2 * w3), abs(2 * w1 + 2 * w3), abs(2 * w1 - 2 * w3))
     if s == 0:
         return False
@@ -285,14 +288,14 @@ def _validate_periods(g2, g3, w1, w3, coeffs) -> bool:
             if not (np.isfinite(p) and np.isfinite(pp)):
                 return False
             ode = pp * pp - (4.0 * p**3 - g2 * p - g3)
-            if abs(ode) > 1e-6 * (1.0 + abs(p)) ** 3:
+            if abs(ode) > 1e-6 * (scale**2 + abs(p)) ** 3:
                 return False
             vals.append((p, pp))
         (p0, pp0) = vals[0]
         for p, pp in vals[1:]:
-            if abs(p - p0) > 1e-6 * (1.0 + abs(p0)):
+            if abs(p - p0) > 1e-6 * (scale**2 + abs(p0)):
                 return False
-            if abs(pp - pp0) > 1e-6 * (1.0 + abs(pp0)):
+            if abs(pp - pp0) > 1e-6 * (scale**3 + abs(pp0)):
                 return False
     return True
 
@@ -302,11 +305,33 @@ def periods_from_invariants(inv: Invariants) -> HalfPeriods:
 
     Root pairing for the two AGM calls is implementation-chosen: candidate
     pairings are tried in a fixed order and the first one passing the
-    self-validating post-contract wins.
+    self-validating post-contract wins.  When none passes, the search runs
+    again on invariants scaled by homogeneity,
+    wp(lam z; lam^-4 g2, lam^-6 g3) = lam^-2 wp(z; g2, g3) with
+    lam = max(|g2|^(1/4), |g3|^(1/6)), and the periods it finds, divided by
+    lam, must pass the post-contract, scaled by lam, on the unscaled
+    invariants.
     """
     g2, g3 = inv.g2c, inv.g3c
-    roots = cubic_roots(4.0, -g2, -g3)
     coeffs = _coeff_array(g2, g3, _SERIES_ORDER)
+    found, reason = _pairing_search(g2, g3, coeffs)
+    if found is None:  # lam > 0: Invariants refuses g2 = g3 = 0
+        lam = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+        sg2, sg3 = g2 / lam**4, g3 / lam**6
+        found, reason = _pairing_search(sg2, sg3, _coeff_array(sg2, sg3, _SERIES_ORDER))
+        if found is not None:
+            found = (found[0] / lam, found[1] / lam)
+            if not _validate_periods(g2, g3, *found, coeffs, lam):
+                found, reason = None, "the scaled periods fail the check on the invariants"
+    if found is None:
+        raise ConvergenceError(f"period computation failed: {reason}")
+    return _normalize_periods(*found)
+
+
+def _pairing_search(g2: complex, g3: complex, coeffs):
+    """((w1, w3), "") for the first root pairing whose periods pass
+    ``_validate_periods``, or (None, reason)."""
+    roots = cubic_roots(4.0, -g2, -g3)
     last_reason = "no candidate pairing produced a valid lattice"
     for perm in permutations(range(3)):
         e1, e2, e3 = roots[perm[0]], roots[perm[1]], roots[perm[2]]
@@ -329,8 +354,8 @@ def periods_from_invariants(inv: Invariants) -> HalfPeriods:
         if ratio.imag < 0:
             w3 = -w3
         if _validate_periods(g2, g3, w1, w3, coeffs):
-            return _normalize_periods(w1, w3)
-    raise ConvergenceError(f"period computation failed: {last_reason}")
+            return (w1, w3), ""
+    return None, last_reason
 
 
 def _normalize_periods(w1: complex, w3: complex) -> HalfPeriods:

@@ -153,9 +153,10 @@ _HUGE = "1" + "0" * 400
 @pytest.mark.parametrize(
     "argv",
     [
-        # no candidate root pairing gives a valid lattice (ConvergenceError)
-        ["verify", "--family", "cubic", "--tau", "1e3"],
-        ["adjudicate", "--family", "cubic", "--tau", "1e3"],
+        # neither the invariants nor their homogeneous scaling give a valid
+        # lattice (ConvergenceError)
+        ["verify", "--family", "cubic", "--tau", "3e3"],
+        ["adjudicate", "--family", "cubic", "--tau", "3e3"],
         # the discriminant would overflow: refused by name (ValueError)
         ["wp-eval", "--g2", "1e200", "--g3", "1", "--z", "0.1"],
         ["verify", "--family", "cubic", "--tau", "1e200"],
@@ -181,6 +182,24 @@ def test_numeric_failures_exit_2(argv, capsys):
         if big in argv:
             param = argv[argv.index(big) - 1].lstrip("-")
             assert err.startswith(f"error: {param}=") and "must not exceed" in err
+
+
+def test_cubic_near_degenerate_lattice_builds_by_homogeneity(capsys):
+    # at tau = 1000 the discriminant is 6e-8 of g2^3 and no root pairing of
+    # the invariants themselves validates; their scaled copy does
+    code, out, err = run_cli(["verify", "--family", "cubic", "--tau", "1e3"], capsys)
+    assert code in (0, 1, 3)
+    assert out.split(":")[0] in ("PASS", "FAIL", "INCONCLUSIVE")
+    assert "no candidate pairing" not in err
+
+
+@pytest.mark.parametrize("flags, slot", [([], "w"), (["--slot", "exp"], "e^w")])
+def test_quadratic_reports_its_slot(flags, slot, capsys, tmp_path):
+    out_json = tmp_path / "report.json"
+    argv = ["verify", "--family", "quadratic", "--window=-1,1,-1,1", "--density", "5",
+            "--out", str(out_json)] + flags
+    assert run_cli(argv, capsys)[0] == 0
+    assert json.loads(out_json.read_text())["params"]["slot"] == slot
 
 
 # -- adjudicate --------------------------------------------------------------
