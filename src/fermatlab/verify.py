@@ -81,6 +81,10 @@ _PHASE_PASSES = 12
 #: boundary contour nodes per unit length
 _BOUNDARY_NODES_PER_UNIT = 32.0
 
+#: points a scan evaluates at a time: each node of the scanned trees is then
+#: one array of this size, not one the size of the grid
+_SCAN_BLOCK = 8192
+
 #: most grid points a window may ask for (about 6x the 401 x 401 grid of a
 #: dense scan); beyond it a scan would exhaust memory or time, so the window
 #: is refused up front
@@ -249,14 +253,13 @@ def _p95(sorted_vals: np.ndarray) -> float:
     return float(sorted_vals[k])
 
 
-def _guarded_values(exprs: list, z, den_floor, wp_ceiling):
-    """(values of exprs, excluded, counts) on z, excluding the samples where
-    a value is not finite, a denominator of exprs[0] is small or one of its
-    wp atoms is large; reasons are counted by priority:
+def _guarded_values(nodes: tuple, n: int, m: int, z, den_floor, wp_ceiling,
+                    counts: dict):
+    """(values of nodes[:n], excluded) on z, excluding the samples where a
+    value is not finite, a denominator nodes[n:m] is small or a wp atom
+    nodes[m:] is large; reasons are added to counts by priority:
     nonfinite > denominator > pole-magnitude."""
-    denos = denominators(exprs[0])
-    vals = evaluate_many(share(*exprs, *denos, *wp_nodes(exprs[0])), z)
-    n, m = len(exprs), len(exprs) + len(denos)
+    vals = evaluate_many(nodes, z)
 
     def flagged(arrs, test) -> np.ndarray:
         # nodes that share a subtree evaluate to one array: test it once
@@ -268,13 +271,10 @@ def _guarded_values(exprs: list, z, den_floor, wp_ceiling):
     nonfinite = flagged(vals[:n], lambda a: ~np.isfinite(a))
     den_small = flagged(vals[n:m], lambda a: ~np.isfinite(a) | (np.abs(a) < den_floor))
     wp_big = flagged(vals[m:], lambda a: ~np.isfinite(a) | (np.abs(a) > wp_ceiling))
-    excluded = nonfinite | den_small | wp_big
-    counts = {
-        "nonfinite": int(np.count_nonzero(nonfinite)),
-        "denominator": int(np.count_nonzero(den_small & ~nonfinite)),
-        "pole-magnitude": int(np.count_nonzero(wp_big & ~nonfinite & ~den_small)),
-    }
-    return vals[:n], excluded, counts
+    counts["nonfinite"] += int(np.count_nonzero(nonfinite))
+    counts["denominator"] += int(np.count_nonzero(den_small & ~nonfinite))
+    counts["pole-magnitude"] += int(np.count_nonzero(wp_big & ~nonfinite & ~den_small))
+    return vals[:n], nonfinite | den_small | wp_big
 
 
 def _family_params(family: SolutionFamily) -> dict:
@@ -299,22 +299,32 @@ def _relative_scan(
         raise ValueError("tolerance must be positive")
     z = window.grid()
     n_re, n_im = window.axis_counts()
-    terms = [t for t, _ in scale_terms]
-    vals, excluded, counts = _guarded_values(
-        [residual] + terms, z, window.soft_exclusion, pole_ceiling
-    )
-    rv, term_vals = vals[0], vals[1:]
-    scale = np.ones(z.shape, dtype=float)
-    for tv, power in zip(term_vals, [p for _, p in scale_terms]):
-        scale = scale + np.abs(tv) ** power
-    with np.errstate(invalid="ignore", over="ignore"):
-        rel = np.abs(rv) / scale
-    bad_rel = ~np.isfinite(rel) & ~excluded
-    if np.any(bad_rel):
-        counts["nonfinite"] += int(np.count_nonzero(bad_rel))
-        excluded = excluded | bad_rel
-
     n = z.size
+    exprs = [residual] + [t for t, _ in scale_terms]
+    denos = denominators(residual)
+    nodes = share(*exprs, *denos, *wp_nodes(residual))
+    n_vals, n_guards = len(exprs), len(exprs) + len(denos)
+    counts = {"nonfinite": 0, "denominator": 0, "pole-magnitude": 0}
+    rel = np.empty(n)
+    excluded = np.empty(n, dtype=bool)
+    residual_abs = np.empty(n) if keep_samples else None
+    for lo in range(0, n, _SCAN_BLOCK):
+        block = slice(lo, lo + _SCAN_BLOCK)
+        vals, exc = _guarded_values(nodes, n_vals, n_guards, z[block],
+                                    window.soft_exclusion, pole_ceiling, counts)
+        rv = vals[0]
+        scale = np.ones(rv.shape, dtype=float)
+        for tv, (_, power) in zip(vals[1:], scale_terms):
+            scale = scale + np.abs(tv) ** power
+        with np.errstate(invalid="ignore", over="ignore"):
+            r = np.abs(rv) / scale
+        bad_rel = ~np.isfinite(r) & ~exc
+        counts["nonfinite"] += int(np.count_nonzero(bad_rel))
+        rel[block] = r
+        excluded[block] = exc | bad_rel
+        if keep_samples:
+            residual_abs[block] = np.where(np.isfinite(rv), np.abs(rv), np.nan)
+
     n_exc = int(np.count_nonzero(excluded))
     valid_rel = rel[~excluded]
     p95 = _p95(np.sort(valid_rel))
@@ -341,7 +351,7 @@ def _relative_scan(
     if keep_samples:
         samples = np.empty(n, dtype=_SAMPLE_DTYPE)
         samples["z_re"], samples["z_im"] = z.real, z.imag
-        samples["residual_abs"] = np.where(np.isfinite(rv), np.abs(rv), np.nan)
+        samples["residual_abs"] = residual_abs
         samples["residual_rel"] = np.where(np.isfinite(rel), rel, np.nan)
         samples["excluded"] = excluded
     return ScanReport(

@@ -19,7 +19,7 @@ from fermatlab.reports import (
     write_csv,
     write_json,
 )
-from fermatlab.verify import ScanWindow, residual_scan
+from fermatlab.verify import ScanWindow, derivative_identity_scan, residual_scan
 
 
 # -- float formatting --------------------------------------------------------
@@ -163,6 +163,25 @@ def test_points_csv_bytes_are_pinned(family_id, params, denominator, digest):
     assert ",nan,nan,1\n" in text
     assert rep.exclusion_reasons == {"nonfinite": 1, "denominator": denominator, "pole-magnitude": 0}
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "family_id, params, scan, digest",
+    [
+        ("case2", {}, residual_scan,
+         "66d50877495e1c7e2511bd6821cbd7d183d145cceeee9a306481783dad111187"),
+        ("case4", {"variant": 1}, derivative_identity_scan,
+         "da8f3160f31c09643eae775c33ff36446edf6ccc45931a1a0f40e94000b767ba"),
+        ("corollary", {}, derivative_identity_scan,
+         "730c21920393e48d9445c06b5147914409f35570172c9e89ea6408d04e26a4d6"),
+    ],
+)
+def test_multi_block_csv_bytes_are_pinned(family_id, params, scan, digest):
+    """161 x 161 grids span four evaluation blocks, so a fault at a block
+    seam changes these digests."""
+    rep = scan(build_family(family_id, **params), ScanWindow(grid_density=40.0),
+               keep_samples=True)
+    assert hashlib.sha256(points_csv(rep.samples).encode()).hexdigest() == digest
 
 
 def test_write_json_and_csv_are_byte_stable(tmp_path, small_scan):

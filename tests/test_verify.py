@@ -3,6 +3,7 @@ argument-principle reconciliation, omitted values certified by zero counts,
 and the near-pole diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,45 @@ def test_derivative_identity_scan_never_passes_refuted_families():
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.p95_residual > 1.0
     assert rep.excluded_fraction > 0.20
+
+
+def _block_scans():
+    """161 x 161 = 25,921 points: three full blocks of 8,192 and 1,345 more."""
+    w = ScanWindow(grid_density=40.0)
+    return [
+        residual_scan(build_family("case2"), w, keep_samples=True),
+        derivative_identity_scan(build_family("case4", variant=1), w, keep_samples=True),
+        derivative_identity_scan(build_family("corollary"), w, keep_samples=True),
+        residual_scan(build_family("case2"), w, pole_ceiling=100.0, keep_samples=True),
+    ]
+
+
+def test_scan_block_size_keeps_every_bit(monkeypatch):
+    runs = []
+    for block in (1000, 8192, 10**6):
+        monkeypatch.setattr(verify, "_SCAN_BLOCK", block)
+        runs.append([(r.to_dict(), r.samples.tobytes()) for r in _block_scans()])
+    assert runs[0] == runs[1] == runs[2]
+    verdicts = [d["verdict"] for d, _ in runs[0]]
+    reasons = [d["exclusion_reasons"] for d, _ in runs[0]]
+    assert verdicts == ["PASS", "INCONCLUSIVE", "PASS", "PASS"]
+    assert reasons[1] == {"nonfinite": 1, "denominator": 11620, "pole-magnitude": 0}
+    assert reasons[3] == {"nonfinite": 1, "denominator": 0, "pole-magnitude": 372}
+
+
+def test_dense_scan_memory_is_bounded():
+    """A 401 x 401 scan holds the complex grid and a few arrays per point,
+    not a grid-sized array for every node of its trees."""
+    fam = build_family("corollary")
+    w = ScanWindow(grid_density=100.0)
+    derivative_identity_scan(fam, w)
+    tracemalloc.start()
+    try:
+        derivative_identity_scan(fam, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # -- zero scans --------------------------------------------------------------
