@@ -13,8 +13,9 @@ by its boundary winding and locates a lone zero by the contour moments of
 the logarithmic derivative, certifies every reported multiplicity by a
 small-circle winding number, refines each location by the winding
 centroid, and reconciles the interior count (zeros minus elliptic pole
-orders) against an independently computed boundary winding.  Any ambiguity
--- near-boundary zeros, unresolvable phase tracking, zeros too close to
+orders), which the leaf cells and their circles give on their own
+contours, against the winding of the window's boundary.  Any ambiguity --
+near-boundary zeros, unresolvable phase tracking, zeros too close to
 separate, count mismatch -- raises AnalyzerError rather than guessing.
 """
 
@@ -54,8 +55,8 @@ _MULT_NODES = 256
 _BOUNDARY_MARGIN = 1e-6
 
 #: nodes of the Gauss-Legendre rule of each panel of a cell edge; an edge
-#: has at least _EDGE_PANELS panels and as many rule nodes per unit length
-#: as the window boundary has tracking nodes
+#: has at least _EDGE_PANELS panels and _BOUNDARY_NODES_PER_UNIT rule nodes
+#: per unit length, and phase tracking refines it from there
 _GL_NODES = 8
 _EDGE_PANELS = 4
 
@@ -78,7 +79,7 @@ _MATCH_RADIUS = 1e-6
 #: most refinement passes of contour phase tracking
 _PHASE_PASSES = 12
 
-#: boundary contour nodes per unit length
+#: Gauss-Legendre nodes per unit length of a cell edge
 _BOUNDARY_NODES_PER_UNIT = 32.0
 
 #: points a scan evaluates at a time: each node of the scanned trees is then
@@ -167,20 +168,6 @@ class ScanWindow:
         )
         return np.where(outside > 0, outside, np.maximum(inside, 0.0))
 
-    def boundary_nodes(self) -> np.ndarray:
-        """Closed counterclockwise polyline (last node equals the first)."""
-        corners = [
-            complex(self.re_min, self.im_min),
-            complex(self.re_max, self.im_min),
-            complex(self.re_max, self.im_max),
-            complex(self.re_min, self.im_max),
-        ]
-        pts = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            n = max(16, int(math.ceil(abs(b - a) * _BOUNDARY_NODES_PER_UNIT)))
-            pts.append(a + (b - a) * np.arange(n) / n)
-        return np.concatenate(pts + [np.array([corners[0]])])
-
     def to_dict(self) -> dict:
         return {
             "re_min": self.re_min,
@@ -217,10 +204,6 @@ class ScanReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
-
-    @property
-    def excluded_fraction(self) -> float:
-        return self.points_excluded / self.points_total if self.points_total else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -469,12 +452,25 @@ class ZeroReport:
         }
 
 
-def _phase_track(num: Expr, nodes: np.ndarray, floor: float, values=None):
-    """Phase change of num in turns along a polyline (its winding when the
-    polyline is closed) by phase tracking with adaptive refinement; returns
-    (turns, nodes, values).  ``values``, when given, are num on ``nodes``."""
-    z = np.asarray(nodes, dtype=complex)
-    v = evaluate(num, z) if values is None else values
+def _steps(z: np.ndarray, v: np.ndarray, dv: np.ndarray):
+    """(step, steep): the phase steps of num between consecutive nodes z of
+    a polyline from its values v and derivative values dv there, and which
+    steps refinement must split.  A step is steep when it exceeds a quarter
+    turn, or when its segment's length times the larger |num'/num| at its
+    ends does: a zero or pole near the segment could then hide a whole turn
+    in a step that looks small."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.angle(v[1:] / v[:-1])
+        rate = np.abs(dv / v)
+        reach = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
+    return step, (np.abs(step) > 0.5 * math.pi) | (reach > 0.5 * math.pi)
+
+
+def _phase_track(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
+                 dv: np.ndarray, floor: float) -> float:
+    """Phase change of num in turns along the polyline z (its winding when
+    the polyline is closed) from its values v and dv of num and num' there,
+    halving every steep step (see ``_steps``) until none is left."""
     for _ in range(_PHASE_PASSES):
         lost = ~np.isfinite(v) | (np.abs(v) <= floor)
         if np.any(lost):
@@ -482,39 +478,40 @@ def _phase_track(num: Expr, nodes: np.ndarray, floor: float, values=None):
                 f"numerator vanishes or is singular on the contour at "
                 f"{complex(z[np.argmax(lost)]):.9g}; a zero or pole sits too close to it"
             )
-        step = np.angle(v[1:] / v[:-1])
-        bad = np.abs(step) > 0.5 * math.pi
-        if not np.any(bad):
-            return float(np.sum(step) / (2.0 * math.pi)), z, v
-        mids = 0.5 * (z[:-1][bad] + z[1:][bad])
-        mv = evaluate(num, mids)
-        idx = np.flatnonzero(bad) + 1
-        z = np.insert(z, idx, mids)
-        v = np.insert(v, idx, mv)
+        step, steep = _steps(z, v, dv)
+        if not np.any(steep):
+            return float(np.sum(step) / (2.0 * math.pi))
+        mids = 0.5 * (z[:-1][steep] + z[1:][steep])
+        mv, mdv = evaluate_many([num, dnum], mids)
+        idx = np.flatnonzero(steep) + 1
+        z, v, dv = np.insert(z, idx, mids), np.insert(v, idx, mv), np.insert(dv, idx, mdv)
     raise AnalyzerError(
         f"phase tracking failed to stabilize on the contour near {complex(mids[0]):.9g}"
     )
 
 
-def _phase_changes(num: Expr, z: np.ndarray, v: np.ndarray, starts: np.ndarray,
-                   floor: float):
-    """The phase change of num, in turns, along each polyline
-    ``z[starts[i]:starts[i + 1]]`` from its values ``v``, nan where tracking
-    fails.  Only a polyline with a step beyond a quarter turn, or a value
+def _phase_changes(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
+                   dv: np.ndarray, starts: np.ndarray, floor: float):
+    """(turns, errors): the phase change of num, in turns, along each
+    polyline ``z[starts[i]:starts[i + 1]]`` from the values ``v`` and ``dv``
+    of num and num' there, nan where tracking fails, and the message of each
+    failure in order.  Only a polyline with a steep step, or a value
     that is not finite or not above ``floor``, goes through
     ``_phase_track``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.append(np.angle(v[1:] / v[:-1]), 0.0)
-    step[starts[1:] - 1] = 0.0  # no step from one polyline to the next
-    bad = ~np.isfinite(v) | (np.abs(v) <= floor) | (np.abs(step) > 0.5 * math.pi)
+    step, steep = _steps(z, v, dv)
+    step, steep = np.append(step, 0.0), np.append(steep, False)
+    step[starts[1:] - 1], steep[starts[1:] - 1] = 0.0, False  # no step between polylines
+    bad = ~np.isfinite(v) | (np.abs(v) <= floor) | steep
     turns = np.add.reduceat(step, starts[:-1]) / (2.0 * math.pi)
+    errors = []
     for i in np.flatnonzero(np.logical_or.reduceat(bad, starts[:-1])):
         lo, hi = starts[i], starts[i + 1]
         try:
-            turns[i] = _phase_track(num, z[lo:hi], floor, v[lo:hi])[0]
-        except AnalyzerError:
+            turns[i] = _phase_track(num, dnum, z[lo:hi], v[lo:hi], dv[lo:hi], floor)
+        except AnalyzerError as exc:
             turns[i] = np.nan
-    return turns
+            errors.append(str(exc))  # exc itself would tie this frame into a cycle
+    return turns, errors
 
 
 def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
@@ -535,7 +532,8 @@ def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
     z = (c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)).ravel()
     nv, dv = evaluate_many([num, dnum], z)
     closed = (np.arange(c.size)[:, None] * n + np.arange(n + 1) % n).ravel()
-    turns = _phase_changes(num, z[closed], nv[closed], np.arange(c.size + 1) * (n + 1), 0.0)
+    turns, _ = _phase_changes(num, dnum, z[closed], nv[closed], dv[closed],
+                              np.arange(c.size + 1) * (n + 1), 0.0)
     d = z.reshape(c.size, n) - c[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ld = d * (dv / nv).reshape(c.size, n)
@@ -570,9 +568,10 @@ def _edge_rule(panels: int):
 
 
 def _edges(num: Expr, dnum: Expr, ends: list, floor: float):
-    """(turns, moments): the phase change of num in turns (nan where
-    tracking fails) and its moments along the straight edges a -> b of
-    ``ends``, all in one evaluation.
+    """(turns, moments, errors): the phase change of num in turns (nan where
+    tracking fails, with the failures' messages in ``errors``) and its
+    moments along the straight edges a -> b of ``ends``, all in one
+    evaluation.
 
     moments[i] = (s0, s1, s2), the moments (1/2 pi i) integral (z - m)^k
     num'/num dz along edge i about its midpoint m, by the panels'
@@ -588,13 +587,13 @@ def _edges(num: Expr, dnum: Expr, ends: list, floor: float):
     starts = np.cumsum([0] + [z.size for z in zs])
     z, q = np.concatenate(zs), np.concatenate(qs)
     nv, dv = evaluate_many([num, dnum], z)
-    turns = _phase_changes(num, z, nv, starts, floor)
+    turns, errors = _phase_changes(num, dnum, z, nv, dv, starts, floor)
     d = z - np.repeat([0.5 * (a + b) for a, b in ends], np.diff(starts))
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(q != 0, q * dv / nv, 0.0) / (2j * math.pi)
     lo = starts[:-1]
     moments = np.stack([np.add.reduceat(f * d**k, lo) for k in range(3)], axis=1)
-    return turns, moments
+    return turns, moments, errors
 
 
 def _spacing_error(near: complex) -> AnalyzerError:
@@ -605,9 +604,12 @@ def _spacing_error(near: complex) -> AnalyzerError:
 
 
 def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
-                floor: float) -> list:
-    """[(location, multiplicity)] of the zeros of num inside the window, by
-    recursive subdivision of the window into cells (x0, x1, y0, y1).
+                floor: float):
+    """(zeros, winding): [(location, multiplicity)] of the zeros of num
+    inside the window, by recursive subdivision of the window into cells
+    (x0, x1, y0, y1), and the winding of num along the window's boundary,
+    which is the root cell's edges.  Tracking that fails on one of those
+    edges raises the AnalyzerError "window boundary: ...".
 
     A cell's zero count is its boundary winding plus the orders of the
     ``poles`` ((point, order) pairs) inside it; its moments s_k about its
@@ -624,14 +626,18 @@ def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
         c = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
         return list(zip(c, c[1:] + c[:1]))
 
-    def add_edges(cells: list):
+    def add_edges(cells: list) -> list:
+        """Track the sides of cells not tracked yet; returns the messages
+        of those whose tracking failed."""
         new: dict = {}  # a split line is a side of both children: once
         for s in (s for cell in cells for s in sides(cell)):
             if not any(k in known for k in (s, s[::-1]) for known in (edges, new)):
                 new[s] = None
-        if new:
-            turns, moments = _edges(num, dnum, list(new), floor)
-            edges.update(zip(new, zip(turns.tolist(), moments.tolist())))
+        if not new:
+            return []
+        turns, moments, errors = _edges(num, dnum, list(new), floor)
+        edges.update(zip(new, zip(turns.tolist(), moments.tolist())))
+        return errors
 
     def shifted(m, d: complex):
         """Moments about c of moments m taken about c + d."""
@@ -698,9 +704,12 @@ def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
             out.extend(kids)
         return out
 
-    cells = [(window.re_min, window.re_max, window.im_min, window.im_max)]
-    add_edges(cells)
-    found = []
+    root = (window.re_min, window.re_max, window.im_min, window.im_max)
+    errors = add_edges([root])
+    if errors:
+        raise AnalyzerError(f"window boundary: {errors[0]}; shift the window")
+    winding = round(sum(edges[s][0] for s in sides(root)))
+    cells, found = [root], []
     while cells:
         certify, to_split = [], []
         for cell in cells:
@@ -729,7 +738,7 @@ def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
                     continue
             to_split.append(cell)
         cells = split(to_split)
-    return found
+    return found, winding
 
 
 def _in(cell, z: complex) -> bool:
@@ -802,8 +811,10 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     zero and where (the Delves-Lyness method).  Each such zero is certified
     by a small circle whose winding must equal the cell's count, and its
     location is that circle's winding centroid.  Zeros that the denominator
-    shares are reported as cancelled, and the interior total is reconciled
-    against the window's own boundary winding.
+    shares are reported as cancelled.  The window is the root cell, and its
+    edges' winding is ``boundary_total``; the interior total, which the leaf
+    cells count on their own edges and the circles certify, is reconciled
+    against it.
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
@@ -823,24 +834,6 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
                 f"boundary at {complex(p):.9g}; shift the window"
             )
 
-    try:
-        raw, nodes_z, vv = _phase_track(num, window.boundary_nodes(), b_floor)
-    except AnalyzerError as exc:
-        raise AnalyzerError(f"window boundary: {exc}; shift the window") from None
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.1:
-        raise AnalyzerError(f"boundary winding {raw:.4f} is not close to an integer")
-    # cross-check with a trapezoid quadrature of the logarithmic derivative
-    dv = evaluate(dnum, nodes_z)
-    w_ld = dv / vv
-    integral = np.sum(0.5 * (w_ld[:-1] + w_ld[1:]) * np.diff(nodes_z)) / (2j * math.pi)
-    if abs(integral.real - raw) > 0.1 or abs(integral.imag) > 0.1:
-        raise AnalyzerError(
-            f"boundary winding cross-check failed: phase {raw:.4f} vs "
-            f"quadrature {integral:.4f}"
-        )
-    boundary_total = int(nearest)
-
     pole_orders = []
     for p, res in zip(poles, _circle_windings(num, dnum, poles) if poles else []):
         if res is None:
@@ -852,7 +845,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
             raise _spacing_error(p)
         pole_orders.append((p, -w))
 
-    roots = _find_zeros(num, dnum, window, pole_orders, b_floor)
+    roots, boundary_total = _find_zeros(num, dnum, window, pole_orders, b_floor)
     special = [r for r, _ in roots] + poles
     for i in range(len(special)):
         for j in range(i + 1, len(special)):

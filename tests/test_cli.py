@@ -155,8 +155,8 @@ _HUGE = "1" + "0" * 400
     [
         # neither the invariants nor their homogeneous scaling give a valid
         # lattice (ConvergenceError)
-        ["verify", "--family", "cubic", "--tau", "3e3"],
-        ["adjudicate", "--family", "cubic", "--tau", "3e3"],
+        ["verify", "--family", "cubic", "--tau", "5e3"],
+        ["adjudicate", "--family", "cubic", "--tau", "5e3"],
         # the discriminant would overflow: refused by name (ValueError)
         ["wp-eval", "--g2", "1e200", "--g3", "1", "--z", "0.1"],
         ["verify", "--family", "cubic", "--tau", "1e200"],

@@ -1,6 +1,7 @@
 """The package has no public surface that only tests reach: every public
-top-level function and class of ``src/fermatlab`` is named somewhere in
-``src/``, ``scripts/`` or ``perfbench/`` outside its own definition."""
+top-level function and class of ``src/fermatlab``, and every public method
+and property of such a class, is named somewhere in ``src/``, ``scripts/``
+or ``perfbench/`` outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -35,20 +36,25 @@ def _unused_public_names() -> list[str]:
     for path, tree in trees.items():
         for name, line in _identifiers(tree):
             uses.setdefault(name, []).append((path, line))
+
+    def public(body):
+        return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            outside = [
-                (p, line)
-                for p, line in uses.get(node.name, [])
-                if not (p == path and node.lineno <= line <= node.end_lineno)
-            ]
-            if not outside:
-                unused.append(f"{path.name}:{node.name}")
+        for node in public(trees[path].body):
+            members = public(node.body) if isinstance(node, ast.ClassDef) else []
+            for name, member in [(node.name, node)] + [
+                (f"{node.name}.{m.name}", m) for m in members
+            ]:
+                outside = [
+                    (p, line)
+                    for p, line in uses.get(member.name, [])
+                    if not (p == path and member.lineno <= line <= member.end_lineno)
+                ]
+                if not outside:
+                    unused.append(f"{path.name}:{name}")
     return unused
 
 

@@ -17,6 +17,7 @@ from fermatlab.exprs import (
     Const,
     Div,
     Exp,
+    Expr,
     Mul,
     Pow,
     Sub,
@@ -174,7 +175,7 @@ def test_scan_inconclusive_when_exclusions_dominate():
     w = ScanWindow(-1, 1, -1, 1, soft_exclusion=1000.0)
     rep = residual_scan(build_family("case2"), window=w)
     assert rep.verdict == "INCONCLUSIVE"
-    assert rep.excluded_fraction > 0.20
+    assert rep.points_excluded / rep.points_total > 0.20
 
 
 def test_scan_tolerance_validation():
@@ -199,7 +200,7 @@ def test_derivative_identity_scan_never_passes_refuted_families():
     rep = derivative_identity_scan(build_family("case6"))
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.p95_residual > 1.0
-    assert rep.excluded_fraction > 0.20
+    assert rep.points_excluded / rep.points_total > 0.20
 
 
 def _block_scans():
@@ -369,8 +370,9 @@ def test_zero_scan_roots_inside_one_circle_rejected():
 
 def test_zero_scan_boundary_zero_rejected():
     expr = Sub(Exp(W), Const(math.exp(1.0)))  # zero exactly on re_max
-    with pytest.raises(AnalyzerError, match="window boundary"):
+    with pytest.raises(AnalyzerError, match="^window boundary: ") as err:
         zero_scan(expr, ScanWindow(-1, 1, -1, 1))
+    assert "at 1+0j" in str(err.value)
 
 
 def test_zero_scan_unsupported_atoms():
@@ -428,6 +430,56 @@ def test_zero_scan_pole_hides_zeros_from_the_raw_winding():
     assert len(got) == 3 and all(z.multiplicity == 1 for z in rep.zeros)
     for w in expected:
         assert min(abs(g - w) for g in got) < 1e-9
+
+
+def _near_edge(k: int, p: complex) -> Expr:
+    """(w - p)^k (w - 0.1 - 0.2i)."""
+    return Mul(Pow(Sub(W, Const(p)), k), Sub(W, Const(0.1 + 0.2j)))
+
+
+def _wp01_squared_minus_four() -> Expr:
+    p = Wp(engine_for(Invariants(0, 1)), W)
+    return Sub(Mul(p, p), Const(4))
+
+
+#: the x in (0, 1) with wp(x) = 2 for (g2, g3) = (0, 1), the integral of
+#: dt / sqrt(4 t^3 - 1) from 2 to infinity
+_WP01_AT_TWO = 0.70870542626
+_SQ = ScanWindow(-1, 1, -1, 1)
+_NEAR_EDGE = [
+    pytest.param(lambda p=p: _near_edge(1, p), _SQ, [(0.1 + 0.2j, 1), (p, 1)], [], 1e-12,
+                 id=f"simple-inside-{1 - p.real:.0e}")
+    for p in (complex(1 - d, 0.3) for d in (1e-5, 1e-4, 1e-3, 3e-3))
+] + [
+    pytest.param(lambda k=k, p=p: _near_edge(k, p), _SQ,
+                 [(0.1 + 0.2j, 1)] + ([(p, k)] if p.real < 1 else []), [], 1e-12,
+                 id=f"order-{k}-{'inside' if p.real < 1 else 'outside'}")
+    for k in (2, 3) for p in (1 - 1e-3 + 0.3j, 1 + 1e-3 + 0.3j)
+] + [
+    pytest.param(_wp01_squared_minus_four, ScanWindow(x0, 1.3, -0.7, 1.2),
+                 [(_WP01_AT_TWO, 1)], [], 1e-11, id=f"wp-squared-pole-{x0:g}-left")
+    for x0 in (0.003, 0.01)
+] + [
+    pytest.param(lambda: WpPrime(engine_for(Invariants(0, 1)), W),
+                 ScanWindow(-0.001, 1.3, -0.7, 1.2), [], [(0j, 3)], 0.0,
+                 id="wp-prime-pole-inside"),
+]
+
+
+@pytest.mark.parametrize("build, window, zeros, poles, tol", _NEAR_EDGE)
+def test_zero_scan_singularity_near_the_boundary(build, window, zeros, poles, tol):
+    """A zero or pole just inside or outside the window.  The window's
+    winding comes from the root cell's edges alone, and their phase tracking
+    refines where |N'/N| is large, so that the singularity cannot alias a
+    step: the order-4 pole of wp^2 just left of the window must not hide its
+    one zero, and a zero beside re = 1 must be neither refused nor lost."""
+    rep = zero_scan(build(), window)
+    got = sorted(((z.z, z.multiplicity) for z in rep.zeros), key=lambda t: t[0].real)
+    assert [m for _, m in got] == [m for _, m in zeros]
+    assert all(abs(z - w) <= tol for (z, _), (w, _) in zip(got, zeros))
+    assert [(complex(re, im), k) for re, im, k in rep.poles] == poles
+    assert rep.cancelled == () and rep.reconciled
+    assert rep.boundary_total == sum(m for _, m in zeros) - sum(k for _, k in poles)
 
 
 # -- zero-set comparison -----------------------------------------------------

@@ -180,6 +180,27 @@ def test_half_period_value_is_branch_point():
     assert abs(pp) < 1e-9
 
 
+@pytest.mark.parametrize("tau", [1500, -1500, 1500j, 3000])
+def test_near_degenerate_lattice_by_homogeneity(tau):
+    """Large tau: the periods come from the invariants scaled by lam and are
+    checked only in that frame.  The engine on the unscaled invariants must
+    still satisfy the differential equation and agree with the scaled one
+    through wp(z; g2, g3) = lam^2 wp(lam z; lam^-4 g2, lam^-6 g3)."""
+    inv = invariants_from_tau(tau)
+    g2, g3 = inv.g2c, inv.g3c
+    lam = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
+    eng = WeierstrassEngine(inv)
+    scaled = WeierstrassEngine(Invariants(g2 / lam**4, g3 / lam**6))
+    ticks = (np.arange(9) + 0.25) / 9 - 0.5  # a 9 x 9 grid that misses 0
+    z = np.array([eng.cell_point(x, y) for x in ticks for y in ticks])
+    p, pp, _, pole = eng.eval(z)
+    assert not pole.any()
+    ode = np.abs(pp * pp - (4 * p**3 - g2 * p - g3)) / (lam**2 + np.abs(p)) ** 3
+    assert ode.max() < 1e-12
+    ps = scaled.eval(lam * z)[0]
+    assert (np.abs(p - lam**2 * ps) / (lam**2 + np.abs(p))).max() < 1e-9
+
+
 def test_degenerate_invariants_rejected():
     with pytest.raises(DegenerateLatticeError):
         periods_from_invariants(Invariants(3, 1))  # g2^3 = 27 g3^2
@@ -320,7 +341,9 @@ def test_eval_unreduced_agrees_far_from_origin(eng01):
     z = eng01.cell_point(0.3, 0.6)
     far = z + 5 * v1 - 3 * v2
     p0, pp0, _ = eng01.eval_scalar(z)
-    p1, pp1 = eng01.eval_unreduced(far)
+    # the validation route: no lattice reduction, the series at far / 2^depth
+    depth = max(0, math.ceil(math.log2(max(abs(far) / (0.3 * abs(v1)), 1.0))))
+    p1, pp1 = wp._ladder_eval(far, eng01.invariants.g2c, eng01._coeffs, depth)
     assert abs(p1 - p0) < 1e-6 * (1 + abs(p0))
     assert abs(pp1 - pp0) < 1e-6 * (1 + abs(pp0))
 
