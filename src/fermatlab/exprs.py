@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -244,39 +245,71 @@ def share(*roots: Expr) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _eval(e: Expr, z, cache: dict):
+def _uses(roots) -> Counter:
+    """How often each value of the trees will be read: per distinct node,
+    once for each parent slot that holds it, once more for each time it is
+    requested as a root (the caller's read, never released), and per
+    (engine, argument) pair once for each distinct wp / wp' node on it."""
+    uses = Counter(id(r) for r in roots)
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, (Wp, WpPrime)):
+            uses["wp", id(node.engine), id(node.arg)] += 1
+        for c in node.children():
+            uses[id(c)] += 1
+            stack.append(c)
+    return uses
+
+
+def _release(key, cache: dict, uses: Counter) -> None:
+    """One read of a cached value is done; drop it after its last one."""
+    uses[key] -= 1
+    if not uses[key]:
+        del cache[key]
+
+
+def _eval(e: Expr, z, cache: dict, uses: Counter):
+    """Value of e at z.  Every node is computed once, and its value leaves
+    the cache when the last of its parents has been computed."""
     key = id(e)
     hit = cache.get(key)
     if hit is not None:
         return hit
     if isinstance(e, BinOp):
-        out = e.op(_eval(e.lhs, z, cache), _eval(e.rhs, z, cache))
+        out = e.op(_eval(e.lhs, z, cache, uses), _eval(e.rhs, z, cache, uses))
     elif isinstance(e, Const):
         out = e.value
     elif isinstance(e, Var):
         out = z
     elif isinstance(e, Exp):
-        out = np.exp(_eval(e.arg, z, cache))
+        out = np.exp(_eval(e.arg, z, cache, uses))
     elif isinstance(e, Atom):
-        trip = _wp_triple(e.engine, e.arg, z, cache)
-        out = trip[0] if isinstance(e, Wp) else trip[1]
+        pair = _wp_pair(e.engine, e.arg, z, cache, uses)
+        out = pair[0] if isinstance(e, Wp) else pair[1]
+        _release(("wp", id(e.engine), id(e.arg)), cache, uses)
     else:
-        out = _eval(e.base, z, cache) ** e.k
+        out = _eval(e.base, z, cache, uses) ** e.k
+    for c in e.children():
+        _release(id(c), cache, uses)
     cache[key] = out
     return out
 
 
-def _wp_triple(engine, arg: Expr, z, cache: dict):
+def _wp_pair(engine, arg: Expr, z, cache: dict, uses: Counter):
     """wp and wp' of the same argument share one engine call."""
     key = ("wp", id(engine), id(arg))
     hit = cache.get(key)
     if hit is not None:
         return hit
-    a = _eval(arg, z, cache)
-    p, pp, ppp, pole = engine.eval(np.asarray(a, dtype=complex))
-    trip = (p, pp, ppp)
-    cache[key] = trip
-    return trip
+    a = _eval(arg, z, cache, uses)
+    p, pp, _, _ = engine.eval(np.asarray(a, dtype=complex))
+    cache[key] = (p, pp)
+    return p, pp
 
 
 def evaluate(e: Expr, z):
@@ -285,7 +318,7 @@ def evaluate(e: Expr, z):
     sample points)."""
     z = np.asarray(z, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, z, {})
+        out = _eval(e, z, {}, _uses([e]))
     if np.isscalar(out) or np.asarray(out).shape == ():
         return np.full(z.shape, out, dtype=complex) if z.shape else complex(out)
     return out
@@ -293,14 +326,16 @@ def evaluate(e: Expr, z):
 
 def evaluate_many(exprs: list, z) -> list:
     """Evaluate several trees on the same points with one shared cache, so
-    common subtrees (and wp ladder calls) are computed once.  Results are
-    broadcast to z's shape."""
+    common subtrees (and wp ladder calls) are computed once.  A value is
+    kept only until its last reader has used it, except the requested
+    trees' own values.  Results are broadcast to z's shape."""
     z = np.asarray(z, dtype=complex)
     cache: dict = {}
+    uses = _uses(exprs)
     outs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for e in exprs:
-            out = _eval(e, z, cache)
+            out = _eval(e, z, cache, uses)
             arr = np.asarray(out, dtype=complex)
             if arr.shape != z.shape:
                 arr = np.broadcast_to(arr, z.shape).copy()

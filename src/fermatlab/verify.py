@@ -139,11 +139,15 @@ class ScanWindow:
         n_im = max(2, int(math.ceil(self.height * self.grid_density)) + 1)
         return n_re, n_im
 
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's real (fast) and imaginary (slow) coordinates."""
+        n_re, n_im = self.axis_counts()
+        return (np.linspace(self.re_min, self.re_max, n_re),
+                np.linspace(self.im_min, self.im_max, n_im))
+
     def grid(self) -> np.ndarray:
         """Row-major grid, imaginary axis slow, real axis fast."""
-        n_re, n_im = self.axis_counts()
-        re = np.linspace(self.re_min, self.re_max, n_re)
-        im = np.linspace(self.im_min, self.im_max, n_im)
+        re, im = self._axes()
         return (re[None, :] + 1j * im[:, None]).ravel()
 
     def contains(self, z) -> np.ndarray:
@@ -228,14 +232,6 @@ _SAMPLE_DTYPE = np.dtype([("z_re", "f8"), ("z_im", "f8"), ("residual_abs", "f8")
                           ("residual_rel", "f8"), ("excluded", "i1")])
 
 
-def _p95(sorted_vals: np.ndarray) -> float:
-    n = sorted_vals.size
-    if n == 0:
-        return float("nan")
-    k = min(n - 1, int(math.floor(0.95 * n)))
-    return float(sorted_vals[k])
-
-
 def _guarded_values(nodes: tuple, n: int, m: int, z, den_floor, wp_ceiling,
                     counts: dict):
     """(values of nodes[:n], excluded) on z, excluding the samples where a
@@ -277,12 +273,16 @@ def _relative_scan(
     exclusion_budget: float,
     keep_samples: bool,
 ) -> ScanReport:
-    """Shared core: rel = |residual| / (1 + sum |term|^power) over the grid."""
+    """Shared core: rel = |residual| / (1 + sum |term|^power) over the grid.
+
+    The grid is scanned in blocks of _SCAN_BLOCK points, each built from the
+    grid rows that hold it, so a scan keeps rel and excluded per point and
+    never the complex grid."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    z = window.grid()
-    n_re, n_im = window.axis_counts()
-    n = z.size
+    re, im = window._axes()
+    n_re, n_im = re.size, im.size
+    n = n_re * n_im
     exprs = [residual] + [t for t, _ in scale_terms]
     denos = denominators(residual)
     nodes = share(*exprs, *denos, *wp_nodes(residual))
@@ -290,10 +290,12 @@ def _relative_scan(
     counts = {"nonfinite": 0, "denominator": 0, "pole-magnitude": 0}
     rel = np.empty(n)
     excluded = np.empty(n, dtype=bool)
-    residual_abs = np.empty(n) if keep_samples else None
+    samples = np.empty(n, dtype=_SAMPLE_DTYPE) if keep_samples else None
     for lo in range(0, n, _SCAN_BLOCK):
-        block = slice(lo, lo + _SCAN_BLOCK)
-        vals, exc = _guarded_values(nodes, n_vals, n_guards, z[block],
+        hi = min(lo + _SCAN_BLOCK, n)
+        r0, r1 = lo // n_re, (hi - 1) // n_re + 1
+        z = (re[None, :] + 1j * im[r0:r1, None]).ravel()[lo - r0 * n_re:hi - r0 * n_re]
+        vals, exc = _guarded_values(nodes, n_vals, n_guards, z,
                                     window.soft_exclusion, pole_ceiling, counts)
         rv = vals[0]
         scale = np.ones(rv.shape, dtype=float)
@@ -303,38 +305,41 @@ def _relative_scan(
             r = np.abs(rv) / scale
         bad_rel = ~np.isfinite(r) & ~exc
         counts["nonfinite"] += int(np.count_nonzero(bad_rel))
-        rel[block] = r
-        excluded[block] = exc | bad_rel
+        rel[lo:hi] = r
+        excluded[lo:hi] = exc | bad_rel
         if keep_samples:
-            residual_abs[block] = np.where(np.isfinite(rv), np.abs(rv), np.nan)
+            rows = samples[lo:hi]
+            rows["z_re"], rows["z_im"] = z.real, z.imag
+            rows["residual_abs"] = np.where(np.isfinite(rv), np.abs(rv), np.nan)
 
     n_exc = int(np.count_nonzero(excluded))
-    valid_rel = rel[~excluded]
-    p95 = _p95(np.sort(valid_rel))
-    max_rel = float(np.max(valid_rel)) if valid_rel.size else float("nan")
-    if n_exc / n > exclusion_budget or valid_rel.size == 0:
+    # one in-place partition of the valid values places the p95 order
+    # statistic and the 20th largest; the maximum lies above the latter
+    valid = rel[~excluded]
+    n_valid = valid.size
+    p95 = max_rel = cut = float("nan")
+    if n_valid:
+        k95 = min(n_valid - 1, int(math.floor(0.95 * n_valid)))
+        k20 = max(n_valid - 20, 0)
+        valid.partition((k95, k20))
+        p95, cut = float(valid[k95]), float(valid[k20])
+        max_rel = float(np.max(valid[k20:]))
+    if n_exc / n > exclusion_budget or n_valid == 0:
         verdict = "INCONCLUSIVE"
     elif p95 < tol:
         verdict = "PASS"
     else:
         verdict = "FAIL"
 
-    valid_idx = np.flatnonzero(~excluded)
-    k = valid_idx.size - 20
-    if k > 0:
-        # the stable order's first 20 lie among the points at or above the
-        # 20th largest value; keeping every tie there keeps them exact
-        valid_idx = valid_idx[rel[valid_idx] >= np.partition(rel[valid_idx], k)[k]]
-    order = valid_idx[np.argsort(-rel[valid_idx], kind="stable")]
+    # the stable order's first 20 lie among the points at or above the 20th
+    # largest value; keeping every tie there keeps them exact
+    cand = np.flatnonzero((rel >= cut) & ~excluded)
+    worst = cand[np.argsort(-rel[cand], kind="stable")][:20]
     failures = tuple(
-        {"z_re": float(z[i].real), "z_im": float(z[i].imag), "residual_rel": float(rel[i])}
-        for i in order[:20]
+        {"z_re": float(at.real), "z_im": float(at.imag), "residual_rel": float(rel[i])}
+        for i, at in zip(worst, re[worst % n_re] + 1j * im[worst // n_re])
     )
-    samples = None
     if keep_samples:
-        samples = np.empty(n, dtype=_SAMPLE_DTYPE)
-        samples["z_re"], samples["z_im"] = z.real, z.imag
-        samples["residual_abs"] = residual_abs
         samples["residual_rel"] = np.where(np.isfinite(rel), rel, np.nan)
         samples["excluded"] = excluded
     return ScanReport(
@@ -470,13 +475,18 @@ def _phase_track(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
                  dv: np.ndarray, floor: float) -> float:
     """Phase change of num in turns along the polyline z (its winding when
     the polyline is closed) from its values v and dv of num and num' there,
-    halving every steep step (see ``_steps``) until none is left."""
+    halving every steep step (see ``_steps``) until none is left.  A node
+    where num is not finite or |num| is not above ``floor`` (zero_scan's
+    floor 1e-12 (1 + max |num| on the window grid), or 0) stops it."""
     for _ in range(_PHASE_PASSES):
         lost = ~np.isfinite(v) | (np.abs(v) <= floor)
         if np.any(lost):
+            i = int(np.argmax(lost))
+            at, mag = complex(z[i]), abs(complex(v[i]))
             raise AnalyzerError(
-                f"numerator vanishes or is singular on the contour at "
-                f"{complex(z[np.argmax(lost)]):.9g}; a zero or pole sits too close to it"
+                f"N is not finite at {at:.9g}" if not math.isfinite(mag) else
+                f"|N| = {mag:.2g} at {at:.9g} is not above the floor {floor:.2g} = "
+                "1e-12 (1 + max |N| on the window grid)"
             )
         step, steep = _steps(z, v, dv)
         if not np.any(steep):

@@ -236,11 +236,14 @@ def _series_pair(u, coeffs):
     accd = np.zeros_like(u)
     # coeffs[k] holds c_k; iterate k = K .. 2
     for k in range(len(coeffs) - 1, 1, -1):
-        acc = acc * w + coeffs[k]
-        accd = accd * w + (k - 1) * coeffs[k]
+        acc *= w
+        acc += coeffs[k]
+        accd *= w
+        accd += (k - 1) * coeffs[k]
     p = 1.0 / w + w * acc
     pp = -2.0 / (u * w) + 2.0 * u * accd
     return p, pp
+
 
 def _duplicate(p, pp, g2):
     """One duplication step: values at u -> values at 2u."""
@@ -447,10 +450,12 @@ class WeierstrassEngine:
         zr = self.reduce(z).ravel()
         r = np.abs(zr)
         pole = r < _POLE_RADIUS
-        safe = np.where(pole, self._halving_radius, zr)
-        rsafe = np.abs(safe)
+        any_pole = bool(pole.any())
+        if any_pole:
+            zr = np.where(pole, self._halving_radius, zr)
+            r = np.abs(zr)
         depth = np.ceil(
-            np.log2(np.maximum(rsafe / self._halving_radius, 1.0)) - 1e-12
+            np.log2(np.maximum(r / self._halving_radius, 1.0)) - 1e-12
         ).astype(int)
         depth = np.maximum(depth, 0)
         dmax = int(depth.max()) if depth.size else 0
@@ -458,20 +463,22 @@ class WeierstrassEngine:
             raise LatticeReductionError(
                 f"duplication ladder depth {dmax} exceeds budget {_MAX_LADDER}"
             )
-        u = safe / np.exp2(depth)
+        u = zr / np.exp2(depth)
         p, pp = _series_pair(u, self._coeffs)
         for j in range(dmax):
             mask = depth > j
+            if mask.all():
+                p, pp = _duplicate(p, pp, self._g2)
+                continue
             if not mask.any():
                 break
             pj, ppj = _duplicate(p[mask], pp[mask], self._g2)
             p[mask] = pj
             pp[mask] = ppj
         ppp = 6.0 * p * p - self._g2 / 2.0
-        nanc = complex(float("nan"), float("nan"))
-        p = np.where(pole, nanc, p)
-        pp = np.where(pole, nanc, pp)
-        ppp = np.where(pole, nanc, ppp)
+        if any_pole:
+            nanc = complex(float("nan"), float("nan"))
+            p[pole] = pp[pole] = ppp[pole] = nanc
         return (
             p.reshape(shape),
             pp.reshape(shape),

@@ -499,6 +499,18 @@ def test_zeros_analyzer_error_exit_code(capsys):
     assert "analyzer error" in err
 
 
+def test_zeros_floor_refusal_explains_itself(capsys):
+    # the example of the zeros help on its default window: g' grows like
+    # e^{2 re w}, so the floor taken from the window's largest |N| is above
+    # |N| at the window's lower left corner
+    code, _, err = run_cli(["zeros", "--expr", "corollary.gprime"], capsys)
+    assert code == 1
+    assert err == (
+        "analyzer error: window boundary: |N| = 0.0052 at -2-2j is not above the "
+        "floor 24 = 1e-12 (1 + max |N| on the window grid); shift the window\n"
+    )
+
+
 def test_zeros_bad_expression_name(capsys):
     code, _, _ = run_cli(["zeros", "--expr", "case2.q"], capsys)
     assert code == 2

@@ -1,11 +1,13 @@
 """Tiny closed expression language used by the numeric scanners."""
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fermatlab import exprs, wp
 from fermatlab.exprs import (
     ONE,
     Add,
@@ -288,6 +290,70 @@ def test_share_keeps_engines_apart():
     assert len({id(a), id(b), id(c)}) == 3
     x, y = share(Wp(e1, W), Wp(e1, W))
     assert x is y
+
+
+# -- values freed at their last use -------------------------------------------
+
+
+def _overlapping_roots(eng):
+    """Shared trees in which the root x is a subtree of the root big, wp and
+    wp' share an argument, x appears twice as the child of one Mul, and big
+    is requested twice."""
+    arg = Mul(Const(0.5 + 0.25j), W)
+    x = Add(Wp(eng, arg), Exp(W))
+    sq = Mul(Add(Wp(eng, arg), Exp(W)), Add(Wp(eng, arg), Exp(W)))
+    big = Div(Sub(sq, WpPrime(eng, arg)), Add(x, ONE))
+    roots = share(big, x, WpPrime(eng, arg), sq, big)
+    assert roots[3].lhs is roots[3].rhs is roots[1] and roots[0] is roots[4]
+    return roots
+
+
+def test_evaluate_many_computes_each_node_once(eng, monkeypatch):
+    roots = _overlapping_roots(eng)
+    v1, _ = eng.basis
+    # 2 v1 / (0.5 + 0.25i) is a pole of every wp atom: nan entries too
+    z = np.concatenate([np.linspace(-2, 2, 7) + 0.3j, [2 * v1 / (0.5 + 0.25j), 0.1]])
+    alone = [evaluate(r, z) for r in roots]
+    computed, engine_args = Counter(), []
+    real_eval, real_engine = exprs._eval, wp.WeierstrassEngine.eval
+
+    def counting_eval(e, z, cache, *rest):
+        if id(e) not in cache:
+            computed[id(e)] += 1
+        return real_eval(e, z, cache, *rest)
+
+    def counting_engine(self, a):
+        engine_args.append((self, a.tobytes()))
+        return real_engine(self, a)
+
+    monkeypatch.setattr(exprs, "_eval", counting_eval)
+    monkeypatch.setattr(wp.WeierstrassEngine, "eval", counting_engine)
+    outs = evaluate_many(list(roots), z)
+    assert not np.isfinite(outs[0]).all()
+    for a, b in zip(outs, alone):
+        assert a.tobytes() == b.tobytes()
+    assert set(computed.values()) == {1}
+    assert len(computed) == _distinct_nodes(roots)
+    assert len(engine_args) == 1
+
+
+def test_evaluate_drops_values_at_their_last_use(monkeypatch):
+    """A chain of 60 nodes keeps a few arrays alive at a time, not 60."""
+    chain = W
+    for k in range(60):
+        chain = Add(Mul(chain, Const(0.5)), Exp(W)) if k % 2 else Sub(chain, Const(k))
+    live = []
+    real_eval = exprs._eval
+
+    def watching(e, z, cache, *rest):
+        live.append(sum(isinstance(v, np.ndarray) for v in cache.values()))
+        return real_eval(e, z, cache, *rest)
+
+    z = np.linspace(0, 1, 5) + 0.5j
+    want = evaluate(chain, z)
+    monkeypatch.setattr(exprs, "_eval", watching)
+    assert evaluate_many([chain], z)[0].tobytes() == want.tobytes()
+    assert 0 < max(live) <= 3
 
 
 #: repr of differentiate(e) and as_fraction(e) for two catalog expressions.

@@ -2,6 +2,7 @@
 the reduction-based evaluation engine."""
 
 import cmath
+import copy
 import math
 import random
 import re
@@ -315,6 +316,84 @@ def test_eval_masks_lattice_points(eng01):
     p, pp, ppp, mask = eng01.eval(np.array([0.0, 0.4 + 0.2j, v1 + v2]))
     assert mask.tolist() == [True, False, True]
     assert np.isnan(p[0].real) and not np.isnan(p[1].real)
+
+
+def _reference_eval(eng, z):
+    """A frozen copy of the engine's eval as it was before its Horner steps
+    ran in place, its duplication steps ran on the whole array when every
+    point needs one, and its NaNs were written only at the poles."""
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    zr = eng.reduce(z).ravel()
+    pole = np.abs(zr) < wp._POLE_RADIUS
+    safe = np.where(pole, eng._halving_radius, zr)
+    depth = np.ceil(
+        np.log2(np.maximum(np.abs(safe) / eng._halving_radius, 1.0)) - 1e-12
+    ).astype(int)
+    depth = np.maximum(depth, 0)
+    dmax = int(depth.max()) if depth.size else 0
+    u = safe / np.exp2(depth)
+    coeffs, g2 = eng._coeffs, eng._g2
+    w = u * u
+    acc = np.zeros_like(u)
+    accd = np.zeros_like(u)
+    for k in range(len(coeffs) - 1, 1, -1):
+        acc = acc * w + coeffs[k]
+        accd = accd * w + (k - 1) * coeffs[k]
+    p = 1.0 / w + w * acc
+    pp = -2.0 / (u * w) + 2.0 * u * accd
+    for j in range(dmax):
+        mask = depth > j
+        if not mask.any():
+            break
+        pm, ppm = p[mask], pp[mask]
+        ppp = 6.0 * pm * pm - g2 / 2.0
+        a = ppp / ppm
+        p[mask] = 0.25 * a * a - 2.0 * pm
+        pp[mask] = 0.25 * a * (12.0 * pm * ppm * ppm - ppp * ppp) / (ppm * ppm) - ppm
+    ppp = 6.0 * p * p - g2 / 2.0
+    nanc = complex(float("nan"), float("nan"))
+    p = np.where(pole, nanc, p)
+    pp = np.where(pole, nanc, pp)
+    ppp = np.where(pole, nanc, ppp)
+    return p.reshape(shape), pp.reshape(shape), ppp.reshape(shape), pole.reshape(shape)
+
+
+@pytest.mark.parametrize("inv", ["01", "IV", "cubic"])
+def test_eval_matches_the_reference_bit_for_bit(inv):
+    inv = {"01": Invariants(0, 1), "IV": invariants_from_case("IV"),
+           "cubic": invariants_from_tau(RationalComplex(Fraction(3, 10), Fraction(1, 5)))}[inv]
+    full = engine_for(inv)
+    # half the halving radius: one duplication step more, down to depth 3
+    short = copy.copy(full)
+    short._halving_radius = 0.5 * full._halving_radius
+    v1, v2 = full.basis
+    rng = np.random.default_rng(11)
+    cell = np.array([full.cell_point(x, y) for x, y in rng.uniform(-0.5, 0.5, (400, 2))])
+    lattice = np.array([a * v1 + b * v2 for a in range(-2, 3) for b in range(-2, 3)])
+    h = full._halving_radius
+    ring = lambda lo, hi: rng.uniform(lo, hi, 300) * h * np.exp(2j * np.pi * rng.random(300))
+    inputs = [
+        cell,
+        ring(0.01, 0.99),  # depth 0 only
+        ring(1.01, 1.99),  # every point takes the first step
+        np.concatenate([lattice, lattice + 3e-9, lattice - 5e-9j, lattice + 2e-8, cell[:50]]),
+        cell[:60].reshape(6, 10),
+        np.asarray(0.3 + 0.1j),
+        np.asarray(v1 + v2),
+        np.zeros(0, dtype=complex),
+    ]
+    depths = set()
+    for eng in (full, short):
+        for z in inputs:
+            got, want = eng.eval(z), _reference_eval(eng, z)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape == np.shape(z) and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            r = np.abs(eng.reduce(np.ravel(z)))
+            depths.update(np.ceil(np.log2(np.maximum(r / eng._halving_radius, 1.0)) - 1e-12)
+                          .astype(int).tolist())
+    assert {0, 1, 2, 3} <= depths
 
 
 def test_eval_scalar_raises_at_pole(eng01):
