@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, determinism, and a
 mutation check that the acceptance suite actually fails when the code lies."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -13,7 +14,9 @@ import pytest
 
 from fermatlab import cli
 from fermatlab.cli import main
-from fermatlab.families import MAX_M_ONE_EXPONENT, adjudicate
+from fermatlab.families import MAX_M_ONE_EXPONENT, adjudicate, build_family
+from fermatlab.reports import points_csv
+from fermatlab.verify import ScanWindow, residual_scan
 
 # exit-code contract:
 #   0 success / PASS / ZERO
@@ -336,6 +339,20 @@ def test_verify_reports_are_byte_identical(capsys, tmp_path):
     assert run_cli(argv, capsys)[0] == 0
     assert p.read_bytes() == first_json
     assert c.read_bytes() == first_csv
+
+
+def test_verify_csv_streams_the_pinned_bytes(capsys, tmp_path):
+    """The 161 x 161 CSV of case2, written block by block, is points_csv's
+    text and keeps its pinned digest."""
+    path = tmp_path / "points.csv"
+    code, _, _ = run_cli(["verify", "--family", "case2", "--density", "40", "--csv", str(path)],
+                         capsys)
+    assert code == 0
+    rep = residual_scan(build_family("case2"), ScanWindow(grid_density=40.0), keep_samples=True)
+    data = path.read_bytes()
+    assert data == points_csv(rep.samples).encode()
+    assert hashlib.sha256(data).hexdigest() == (
+        "66d50877495e1c7e2511bd6821cbd7d183d145cceeee9a306481783dad111187")
 
 
 @pytest.mark.parametrize(

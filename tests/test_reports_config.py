@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import struct
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlab import reports
 from fermatlab.config import Config, load_config
 from fermatlab.families import build_family
 from fermatlab.reports import (
@@ -19,7 +24,7 @@ from fermatlab.reports import (
     write_csv,
     write_json,
 )
-from fermatlab.verify import ScanWindow, derivative_identity_scan, residual_scan
+from fermatlab.verify import _SAMPLE_DTYPE, ScanWindow, derivative_identity_scan, residual_scan
 
 
 # -- float formatting --------------------------------------------------------
@@ -35,6 +40,119 @@ def test_format_float_nonfinite():
     assert format_float(float("nan")) == "nan"
     assert format_float(float("inf")) == "inf"
     assert format_float(float("-inf")) == "-inf"
+
+
+# -- the CSV's float kernel --------------------------------------------------
+
+
+def kernel_text(values):
+    """reports._render_floats of values, one bytes object per value."""
+    out = reports._render_floats(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"") for row in out]
+
+
+def reference_text(values):
+    return [("%.17g" % v).encode() for v in values]
+
+
+def signed(values):
+    return [v for x in values for v in (x, -x)]
+
+
+POWERS = [float(Fraction(10) ** k) for k in range(-300, 301)]
+FAST_MIN, FAST_MAX = reports._FAST_MIN, reports._FAST_MAX
+
+EDGE_VALUES = {
+    "zeros, subnormal and extremes": signed(
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    "non-finite": [math.inf, -math.inf, math.nan, -math.nan],
+    # 13 of these doubles lie below their power by less than half a unit
+    # of the 17th digit, so their digits carry into the next decade
+    "powers of ten and neighbours": signed(
+        [v for p in POWERS for v in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]),
+    "%g switch points": signed(
+        [v for p in (1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17)
+         for v in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]),
+    # |x| 10^(16 - k) is exactly n + 1/2: "%.17g" rounds half to even
+    "exact 17-digit ties": signed([1e15 + 0.25, 1e15 + 0.75, 2e15 + 0.25, 2.25e15 - 0.25]),
+    "edges of the certified range": signed(
+        [v for p in (FAST_MIN, FAST_MAX)
+         for v in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]),
+}
+
+
+def test_edge_values_reach_the_carry_and_tie_paths():
+    carried = [p for k, p in zip(range(-300, 301), POWERS) if Fraction(p) < Fraction(10) ** k
+               and ("%.17g" % p).startswith("1e")]
+    assert len(carried) == 13
+    ties = [Fraction(x) * 10 for x in EDGE_VALUES["exact 17-digit ties"]]
+    assert all(t % 1 == Fraction(1, 2) for t in ties)
+
+
+@pytest.mark.parametrize("values", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
+def test_kernel_matches_printf_on_edge_values(values):
+    assert kernel_text(values) == reference_text(values)
+
+
+def spy_on_fallback(monkeypatch):
+    seen = []
+    printf = reports._printf
+
+    def spy(x):
+        seen.extend(x.tolist())
+        return printf(x)
+
+    monkeypatch.setattr(reports, "_printf", spy)
+    return seen
+
+
+@pytest.mark.parametrize("values", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
+def test_kernel_fallback_matches_printf(values, monkeypatch):
+    """With a margin above one half every value takes the fallback."""
+    monkeypatch.setattr(reports, "_TIE_MARGIN", 1.0)
+    seen = spy_on_fallback(monkeypatch)
+    assert kernel_text(values) == reference_text(values)
+    assert len(seen) == len(values)
+
+
+def scaled_fraction(x):
+    """The fractional part of |x| 10^(16 - k), k = floor(log10 |x|), exactly."""
+    f = abs(Fraction(x))
+    k = math.floor(math.log10(f))
+    k += (Fraction(10) ** (k + 1) <= f) - (Fraction(10) ** k > f)
+    scaled = f * Fraction(10) ** (16 - k)
+    return scaled - math.floor(scaled)
+
+
+def test_kernel_falls_back_only_off_its_range_and_at_ties(monkeypatch):
+    """Carries, decade guesses and %g switches are the kernel's own work."""
+    seen = spy_on_fallback(monkeypatch)
+    values = [v for values in EDGE_VALUES.values() for v in values]
+    kernel_text(values)
+    certified = [v for v in values if FAST_MIN <= abs(v) <= FAST_MAX]
+    slow = [v for v in seen if v in certified]
+    assert all(abs(scaled_fraction(v) - Fraction(1, 2)) < 1e-6 for v in slow)
+    assert set(EDGE_VALUES["exact 17-digit ties"]) <= set(slow)
+    assert len(seen) - len(slow) == len(values) - len(certified)
+
+
+def bits_to_float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@given(st.one_of(st.integers(0, 2**64 - 1).map(bits_to_float),
+                 st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+@settings(max_examples=2000, deadline=None)
+def test_kernel_matches_printf_on_any_double(x):
+    assert kernel_text([x]) == reference_text([x])
+
+
+def test_kernel_matches_printf_on_random_arrays():
+    rng = np.random.default_rng(20261019)
+    x = np.concatenate([rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+                        rng.standard_normal(20000) * 10.0 ** rng.integers(-20, 20, 20000),
+                        np.linspace(-2.0, 2.0, 401)])
+    assert kernel_text(x) == reference_text(x.tolist())
 
 
 # -- canonical JSON ----------------------------------------------------------
@@ -182,6 +300,73 @@ def test_multi_block_csv_bytes_are_pinned(family_id, params, scan, digest):
     rep = scan(build_family(family_id, **params), ScanWindow(grid_density=40.0),
                keep_samples=True)
     assert hashlib.sha256(points_csv(rep.samples).encode()).hexdigest() == digest
+
+
+def reference_csv(samples):
+    """points_csv as one "%.17g" format per row, the formula before the
+    kernel."""
+    row = "%.17g,%.17g,%.17g,%.17g,%d\n"
+    return CSV_HEADER + "\n" + "".join([row % r for r in samples.tolist()])
+
+
+def edge_samples(n):
+    """n sample rows cycling through every edge value in every column, with
+    the z columns repeating as they do along a grid."""
+    pool = np.array([v for values in EDGE_VALUES.values() for v in values])
+    i = np.arange(n)
+    samples = np.empty(n, dtype=_SAMPLE_DTYPE)
+    samples["z_re"] = pool[i % 61]
+    samples["z_im"] = pool[(i // 61) % len(pool)]
+    samples["residual_abs"] = pool[i % len(pool)]
+    samples["residual_rel"] = pool[(7 * i + 3) % len(pool)]
+    samples["excluded"] = np.array([0, 1, 1, 0, -128, 127, -1])[i % 7]
+    return samples
+
+
+B = reports._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 1])
+def test_points_csv_matches_the_row_formula(n, tmp_path):
+    samples = edge_samples(n)
+    text = points_csv(samples)
+    assert text == reference_csv(samples)
+    write_csv(tmp_path / "points.csv", samples)
+    assert (tmp_path / "points.csv").read_bytes() == text.encode()
+
+
+@pytest.fixture(scope="module")
+def scans_81_and_401():
+    fam = build_family("case2")
+    return (residual_scan(fam, keep_samples=True),
+            residual_scan(fam, ScanWindow(grid_density=100.0), keep_samples=True))
+
+
+def traced_peak(fn, *args):
+    fn(*args)  # the kernel's tables are built once, on first use
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_points_csv_memory_is_bounded(scans_81_and_401):
+    """One "%.17g" per row peaked at 1.85 MiB (81 x 81) and 49.6 MiB
+    (401 x 401); the text's blocks and their joins stay below that."""
+    small, large = scans_81_and_401
+    assert len(large.samples) == 401 * 401
+    assert traced_peak(points_csv, small.samples) < 1.85 * 2**20
+    assert traced_peak(points_csv, large.samples) < 49.5 * 2**20
+
+
+def test_write_csv_streams_its_blocks(scans_81_and_401, tmp_path):
+    """write_csv never holds the 13 MB text of a 401 x 401 scan."""
+    path = tmp_path / "points.csv"
+    samples = scans_81_and_401[1].samples
+    assert traced_peak(write_csv, path, samples) < 2 * 2**20
+    assert path.stat().st_size == 13271033
 
 
 def test_write_json_and_csv_are_byte_stable(tmp_path, small_scan):
