@@ -12,7 +12,8 @@ expression.  It subdivides the window into cells, counts each cell's zeros
 by its boundary winding and locates a lone zero by the contour moments of
 the logarithmic derivative, certifies every reported multiplicity by a
 small-circle winding number, refines each location by the winding
-centroid, and reconciles the interior count (zeros minus elliptic pole
+centroid, judges on that circle whether the denominator cancels the zero,
+and reconciles the interior count (zeros minus elliptic pole
 orders), which the leaf cells and their circles give on their own
 contours, against the winding of the window's boundary.  Any ambiguity --
 near-boundary zeros, unresolvable phase tracking, zeros too close to
@@ -144,11 +145,6 @@ class ScanWindow:
         n_re, n_im = self.axis_counts()
         return (np.linspace(self.re_min, self.re_max, n_re),
                 np.linspace(self.im_min, self.im_max, n_im))
-
-    def grid(self) -> np.ndarray:
-        """Row-major grid, imaginary axis slow, real axis fast."""
-        re, im = self._axes()
-        return (re[None, :] + 1j * im[:, None]).ravel()
 
     def contains(self, z) -> np.ndarray:
         z = np.asarray(z)
@@ -438,7 +434,7 @@ class ZeroReport:
     poles: tuple  # (re, im, order) of elliptic-atom poles inside the window
     interior_total: int  # numerator zeros minus pole orders, with multiplicity
     boundary_total: int  # boundary winding of the numerator
-    n_seeds: int  # grid points sampled for the magnitude floors
+    n_seeds: int  # 0: no points are sampled before the contours
 
     @property
     def reconciled(self) -> bool:
@@ -453,7 +449,6 @@ class ZeroReport:
             "interior_total": self.interior_total,
             "boundary_total": self.boundary_total,
             "reconciled": self.reconciled,
-            "seeds": self.n_seeds,
         }
 
 
@@ -472,22 +467,19 @@ def _steps(z: np.ndarray, v: np.ndarray, dv: np.ndarray):
 
 
 def _phase_track(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
-                 dv: np.ndarray, floor: float) -> float:
+                 dv: np.ndarray) -> float:
     """Phase change of num in turns along the polyline z (its winding when
     the polyline is closed) from its values v and dv of num and num' there,
     halving every steep step (see ``_steps``) until none is left.  A node
-    where num is not finite or |num| is not above ``floor`` (zero_scan's
-    floor 1e-12 (1 + max |num| on the window grid), or 0) stops it."""
+    where num is not finite or exactly 0 stops it; a zero near the polyline
+    stops it too, as steep steps that _PHASE_PASSES halvings do not
+    resolve."""
     for _ in range(_PHASE_PASSES):
-        lost = ~np.isfinite(v) | (np.abs(v) <= floor)
+        lost = ~np.isfinite(v) | (v == 0)
         if np.any(lost):
             i = int(np.argmax(lost))
-            at, mag = complex(z[i]), abs(complex(v[i]))
-            raise AnalyzerError(
-                f"N is not finite at {at:.9g}" if not math.isfinite(mag) else
-                f"|N| = {mag:.2g} at {at:.9g} is not above the floor {floor:.2g} = "
-                "1e-12 (1 + max |N| on the window grid)"
-            )
+            what = "zero" if v[i] == 0 else "not finite"
+            raise AnalyzerError(f"N is {what} at {complex(z[i]):.9g}")
         step, steep = _steps(z, v, dv)
         if not np.any(steep):
             return float(np.sum(step) / (2.0 * math.pi))
@@ -501,27 +493,33 @@ def _phase_track(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
 
 
 def _phase_changes(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
-                   dv: np.ndarray, starts: np.ndarray, floor: float):
+                   dv: np.ndarray, starts: np.ndarray):
     """(turns, errors): the phase change of num, in turns, along each
     polyline ``z[starts[i]:starts[i + 1]]`` from the values ``v`` and ``dv``
     of num and num' there, nan where tracking fails, and the message of each
     failure in order.  Only a polyline with a steep step, or a value
-    that is not finite or not above ``floor``, goes through
-    ``_phase_track``."""
+    that is not finite or exactly 0, goes through ``_phase_track``."""
     step, steep = _steps(z, v, dv)
     step, steep = np.append(step, 0.0), np.append(steep, False)
     step[starts[1:] - 1], steep[starts[1:] - 1] = 0.0, False  # no step between polylines
-    bad = ~np.isfinite(v) | (np.abs(v) <= floor) | steep
+    bad = ~np.isfinite(v) | (v == 0) | steep
     turns = np.add.reduceat(step, starts[:-1]) / (2.0 * math.pi)
     errors = []
     for i in np.flatnonzero(np.logical_or.reduceat(bad, starts[:-1])):
         lo, hi = starts[i], starts[i + 1]
         try:
-            turns[i] = _phase_track(num, dnum, z[lo:hi], v[lo:hi], dv[lo:hi], floor)
+            turns[i] = _phase_track(num, dnum, z[lo:hi], v[lo:hi], dv[lo:hi])
         except AnalyzerError as exc:
             turns[i] = np.nan
             errors.append(str(exc))  # exc itself would tie this frame into a cycle
     return turns, errors
+
+
+def _circle_nodes(c: np.ndarray) -> np.ndarray:
+    """The _MULT_NODES uniform angle nodes of the circle of radius
+    _MULT_RADIUS about each centre of c, one row per centre."""
+    n = _MULT_NODES
+    return c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
 
 
 def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
@@ -539,11 +537,11 @@ def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
     circle; a chord-based rule would be ~1e-3 off at this radius."""
     n = _MULT_NODES
     c = np.asarray(centers, dtype=complex)
-    z = (c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)).ravel()
+    z = _circle_nodes(c).ravel()
     nv, dv = evaluate_many([num, dnum], z)
     closed = (np.arange(c.size)[:, None] * n + np.arange(n + 1) % n).ravel()
     turns, _ = _phase_changes(num, dnum, z[closed], nv[closed], dv[closed],
-                              np.arange(c.size + 1) * (n + 1), 0.0)
+                              np.arange(c.size + 1) * (n + 1))
     d = z.reshape(c.size, n) - c[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ld = d * (dv / nv).reshape(c.size, n)
@@ -577,7 +575,7 @@ def _edge_rule(panels: int):
     return t, q
 
 
-def _edges(num: Expr, dnum: Expr, ends: list, floor: float):
+def _edges(num: Expr, dnum: Expr, ends: list):
     """(turns, moments, errors): the phase change of num in turns (nan where
     tracking fails, with the failures' messages in ``errors``) and its
     moments along the straight edges a -> b of ``ends``, all in one
@@ -597,7 +595,7 @@ def _edges(num: Expr, dnum: Expr, ends: list, floor: float):
     starts = np.cumsum([0] + [z.size for z in zs])
     z, q = np.concatenate(zs), np.concatenate(qs)
     nv, dv = evaluate_many([num, dnum], z)
-    turns, errors = _phase_changes(num, dnum, z, nv, dv, starts, floor)
+    turns, errors = _phase_changes(num, dnum, z, nv, dv, starts)
     d = z - np.repeat([0.5 * (a + b) for a, b in ends], np.diff(starts))
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(q != 0, q * dv / nv, 0.0) / (2j * math.pi)
@@ -613,8 +611,7 @@ def _spacing_error(near: complex) -> AnalyzerError:
     )
 
 
-def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
-                floor: float):
+def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list):
     """(zeros, winding): [(location, multiplicity)] of the zeros of num
     inside the window, by recursive subdivision of the window into cells
     (x0, x1, y0, y1), and the winding of num along the window's boundary,
@@ -645,7 +642,7 @@ def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list,
                 new[s] = None
         if not new:
             return []
-        turns, moments, errors = _edges(num, dnum, list(new), floor)
+        turns, moments, errors = _edges(num, dnum, list(new))
         edges.update(zip(new, zip(turns.tolist(), moments.tolist())))
         return errors
 
@@ -805,36 +802,28 @@ def _supported_atoms_or_raise(num: Expr):
             )
 
 
-def _max_abs(values: np.ndarray) -> float:
-    finite = np.abs(values[np.isfinite(values)])
-    return float(np.max(finite)) if finite.size else 1.0
-
-
 def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     """Locate and certify the zero set of ``expr`` inside ``window``.
 
-    Works on the cleared-denominator numerator N.  One pass over the window
-    grid sets the magnitude floors of N and of the denominator.  The
-    window is then subdivided recursively into cells; each cell's zero count
-    comes from its boundary winding and the known elliptic poles inside it,
-    and the moments of N'/N about its centre say when it holds one distinct
-    zero and where (the Delves-Lyness method).  Each such zero is certified
-    by a small circle whose winding must equal the cell's count, and its
-    location is that circle's winding centroid.  Zeros that the denominator
-    shares are reported as cancelled.  The window is the root cell, and its
-    edges' winding is ``boundary_total``; the interior total, which the leaf
-    cells count on their own edges and the circles certify, is reconciled
-    against it.
+    Works on the cleared-denominator numerator N = expr * D; nothing is
+    sampled before the contours.  The window is subdivided recursively into
+    cells; each cell's zero count comes from its boundary winding and the
+    known elliptic poles inside it, and the moments of N'/N about its centre
+    say when it holds one distinct zero and where (the Delves-Lyness
+    method).  Each such zero is certified by a small circle whose winding
+    must equal the cell's count, and its location is that circle's winding
+    centroid.  A zero that D shares is reported as cancelled: D is not
+    finite there, or |D| <= 1e-9 (1 + max |D| on the circle of radius
+    _MULT_RADIUS about it).  The window is the root cell, and its edges'
+    winding is ``boundary_total``; the interior total, which the leaf cells
+    count on their own edges and the circles certify, is reconciled against
+    it.  A window is refused where N is exactly 0 or not finite at a node of
+    a contour, or where a zero lies too near a contour for _PHASE_PASSES
+    halvings of its steps to resolve.
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
     num, dnum, den = share(num, differentiate(num), den)
-
-    grid = window.grid()
-    num_grid, den_grid = evaluate_many([num, den], grid)
-    grid_scale = _max_abs(num_grid)
-    den_floor = 1e-9 * (1.0 + _max_abs(den_grid))
-    b_floor = 1e-12 * (1.0 + grid_scale)
 
     poles = _expr_pole_points(num, window)
     for p in poles:
@@ -855,20 +844,25 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
             raise _spacing_error(p)
         pole_orders.append((p, -w))
 
-    roots, boundary_total = _find_zeros(num, dnum, window, pole_orders, b_floor)
+    roots, boundary_total = _find_zeros(num, dnum, window, pole_orders)
     special = [r for r, _ in roots] + poles
     for i in range(len(special)):
         for j in range(i + 1, len(special)):
             if abs(special[i] - special[j]) < _MIN_SPACING:
                 raise _spacing_error(special[i])
 
+    # D at each zero (column 0) and on the circle about it
+    at = np.asarray([r for r, _ in roots], dtype=complex)
+    den_at = evaluate(den, np.hstack([at[:, None], _circle_nodes(at)]).ravel())
+    den_at = den_at.reshape(at.size, _MULT_NODES + 1)
+    ring = np.abs(den_at[:, 1:])
+    scale = np.max(ring, axis=1, where=np.isfinite(ring), initial=0.0)
+    den_zero = ~np.isfinite(den_at[:, 0]) | (np.abs(den_at[:, 0]) <= 1e-9 * (1.0 + scale))
     zero_records = []
     cancelled_records = []
-    den_at = evaluate(den, np.asarray([r for r, _ in roots], dtype=complex))
-    for (r, mult), dv in zip(roots, den_at):
-        den_zero = (not np.isfinite(dv)) or abs(dv) <= den_floor
+    for (r, mult), cancelled in zip(roots, den_zero):
         rec = ZeroRecord(float(r.real), float(r.imag), int(mult))
-        (cancelled_records if den_zero else zero_records).append(rec)
+        (cancelled_records if cancelled else zero_records).append(rec)
     interior = sum(m for _, m in roots) - sum(k for _, k in pole_orders)
 
     if interior != boundary_total:
@@ -885,7 +879,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
         poles=tuple((float(p.real), float(p.imag), k) for p, k in pole_orders if k),
         interior_total=interior,
         boundary_total=boundary_total,
-        n_seeds=int(grid.size),
+        n_seeds=0,
     )
 
 

@@ -516,16 +516,18 @@ def test_zeros_analyzer_error_exit_code(capsys):
     assert "analyzer error" in err
 
 
-def test_zeros_floor_refusal_explains_itself(capsys):
-    # the example of the zeros help on its default window: g' grows like
-    # e^{2 re w}, so the floor taken from the window's largest |N| is above
-    # |N| at the window's lower left corner
-    code, _, err = run_cli(["zeros", "--expr", "corollary.gprime"], capsys)
-    assert code == 1
-    assert err == (
-        "analyzer error: window boundary: |N| = 0.0052 at -2-2j is not above the "
-        "floor 24 = 1e-12 (1 + max |N| on the window grid); shift the window\n"
-    )
+def test_zeros_help_example_finds_the_zero_at_the_origin(capsys, tmp_path):
+    # the example of the zeros help on its default window -2,2,-2,2, where
+    # g' grows like e^{2 re w}: |N| spans 15 decades, from 5.2e-3 at the
+    # lower left corner up
+    out_json = tmp_path / "zeros.json"
+    code, out, _ = run_cli(["zeros", "--expr", "corollary.gprime", "--json", str(out_json)], capsys)
+    assert code == 0
+    assert out.startswith("zeros of corollary.gprime: 1\n")
+    rep = json.loads(out_json.read_text())["zeros"]
+    assert [z["multiplicity"] for z in rep["zeros"]] == [1]
+    assert abs(complex(rep["zeros"][0]["re"], rep["zeros"][0]["im"])) < 1e-12
+    assert "seeds" not in rep
 
 
 def test_zeros_bad_expression_name(capsys):
