@@ -13,6 +13,10 @@ never reach the exact layer: the stored ring residuals are hand-rationalized
 by parity pairing -- (a+b)^k + (a-b)^k keeps only even powers of b -- and by
 the exact cubes/fourth powers of the roots of unity, so adjudication happens
 in Q(i) alone.  A tree holding a float constant has no exact series.
+
+The module holds the catalog and its adjudicator only: the cubic family's
+near-pole limits and second-derivative constant are checked by acceptance
+criteria 9 and 7.
 """
 
 from __future__ import annotations
@@ -20,12 +24,9 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import inspect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .errors import DegenerateLatticeError
 from .exprs import (
@@ -66,7 +67,6 @@ from .wp import (
     engine_for,
     invariants_from_case,
     invariants_from_tau,
-    second_derivative_constant,
     tau_cubic_coefficients,
     tau_is_degenerate,
 )
@@ -608,37 +608,29 @@ def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
     g = (num_even - x) / den
     recipe = None
     if is_exact_scalar(tau):
+        # variable U = 4^(1/3) P absorbs the cube root: X^2 -> U^3 + k U + l
         t = RationalComplex.coerce(tau)
-        if t.is_zero:
-            # in the original variable: X^2 -> 4P^3 - 432
-            _, one, P, X = _ring([-432, 0, 0, 4])
-            elem = one.scale(93312) + (X * X).scale(216) - (P * P * P).scale(864)
-            recipe = RingResidual(
-                elem, "93312 + 216 X^2 - 864 P^3 with X^2 -> 4P^3 - 432"
-            )
-        else:
-            # variable U = 4^(1/3) P absorbs the cube root: X^2 -> U^3 + k U + l
-            k, l = tau_cubic_coefficients(t)
-            cubic = RationalPoly.make([l, k, 0, RationalComplex(1)])
-            one = QuotientElement.from_scalar(1, cubic)
-            U = QuotientElement.p_power(1, cubic)
-            X = QuotientElement.x_times(RationalPoly.constant(1), cubic)
-            s = 36 + 9 * t**3
-            a = U.scale(-3 * t) + one.scale(s)
-            d = U.scale(6) + one.scale(54 * t * t)
-            x2 = X * X
-            elem = (
-                (a * a * a).scale(2)
-                + (a * x2).scale(6)
-                - ((a * a - x2) * d).scale(3 * t)
-                - d * d * d
-            )
-            recipe = RingResidual(
-                elem,
-                "2a^3 + 6a X^2 - 3 tau (a^2 - X^2) d - d^3 in U = 4^(1/3) P, "
-                "a = -3 tau U + 36 + 9 tau^3, d = 6U + 54 tau^2, "
-                "X^2 -> U^3 + 27 tau (8 - tau^3) U + 54 (tau^6 + 20 tau^3 - 8)",
-            )
+        k, l = tau_cubic_coefficients(t)
+        cubic = RationalPoly.make([l, k, 0, RationalComplex(1)])
+        one = QuotientElement.from_scalar(1, cubic)
+        U = QuotientElement.p_power(1, cubic)
+        X = QuotientElement.x_times(RationalPoly.constant(1), cubic)
+        s = 36 + 9 * t**3
+        a = U.scale(-3 * t) + one.scale(s)
+        d = U.scale(6) + one.scale(54 * t * t)
+        x2 = X * X
+        elem = (
+            (a * a * a).scale(2)
+            + (a * x2).scale(6)
+            - ((a * a - x2) * d).scale(3 * t)
+            - d * d * d
+        )
+        recipe = RingResidual(
+            elem,
+            "2a^3 + 6a X^2 - 3 tau (a^2 - X^2) d - d^3 in U = 4^(1/3) P, "
+            "a = -3 tau U + 36 + 9 tau^3, d = 6U + 54 tau^2, "
+            "X^2 -> U^3 + 27 tau (8 - tau^3) U + 54 (tau^6 + 20 tau^3 - 8)",
+        )
     return SolutionFamily(
         family_id="cubic",
         kind="cubic",
@@ -649,130 +641,6 @@ def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
         params=FamilyParams(tau=tau, slot=_slot_label(beta)),
         exact_residual=recipe,
         beta=beta,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Numeric diagnostics of the cubic family on its engine.
-# ---------------------------------------------------------------------------
-
-#: radius and node count of the near-origin circle of the limit diagnostics
-_LIMIT_RADIUS = 1e-2
-_LIMIT_POINTS = 64
-_UNIT_CIRCLE = np.exp(1j * (2.0 * math.pi * np.arange(_LIMIT_POINTS) / _LIMIT_POINTS))
-#: sample count, finite-difference step, sampling seed and edge margin of
-#: the second-derivative offset scan
-_OFFSET_POINTS = 50
-_OFFSET_FD_STEP = 4e-3
-_OFFSET_SEED = 20260825
-_OFFSET_MARGIN = 0.2
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    label: str
-    target_re: float
-    target_im: float
-    max_dev: float
-    radius: float
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "target_re": self.target_re,
-            "target_im": self.target_im,
-            "max_dev": self.max_dev,
-            "radius": self.radius,
-            "points": self.n_points,
-        }
-
-
-def _h1(tau, eng, p):
-    """H1 = 4 wp^3 + k wp + l - 9(-tau 4^(1/3) wp + 12 + 3 tau^3)^2 at wp
-    values p, where 4 wp^3 + k wp + l = wp'^2 gives k = -g2 and l = -g3."""
-    tc = complex(tau)
-    k, l = -eng.invariants.g2c, -eng.invariants.g3c
-    return 4.0 * p**3 + k * p + l - 9.0 * (-tc * CBRT4 * p + 12.0 + 3.0 * tc**3) ** 2
-
-
-def diagnostic_h1(tau, radius: float = _LIMIT_RADIUS) -> LimitReport:
-    """Near-origin ratio of H1 (see ``_h1``) to wp^3; approaches 4."""
-    eng = engine_for(invariants_from_tau(tau))
-    p, _, _, _ = eng.eval(radius * _UNIT_CIRCLE)
-    h1 = _h1(tau, eng, p)
-    return LimitReport(
-        "h1/wp^3", 4.0, 0.0, float(np.max(np.abs(h1 / p**3 - 4.0))), radius,
-        _LIMIT_POINTS,
-    )
-
-
-def diagnostic_h2(tau) -> LimitReport:
-    """Near-origin ratio of
-    [{c wp'^2 - (c wp + 9 tau^2) wp''}^2 - {36 c (tau^3 + 1) wp'}^2] to wp^6,
-    c = 4^(1/3); approaches 4 c^2."""
-    tc = complex(tau)
-    eng = engine_for(invariants_from_tau(tau))
-    p, pp, ppp, _ = eng.eval(_LIMIT_RADIUS * _UNIT_CIRCLE)
-    c = CBRT4
-    bracket = c * pp**2 - (c * p + 9.0 * tc**2) * ppp
-    h2 = bracket**2 - (36.0 * c * (tc**3 + 1.0) * pp) ** 2
-    target = 4.0 * c * c
-    return LimitReport(
-        "h2/wp^6", target, 0.0, float(np.max(np.abs(h2 / p**6 - target))),
-        _LIMIT_RADIUS, _LIMIT_POINTS,
-    )
-
-
-@dataclass(frozen=True)
-class OffsetReport:
-    expected_re: float
-    expected_im: float
-    max_dev: float
-    n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "expected_re": self.expected_re,
-            "expected_im": self.expected_im,
-            "max_dev": self.max_dev,
-            "points": self.n_points,
-        }
-
-
-def second_derivative_offset_scan(tau) -> OffsetReport:
-    """Check that wp'' - 6 wp^2 is the constant (27/2) tau 4^(1/3) (8 - tau^3).
-
-    wp'' comes from a two-level Richardson extrapolation of central
-    differences of wp', so constancy is measured against the engine's first
-    derivative rather than the algebraic second-derivative formula.  The
-    sample points keep ``_OFFSET_MARGIN`` away from the cell edges: closer to
-    the poles, derivative growth pushes the finite-difference error above 1e-8.
-    """
-    expected = second_derivative_constant(tau)
-    eng = engine_for(invariants_from_tau(tau))
-    rng = np.random.default_rng(_OFFSET_SEED)
-    x = rng.uniform(_OFFSET_MARGIN, 1.0 - _OFFSET_MARGIN, _OFFSET_POINTS)
-    y = rng.uniform(_OFFSET_MARGIN, 1.0 - _OFFSET_MARGIN, _OFFSET_POINTS)
-    z = eng.cell_point(x, y)
-
-    def dpp(step):
-        _, pp_plus, _, _ = eng.eval(z + step)
-        _, pp_minus, _, _ = eng.eval(z - step)
-        return (pp_plus - pp_minus) / (2.0 * step)
-
-    def richardson(step):
-        return (4.0 * dpp(step / 2.0) - dpp(step)) / 3.0
-
-    h = _OFFSET_FD_STEP
-    second = (16.0 * richardson(h / 2.0) - richardson(h)) / 15.0
-    p, _, _, _ = eng.eval(z)
-    offset = second - 6.0 * p**2
-    return OffsetReport(
-        expected_re=float(np.real(expected)),
-        expected_im=float(np.imag(expected)),
-        max_dev=float(np.max(np.abs(offset - expected))),
-        n_points=_OFFSET_POINTS,
     )
 
 

@@ -45,6 +45,10 @@ _POLE_RADIUS = 1e-8
 _MAX_LADDER = 8
 #: most duplication steps of an unreduced (validation) evaluation
 _MAX_UNREDUCED_DEPTH = 40
+#: largest lattice coordinate ``reduce`` accepts: the reduced point loses
+#: digits in proportion to the coordinate (on case II, wp is off by up to
+#: 8e-10 relative at coordinates near 4e5, against an exact reduction)
+_MAX_LATTICE_COORDINATE = 2.0**20
 #: largest real or imaginary part an invariant may have: the discriminant
 #: g2^3 - 27 g3^2 must stay a finite double
 MAX_INVARIANT = 1e100
@@ -165,12 +169,6 @@ def tau_cubic_coefficients(tau):
     k = 27 * te * (8 - te**3)
     l = 54 * (te**6 + 20 * te**3 - 8)
     return k, l
-
-
-def second_derivative_constant(tau) -> complex:
-    """The constant wp'' - 6 wp^2 for the tau family: (27/2) tau 4^(1/3) (8 - tau^3)."""
-    t = complex(tau)
-    return 13.5 * t * CBRT4 * (8.0 - t**3)
 
 
 @dataclass(frozen=True)
@@ -424,10 +422,20 @@ class WeierstrassEngine:
 
     # -- lattice ------------------------------------------------------------
     def reduce(self, z: np.ndarray) -> np.ndarray:
-        """Translate z by lattice vectors into the centered fundamental cell."""
+        """Translate z by lattice vectors into the centered fundamental cell.
+
+        Raises LatticeReductionError where a lattice coordinate of z is not
+        finite or exceeds ``_MAX_LATTICE_COORDINATE`` in magnitude."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         xy = self._basis_inv @ np.vstack([flat.real, flat.imag])
+        if flat.size and not np.abs(xy).max() <= _MAX_LATTICE_COORDINATE:
+            far = int(np.argmin(np.all(np.abs(xy) <= _MAX_LATTICE_COORDINATE, axis=0)))
+            raise LatticeReductionError(
+                f"z={complex(flat[far])} has lattice coordinates "
+                f"({xy[0, far]:.6g}, {xy[1, far]:.6g}); the reduction resolves "
+                f"only coordinates up to 2^20 in magnitude"
+            )
         fx = xy[0] - np.round(xy[0])
         fy = xy[1] - np.round(xy[1])
         v1, v2 = self.basis

@@ -174,6 +174,11 @@ _HUGE = "1" + "0" * 400
         ["verify", "--family", "picard-pair", "--gamma", "1000", "--delta", "0"],
         # rho - sqrt(rho^2 - 1) rounds to zero in floats
         ["verify", "--family", "quadratic", "--rho", "1e8"],
+        # lattice coordinates beyond 2^20, where the reduced point would be
+        # wrong (LatticeReductionError)
+        ["wp-eval", "--case", "II", "--z", "1e15"],
+        ["wp-eval", "--case", "II", "--z", "1e17"],
+        ["verify", "--family", "case2", "--window", "1000000000000,1000000000001,0,1"],
     ],
 )
 def test_numeric_failures_exit_2(argv, capsys):
@@ -185,6 +190,10 @@ def test_numeric_failures_exit_2(argv, capsys):
         if big in argv:
             param = argv[argv.index(big) - 1].lstrip("-")
             assert err.startswith(f"error: {param}=") and "must not exceed" in err
+    for far in ("1e15", "1e17", "1000000000000,1000000000001,0,1"):
+        if far in argv:
+            assert err.startswith("error: z=")
+            assert "the reduction resolves only coordinates up to 2^20 in magnitude" in err
 
 
 def test_cubic_near_degenerate_lattice_builds_by_homogeneity(capsys):
@@ -595,10 +604,13 @@ def test_suite_detects_mutations(capsys, monkeypatch):
     must report a failure."""
     import fermatlab.families as families_mod
 
-    real = families_mod.second_derivative_constant
-    monkeypatch.setattr(
-        families_mod, "second_derivative_constant", lambda tau: real(tau) + 1e-4
-    )
+    real = families_mod.tau_cubic_coefficients
+
+    def corrupted(tau):
+        k, l = real(tau)
+        return k, l + 1
+
+    monkeypatch.setattr(families_mod, "tau_cubic_coefficients", corrupted)
     code, out, _ = run_cli(["suite", "--acceptance"], capsys)
     assert code == 1
     assert "FAIL" in out

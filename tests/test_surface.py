@@ -1,7 +1,8 @@
-"""The package has no public surface that only tests reach: every public
-top-level function and class of ``src/fermatlab``, and every public method
-and property of such a class, is named somewhere in ``src/``, ``scripts/``
-or ``perfbench/`` outside its own definition."""
+"""The package has no surface that only tests reach: every public top-level
+function and class of ``src/fermatlab``, every public method and property of
+such a class, and every private top-level function, class and constant is
+named somewhere in ``src/``, ``scripts/`` or ``perfbench/`` outside its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -26,37 +27,70 @@ def _identifiers(tree: ast.AST):
                 yield node.value, node.lineno
 
 
-def _unused_public_names() -> list[str]:
-    trees = {
+def _trees() -> dict:
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for user in USERS
         for path in sorted((ROOT / user).rglob("*.py"))
     }
+
+
+def _unused(definitions) -> list[str]:
+    """Labels of the (path, label, name, node) definitions whose name is
+    never named outside the node's own lines."""
     uses: dict[str, list[tuple[Path, int]]] = {}
-    for path, tree in trees.items():
+    for path, tree in _trees().items():
         for name, line in _identifiers(tree):
             uses.setdefault(name, []).append((path, line))
+    return [
+        f"{path.name}:{label}"
+        for path, label, name, node in definitions
+        if all(p == path and node.lineno <= line <= node.end_lineno
+               for p, line in uses.get(name, []))
+    ]
 
+
+def _unused_public_names() -> list[str]:
     def public(body):
         return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")]
 
-    unused = []
+    definitions = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in public(trees[path].body):
+        for node in public(ast.parse(path.read_text(encoding="utf-8")).body):
             members = public(node.body) if isinstance(node, ast.ClassDef) else []
-            for name, member in [(node.name, node)] + [
-                (f"{node.name}.{m.name}", m) for m in members
-            ]:
-                outside = [
-                    (p, line)
-                    for p, line in uses.get(member.name, [])
-                    if not (p == path and member.lineno <= line <= member.end_lineno)
-                ]
-                if not outside:
-                    unused.append(f"{path.name}:{name}")
-    return unused
+            definitions.append((path, node.name, node.name, node))
+            definitions += [(path, f"{node.name}.{m.name}", m.name, m) for m in members]
+    return _unused(definitions)
+
+
+def _top_level_names(body):
+    """(name, node) for every function, class and assigned name of a module
+    body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Name):
+                        yield t.id, node
+
+
+def _unused_private_names() -> list[str]:
+    definitions = [
+        (path, name, name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, node in _top_level_names(ast.parse(path.read_text(encoding="utf-8")).body)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    return _unused(definitions)
 
 
 def test_every_public_name_is_used_by_the_program():
     assert _unused_public_names() == []
+
+
+def test_every_private_top_level_name_is_read_by_the_program():
+    assert _unused_private_names() == []

@@ -1,15 +1,15 @@
 """Pole-aware numeric scanners: residual grids, zero-set analysis with
 argument-principle reconciliation, omitted values certified by zero counts,
-and the near-pole diagnostics."""
+and the second-derivative offset of criterion 7."""
 
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fermatlab import verify
+from fermatlab.acceptance import _c7_second_derivative_offset
 from fermatlab.errors import AnalyzerError
 from fermatlab.exprs import (
     ONE,
@@ -28,13 +28,7 @@ from fermatlab.exprs import (
     differentiate,
     evaluate,
 )
-from fermatlab.families import (
-    _h1,
-    build_family,
-    diagnostic_h1,
-    diagnostic_h2,
-    second_derivative_offset_scan,
-)
+from fermatlab.families import build_family
 from fermatlab.verify import (
     ScanWindow,
     derivative_identity_scan,
@@ -706,26 +700,7 @@ def test_case1_omits_plus_and_minus_one():
     _assert_at(got, [complex(0, math.pi * k) for k in range(-2, 3)])
 
 
-# -- near-pole diagnostics and the zeros of H1 -------------------------------
-
-
-@pytest.mark.parametrize("tau", [0, Fraction(3, 10) + 0j, 1])
-def test_diagnostic_h1_limit(tau):
-    rep = diagnostic_h1(complex(tau))
-    assert rep.target_re == 4.0
-    assert rep.max_dev < 1e-2
-
-
-def test_diagnostic_h1_tightens_with_radius():
-    loose = diagnostic_h1(0.0, radius=1e-2)
-    tight = diagnostic_h1(0.0, radius=1e-3)
-    assert tight.max_dev < loose.max_dev
-
-
-def test_diagnostic_h2_limit():
-    rep = diagnostic_h2(0.0)
-    assert rep.target_re == pytest.approx(4 * 4 ** (2 / 3))
-    assert rep.max_dev < 1e-2
+# -- the zeros of H1 ------------------------------------------------------------
 
 
 def test_h1_vanishes_at_three_torsion_points():
@@ -733,22 +708,24 @@ def test_h1_vanishes_at_three_torsion_points():
     3-torsion points, four of which lie in this window of the cell."""
     eng = engine_for(invariants_from_tau(0))
     window = ScanWindow(0.05, 1.0, 0.05, 0.9)
-    got = _certified_simple_zeros(_h1(0.0, eng, Wp(eng, W)), window)
+    got = _certified_simple_zeros(Const(4) * Wp(eng, W) ** 3 - Const(1728), window)
     v1, v2 = eng.basis
     _assert_at(got, [v2 / 3, 2 * v2 / 3, (v1 + 2 * v2) / 3, (2 * v1 + v2) / 3])
 
 
-# -- second-derivative offset ------------------------------------------------
+# -- second-derivative offset (acceptance criterion 7) -------------------------
+
+
+def _offset_rows():
+    passed, details = _c7_second_derivative_offset()
+    assert passed, details
+    return {complex(row["tau"]): row["max_dev"] for row in details["cases"]}
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.3 + 0.2j, 1.0])
 def test_second_derivative_offset(tau):
-    rep = second_derivative_offset_scan(tau)
-    assert rep.max_dev < 1e-8
-    assert rep.n_points == 50
+    assert _offset_rows()[tau] < 1e-8
 
 
 def test_second_derivative_offset_is_deterministic():
-    a = second_derivative_offset_scan(0.3 + 0.2j)
-    b = second_derivative_offset_scan(0.3 + 0.2j)
-    assert a.max_dev == b.max_dev
+    assert _offset_rows() == _offset_rows()

@@ -16,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatlab import wp
-from fermatlab.errors import DegenerateLatticeError, PoleProximityError
+from fermatlab.errors import (
+    DegenerateLatticeError,
+    LatticeReductionError,
+    PoleProximityError,
+)
 from fermatlab.scalars import RationalComplex
 from fermatlab.series import wp_series
 from fermatlab.wp import (
@@ -27,7 +31,6 @@ from fermatlab.wp import (
     invariants_from_case,
     invariants_from_tau,
     periods_from_invariants,
-    second_derivative_constant,
     tau_cubic_coefficients,
     tau_is_degenerate,
 )
@@ -301,7 +304,7 @@ def test_engine_ode_residual(eng01):
 def test_engine_second_derivative_constant():
     tau = Fraction(1)
     eng = engine_for(invariants_from_tau(tau))
-    const = second_derivative_constant(tau)
+    const = -eng.invariants.g2c / 2
     k, _ = tau_cubic_coefficients(tau)
     assert abs(const - complex(k) * 4 ** (1 / 3) / 2) < 1e-10 * (1 + abs(const))
     rng = np.random.default_rng(19)
@@ -413,6 +416,24 @@ def test_reduce_idempotent_and_periodic(eng01):
     assert np.max(np.abs(again - red)) < 1e-9
     # reduced points are never longer than the points they came from
     assert np.all(np.abs(red) <= np.abs(zs) + 1e-12)
+
+
+def test_reduce_refuses_coordinates_it_cannot_resolve(eng01):
+    """Far from the origin the reduced point loses digits in proportion to
+    its lattice coordinates; beyond 2^20, or where one is not finite, reduce
+    refuses rather than return a wrong point."""
+    v1, v2 = eng01.basis
+    z = eng01.cell_point(0.3, -0.2)
+    near = z + 25000 * v1 + 12000 * v2  # |near| is about 1e5
+    assert 9e4 < abs(near) < 1.1e5
+    assert abs(eng01.reduce(np.asarray([near]))[0] - z) < 1e-10
+    p0, pp0, _ = eng01.eval_scalar(z)
+    p1, pp1, _ = eng01.eval_scalar(near)
+    assert abs(p1 - p0) < 1e-10 * abs(p0) and abs(pp1 - pp0) < 1e-10 * abs(pp0)
+    eng01.reduce(np.asarray([(2**20 - 1) * v1]))
+    for bad in ((2**20 + 1) * v1, 1e15, complex("nan"), complex("inf")):
+        with pytest.raises(LatticeReductionError, match=r"coordinates up to 2\^20"):
+            eng01.reduce(np.asarray([0.1, bad]))
 
 
 def test_eval_unreduced_agrees_far_from_origin(eng01):
