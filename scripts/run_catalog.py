@@ -59,19 +59,21 @@ def residual_detail(verdict) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--density", type=float, default=20.0,
-                    help="scan grid points per unit length (default 20)")
+    ap.add_argument("--density", type=float,
+                    help="scan grid points per unit length (default: ScanWindow's)")
     ap.add_argument("--half-width", type=float, default=2.0,
                     help="scan window is [-w, w] x [-w, w] (default 2)")
-    ap.add_argument("--tol", type=float, default=1e-8,
-                    help="numeric scan tolerance (default 1e-8)")
+    ap.add_argument("--tol", type=float,
+                    help="numeric scan tolerance (default: residual_scan's)")
     args = ap.parse_args(argv)
 
+    # a setting left out keeps the default of the library call that takes it
     window = ScanWindow(
         re_min=-args.half_width, re_max=args.half_width,
         im_min=-args.half_width, im_max=args.half_width,
-        grid_density=args.density,
+        **({} if args.density is None else {"grid_density": args.density}),
     )
+    scan_kwargs = {} if args.tol is None else {"tol": args.tol}
 
     header = f"{'family':<17} {'exact':<13} {'route':<7} {'scan':<13} {'p95 residual':<13}"
     print(header)
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
     for label, kwargs in CATALOG:
         fam = build_family(**kwargs)
         verdict = adjudicate(fam)
-        report = residual_scan(fam, window, tol=args.tol)
+        report = residual_scan(fam, window, **scan_kwargs)
         print(
             f"{label:<17} {verdict.verdict:<13} {verdict.route:<7} "
             f"{report.verdict:<13} {report.p95_residual:<13.3e}"

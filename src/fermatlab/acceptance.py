@@ -351,14 +351,15 @@ def _c8_derivative_zero_sets():
 
 
 def _cubic_pole_terms(tau):
-    """Lowest (exponent, coefficient) terms of H1 and Q, exactly.
+    """(exponent, coefficient) terms of H1 and Q, exactly: each series' lowest
+    nonzero term, then H1's at s^-4, s^-2, s^0 and Q's at s^-10.
 
     V(s) = 4^(1/3) wp(4^(1/6) s) is wp on the invariants (-4k, -4l), with k
     and l from ``tau_cubic_coefficients`` (homogeneity).  In V, H1 is
     V^3 + kV + l - 9(-tau V + 12 + 3 tau^3)^2 and H2 is 4Q / 4^(4/3) for
     Q = (V'^2 - (V + 9 tau^2) V'')^2 / 4 - 1296 (tau^3 + 1)^2 V'^2.  As
     wp^3 = V^3 / 4 and wp^6 = V^6 / 16, H1/wp^3 -> 4 and H2/wp^6 -> 4 * 4^(2/3)
-    say that these terms are (-6, 1) and (-12, 1).  docs/family_catalog.md
+    say that the lowest terms are (-6, 1) and (-12, 1).  docs/family_catalog.md
     gives H1 and H2 in wp."""
     t = RationalComplex.coerce(tau)
     k, l = tau_cubic_coefficients(t)
@@ -370,21 +371,33 @@ def _cubic_pole_terms(tau):
     h1 = v * v * v + v.scale(k) + LaurentSeries.constant(l, order) - (a * a).scale(9)
     bracket = dv * dv - (v + LaurentSeries.constant(9 * t * t, order)) * ddv
     q = (bracket * bracket).scale(Fraction(1, 4)) - (dv * dv).scale(1296 * (t**3 + 1) ** 2)
-    return h1.leading_terms(1)[0], q.leading_terms(1)[0]
+    return _pole_terms(h1, (-4, -2, 0)), _pole_terms(q, (-10,))
+
+
+def _pole_terms(series, exponents):
+    """The series' lowest nonzero (exponent, coefficient) term, then its
+    terms at ``exponents``; a term below the expected pole shows first."""
+    return series.leading_terms(1) + [(e, series.coefficient(e)) for e in exponents]
 
 
 def _c9_pole_limits():
     """The near-pole limits H1/wp^3 -> 4 and H2/wp^6 -> 4 * 4^(2/3) hold
-    exactly for two parameter values: the lowest Laurent terms are (-6, 1)
-    for H1 and (-12, 1) for Q (see ``_cubic_pole_terms``)."""
+    exactly for two parameter values, and the next terms of H1 and Q (see
+    ``_cubic_pole_terms``) carry the cubic's coefficients, written here apart
+    from the family: k = 216 tau - 27 tau^4, l = 54 tau^6 + 1080 tau^3 - 432."""
     one = RationalComplex(1)
     rows = []
     ok = True
-    for tau in (0, RationalComplex(Fraction(3, 10), Fraction(1, 5))):
-        h1, q = _cubic_pole_terms(tau)
-        ok = ok and h1 == (-6, one) and q == (-12, one)
-        rows.append({"tau": str(tau), "h1_lowest": [h1[0], str(h1[1])],
-                     "q_lowest": [q[0], str(q[1])]})
+    for t in (RationalComplex(0), RationalComplex(Fraction(3, 10), Fraction(1, 5))):
+        k = 216 * t - 27 * t**4
+        l = 54 * t**6 + 1080 * t**3 - 432
+        want = [(-6, one), (-4, -9 * t * t), (-2, (1512 * t + 216 * t**4) / 5),
+                (0, 4 * l / 7 + 18 * t * t * k / 5 - 9 * (12 + 3 * t**3) ** 2),
+                (-12, one), (-10, 54 * t * t)]
+        h1, q = _cubic_pole_terms(t)
+        ok = ok and h1 + q == want
+        rows.append({"tau": str(t), "h1": [[e, str(c)] for e, c in h1],
+                     "q": [[e, str(c)] for e, c in q]})
     return ok, {"cases": rows}
 
 

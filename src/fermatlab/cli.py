@@ -26,7 +26,7 @@ import argparse
 import sys
 
 from . import __version__
-from .config import Config, load_config
+from .config import load_config
 from .errors import AnalyzerError, FermatLabError, PoleProximityError
 from .exprs import differentiate
 from .families import FAMILY_IDS, adjudicate, build_family
@@ -47,17 +47,25 @@ from .wp import (
     invariants_from_tau,
 )
 
-def parse_window(text: str, density=None, soft=None) -> ScanWindow:
+def parse_window(text: str, **settings) -> ScanWindow:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("window must be re_min,re_max,im_min,im_max")
     vals = [float(p) for p in parts]
-    kwargs = {}
-    if density is not None:
-        kwargs["grid_density"] = density
-    if soft is not None:
-        kwargs["soft_exclusion"] = soft
-    return ScanWindow(vals[0], vals[1], vals[2], vals[3], **kwargs)
+    return ScanWindow(vals[0], vals[1], vals[2], vals[3], **settings)
+
+
+def _settings(args, **flags) -> dict:
+    """The --config file's values, if the command takes one, with the flags
+    actually given (not None) over them.  The library call that takes a
+    value owns its default and its range check."""
+    settings = load_config(args.config) if getattr(args, "config", None) else {}
+    settings.update((k, v) for k, v in flags.items() if v is not None)
+    return settings
+
+
+def _pick(settings: dict, *names) -> dict:
+    return {k: settings[k] for k in names if k in settings}
 
 
 def _complex_json(value: complex) -> dict:
@@ -68,48 +76,42 @@ def _format_point(re_val: float, im_val: float) -> str:
     return f"{re_val:.12g}{im_val:+.12g}i"
 
 
+#: family flags: (flag, build_family keyword, parser, help).  The parser is
+#: argparse's ``type`` for int, a tuple of choices, or ``parse_complex``,
+#: which runs after parsing so that its error text reaches ``main``.
+_FAMILY_FLAGS = (
+    ("--eta", "eta_index", int, "cube-root-of-unity index 0..2"),
+    ("--zeta", "zeta_index", int, "fourth-root-of-unity index 0..3"),
+    ("--variant", "variant", int, "printed variant, 1 or 2"),
+    ("--rho", "rho", parse_complex, "quadratic cross-term parameter"),
+    ("--tau", "tau", parse_complex, "cubic cross-term parameter"),
+    ("--sign", "sign", ("plus", "minus"), "cross-term sign"),
+    ("--exponent", "m", int, "exponent m for the m-one family"),
+    ("--ell", "ell", int, "derivative power for the coupled witness"),
+    ("--gamma", "gamma", parse_complex, "first constant-pair exponent"),
+    ("--delta", "delta", parse_complex, "second constant-pair exponent"),
+    ("--slot", "slot", ("w", "exp"), "composition slot"),
+)
+
+
 def _family_kwargs(args) -> dict:
     """CLI flags -> build_family keyword arguments (only the ones given)."""
     kwargs = {}
-    if args.eta is not None:
-        kwargs["eta_index"] = args.eta
-    if args.zeta is not None:
-        kwargs["zeta_index"] = args.zeta
-    if args.variant is not None:
-        kwargs["variant"] = args.variant
-    if args.rho is not None:
-        kwargs["rho"] = parse_complex(args.rho)
-    if args.tau is not None:
-        kwargs["tau"] = parse_complex(args.tau)
-    if args.sign is not None:
-        kwargs["sign"] = args.sign
-    if args.exponent is not None:
-        kwargs["m"] = args.exponent
-    if args.ell is not None:
-        kwargs["ell"] = args.ell
-    if args.gamma is not None:
-        kwargs["gamma"] = parse_complex(args.gamma)
-    if args.delta is not None:
-        kwargs["delta"] = parse_complex(args.delta)
-    if getattr(args, "slot", None) is not None:
-        kwargs["slot"] = args.slot
+    for flag, name, kind, _ in _FAMILY_FLAGS:
+        value = getattr(args, flag[2:], None)
+        if value is not None:
+            kwargs[name] = parse_complex(value) if kind is parse_complex else value
     return kwargs
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, with_slot: bool = True):
     parser.add_argument("--family", required=True, choices=sorted(FAMILY_IDS))
-    parser.add_argument("--eta", type=int, help="cube-root-of-unity index 0..2")
-    parser.add_argument("--zeta", type=int, help="fourth-root-of-unity index 0..3")
-    parser.add_argument("--variant", type=int, help="printed variant, 1 or 2")
-    parser.add_argument("--rho", help="quadratic cross-term parameter")
-    parser.add_argument("--tau", help="cubic cross-term parameter")
-    parser.add_argument("--sign", choices=["plus", "minus"], help="cross-term sign")
-    parser.add_argument("--exponent", type=int, help="exponent m for the m-one family")
-    parser.add_argument("--ell", type=int, help="derivative power for the coupled witness")
-    parser.add_argument("--gamma", help="first constant-pair exponent")
-    parser.add_argument("--delta", help="second constant-pair exponent")
-    if with_slot:
-        parser.add_argument("--slot", choices=["w", "exp"], help="composition slot")
+    for flag, _, kind, text in _FAMILY_FLAGS:
+        if with_slot or flag != "--slot":
+            opts = {"type": int} if kind is int else {}
+            if isinstance(kind, tuple):
+                opts["choices"] = list(kind)
+            parser.add_argument(flag, help=text, **opts)
 
 
 def _resolve_named_expr(name: str):
@@ -172,9 +174,9 @@ def _cmd_wp_eval(args) -> int:
 
 
 def _cmd_adjudicate(args) -> int:
-    cfg = load_config(args.config) if args.config else Config()
+    settings = _settings(args)
     fam = build_family(args.family, **_family_kwargs(args))
-    verdict = adjudicate(fam, order=cfg.series_order)
+    verdict = adjudicate(fam, **_pick(settings, "order"))
     print(f"family:  {fam.family_id}")
     print(f"params:  {fam.params.to_dict()}")
     print(f"verdict: {verdict.verdict}  (route: {verdict.route})")
@@ -194,22 +196,20 @@ def _cmd_adjudicate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config) if args.config else Config()
-    cfg = cfg.override(
+    settings = _settings(
+        args,
         tol=args.tol,
         grid_density=args.density,
         soft_exclusion=args.soft_exclusion,
     )
     fam = build_family(args.family, **_family_kwargs(args))
-    window = parse_window(args.window, density=cfg.grid_density, soft=cfg.soft_exclusion)
+    window = parse_window(args.window, **_pick(settings, "grid_density", "soft_exclusion"))
     scan = residual_scan if args.check == "residual" else derivative_identity_scan
     rep = scan(
         fam,
         window,
-        tol=cfg.tol,
-        pole_ceiling=cfg.pole_ceiling,
-        exclusion_budget=cfg.exclusion_budget,
         keep_samples=args.csv is not None,
+        **_pick(settings, "tol", "pole_ceiling", "exclusion_budget"),
     )
     command = "fermatlab " + " ".join(args.raw_argv)
     if args.out:
@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
 def _cmd_zeros(args) -> int:
     expr = _resolve_named_expr(args.expr)
     compare_expr = _resolve_named_expr(args.compare) if args.compare else None
-    window = parse_window(args.window, density=args.density)
+    window = parse_window(args.window, **_settings(args, grid_density=args.density))
     relation_holds = True
     rep = zero_scan(expr, window)
     print(f"zeros of {args.expr}: {len(rep.zeros)}")

@@ -179,14 +179,22 @@ class FamilyVerdict:
         return self.verdict == "ZERO"
 
 
+#: highest series order ``adjudicate`` accepts: exact adjudication time
+#: grows about as order**4, so a larger order would keep it busy for minutes
+MAX_SERIES_ORDER = 400
+
+
 def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
     """Exact verdict for the family's defining identity.
 
     Ring residuals are reported sign-normalized (leading coefficient with
     positive real part) so that algebraically equivalent write-ups of the
     same failure produce identical reports.  Every other family takes the
-    series route, certified through t**order.
+    series route, certified through t**order; ``order`` must lie in
+    10..MAX_SERIES_ORDER whichever route is taken.
     """
+    if not 10 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be between 10 and {MAX_SERIES_ORDER}")
     res = family.exact_residual
     if res is not None:
         rv: RingVerdict = quotient_adjudicate(res.element)
@@ -347,8 +355,10 @@ def _lowered_series(family: SolutionFamily, order: int):
 # ---------------------------------------------------------------------------
 
 
-def _ring(cubic_coeffs_ascending):
-    cubic = RationalPoly.make(cubic_coeffs_ascending)
+def _ring(inv):
+    """(cubic, 1, P, X) in Q(i)[P, X]/(X^2 - cubic), the cubic being
+    4P^3 - g2 P - g3 of the exact invariants ``inv``."""
+    cubic = RationalPoly.make([-inv.g3, -inv.g2, 0, 4])
     one = QuotientElement.from_scalar(1, cubic)
     p = QuotientElement.p_power(1, cubic)
     x = QuotientElement.x_times(RationalPoly.constant(1), cubic)
@@ -415,13 +425,14 @@ def build_case_ii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     if eta_index not in (0, 1, 2):
         raise ValueError("eta_index must be 0, 1 or 2")
     beta = _slot_expr(slot)
-    eng = engine_for(invariants_from_case("II"))
+    inv = invariants_from_case("II")
+    eng = engine_for(inv)
     p = Wp(eng, beta)
     x = WpPrime(eng, beta)
     eta = ETA[eta_index]
     f = (Const(3) + Const(SQRT3) * x) / (Const(6) * p)
     g = Const(eta) * (Const(3) - Const(SQRT3) * x) / (Const(6) * p)
-    _, one, P, X = _ring([-1, 0, 0, 4])  # X^2 -> 4P^3 - 1
+    _, one, P, X = _ring(inv)  # X^2 -> 4P^3 - 1
     elem = (
         one.scale(54) + (X * X).scale(54) - (P * P * P).scale(216)
     )  # parity pairing of (3 + s X)^3 + (3 - s X)^3 with s^2 = 3, eta^3 = 1
@@ -446,13 +457,14 @@ def build_case_iii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     if eta_index not in (0, 1, 2):
         raise ValueError("eta_index must be 0, 1 or 2")
     beta = _slot_expr(slot)
-    eng = engine_for(invariants_from_case("III"))
+    inv = invariants_from_case("III")
+    eng = engine_for(inv)
     p = Wp(eng, beta)
     x = WpPrime(eng, beta)
     eta = ETA[eta_index]
     f = Const(1j) * x
     g = Const(eta * CBRT4) * p
-    _, one, P, X = _ring([-1, 0, 0, 4])
+    _, one, P, X = _ring(inv)
     i = RationalComplex(0, 1)
     xi = QuotientElement.x_times(RationalPoly.constant(i), X.cubic)
     elem = (xi * xi) + (P * P * P).scale(4) - one  # (iX)^2 + 4P^3 - 1
@@ -482,7 +494,8 @@ def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
     if zeta_index not in (0, 1, 2, 3):
         raise ValueError("zeta_index must be 0..3")
     beta = _slot_expr(slot)
-    eng = engine_for(invariants_from_case("IV"))
+    inv = invariants_from_case("IV")
+    eng = engine_for(inv)
     p = Wp(eng, beta)
     x = WpPrime(eng, beta)
     zeta = ZETA[zeta_index]
@@ -498,7 +511,7 @@ def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
             Const(4) * p**2
         )
         g = (Const(zeta * 1j) * x) / (Const(2) * p)
-    cubic, one, P, X = _ring([Fraction(1, 6), Fraction(1, 12), 0, 4])
+    cubic, one, P, X = _ring(inv)
     d_poly = QuotientElement(cubic, RationalPoly.zero(), cubic)  # D = the cubic itself
     z4 = RationalComplex(0, 1) ** (4 * zeta_index)  # zeta^4, exactly 1
     p4 = (P * P * P * P).scale(z4 * 16)

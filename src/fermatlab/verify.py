@@ -275,7 +275,11 @@ def _relative_scan(
     grid rows that hold it, so a scan keeps rel and excluded per point and
     never the complex grid."""
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise ValueError("tol must be positive")
+    if pole_ceiling <= 0:
+        raise ValueError("pole_ceiling must be positive")
+    if not (0 < exclusion_budget <= 1):
+        raise ValueError("exclusion_budget must be in (0, 1]")
     re, im = window._axes()
     n_re, n_im = re.size, im.size
     n = n_re * n_im
@@ -762,21 +766,17 @@ def _expr_pole_points(num: Expr, window: ScanWindow):
         if all(node.engine is not e for e in engines):
             engines.append(node.engine)
     pts: list[complex] = []
+    corners = [
+        complex(window.re_min, window.im_min),
+        complex(window.re_max, window.im_min),
+        complex(window.re_max, window.im_max),
+        complex(window.re_min, window.im_max),
+    ]
     for eng in engines:
         v1, v2 = eng.basis
-        corners = [
-            complex(window.re_min, window.im_min),
-            complex(window.re_max, window.im_min),
-            complex(window.re_max, window.im_max),
-            complex(window.re_min, window.im_max),
-        ]
-        det = v1.real * v2.imag - v1.imag * v2.real
-        a_vals, b_vals = [], []
-        for c in corners:
-            a_vals.append((c.real * v2.imag - c.imag * v2.real) / det)
-            b_vals.append((v1.real * c.imag - v1.imag * c.real) / det)
-        a_lo, a_hi = int(math.floor(min(a_vals))) - 1, int(math.ceil(max(a_vals))) + 1
-        b_lo, b_hi = int(math.floor(min(b_vals))) - 1, int(math.ceil(max(b_vals))) + 1
+        a_vals, b_vals = eng.lattice_coordinates(corners)
+        a_lo, a_hi = int(math.floor(a_vals.min())) - 1, int(math.ceil(a_vals.max())) + 1
+        b_lo, b_hi = int(math.floor(b_vals.min())) - 1, int(math.ceil(b_vals.max())) + 1
         for a in range(a_lo, a_hi + 1):
             for b in range(b_lo, b_hi + 1):
                 p = a * v1 + b * v2

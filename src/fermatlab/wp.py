@@ -421,6 +421,12 @@ class WeierstrassEngine:
         self._halving_radius = 0.3 * abs(v1)
 
     # -- lattice ------------------------------------------------------------
+    def lattice_coordinates(self, z) -> np.ndarray:
+        """Coordinates (x, y) of z = x v1 + y v2 in the reduced basis, as a
+        (2, z.size) array over the flattened z."""
+        flat = np.asarray(z, dtype=complex).ravel()
+        return self._basis_inv @ np.vstack([flat.real, flat.imag])
+
     def reduce(self, z: np.ndarray) -> np.ndarray:
         """Translate z by lattice vectors into the centered fundamental cell.
 
@@ -428,7 +434,7 @@ class WeierstrassEngine:
         finite or exceeds ``_MAX_LATTICE_COORDINATE`` in magnitude."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        xy = self._basis_inv @ np.vstack([flat.real, flat.imag])
+        xy = self.lattice_coordinates(flat)
         if flat.size and not np.abs(xy).max() <= _MAX_LATTICE_COORDINATE:
             far = int(np.argmin(np.all(np.abs(xy) <= _MAX_LATTICE_COORDINATE, axis=0)))
             raise LatticeReductionError(
@@ -478,8 +484,6 @@ class WeierstrassEngine:
             if mask.all():
                 p, pp = _duplicate(p, pp, self._g2)
                 continue
-            if not mask.any():
-                break
             pj, ppj = _duplicate(p[mask], pp[mask], self._g2)
             p[mask] = pj
             pp[mask] = ppj

@@ -46,10 +46,33 @@ def test_suite_runtime_budget(acceptance_suite):
 ONE = RationalComplex(1)
 TAUS = {"0": 0, "3/10+1/5i": RationalComplex(Fraction(3, 10), Fraction(1, 5)), "1": 1}
 
+#: H1 at s^-6, s^-4, s^-2, s^0 and Q at s^-12, s^-10; H1's s^-4 term is
+#: -9 tau^2 and Q's s^-10 term is 54 tau^2
+POLE_TERMS = {
+    "0": (["1", "0", "0", "-10800/7"], ["1", "0"]),
+    "3/10+1/5i": (
+        ["1", "-9/20-27/25i", "563787/6250+38124/625i",
+         "-10844945901/7000000+301631499/8750000i"],
+        ["1", "27/10+162/25i"],
+    ),
+    "1": (["1", "-9", "1728/5", "-33021/35"], ["1", "54"]),
+}
+
 
 @pytest.mark.parametrize("tau", list(TAUS.values()), ids=list(TAUS))
 def test_cubic_pole_limits_are_exact(tau):
-    assert acceptance._cubic_pole_terms(tau) == ((-6, ONE), (-12, ONE))
+    h1, q = acceptance._cubic_pole_terms(tau)
+    assert [e for e, _ in h1] == [-6, -4, -2, 0] and [e for e, _ in q] == [-12, -10]
+    assert ([str(c) for _, c in h1], [str(c) for _, c in q]) == POLE_TERMS[str(tau)]
+
+
+def test_pole_terms_start_at_the_lowest_term():
+    """A term below s^-6 is reported first even where the s^-6 coefficient
+    is still 1, so criterion 9's exponents certify the lowest terms."""
+    series = LaurentSeries.make(-8, [5, 0, 1] + [0] * 6)  # 5 s^-8 + s^-6, through s^0
+    assert acceptance._pole_terms(series, (-6, -4)) == [
+        (-8, RationalComplex(5)), (-6, ONE), (-4, RationalComplex(0))
+    ]
 
 
 def _lowest_q(tau, scale):
@@ -69,7 +92,7 @@ def test_cubic_pole_limit_control_fails(tau):
     """V'^2 ~ 4 s^-6 and (V + 9 tau^2) V'' ~ 6 s^-6.  Scaling V'^2 by 2 only
     flips the sign of the bracket's lowest term (8 - 6 = -(4 - 6)), which the
     square hides; a factor 3 gives (12 - 6)^2 / 4 = 9 and must fail."""
-    assert _lowest_q(tau, 1) == acceptance._cubic_pole_terms(tau)[1]
+    assert _lowest_q(tau, 1) == acceptance._cubic_pole_terms(tau)[1][0]
     assert _lowest_q(tau, 2) == (-12, ONE)
     assert _lowest_q(tau, 3) == (-12, RationalComplex(9))
 
@@ -81,11 +104,26 @@ def test_criterion_9_fails_on_a_wrong_series(monkeypatch):
     )
     passed, details = acceptance._c9_pole_limits()
     assert not passed
-    assert details["cases"][0]["h1_lowest"] == [-6, "8"]
+    assert details["cases"][0]["h1"][0] == [-6, "8"]
 
 
 def test_criterion_9_reports_its_lowest_terms(acceptance_suite):
-    lowest = {"h1_lowest": [-6, "1"], "q_lowest": [-12, "1"]}
     assert result_for(acceptance_suite, 9).details == {
-        "cases": [{"tau": "0", **lowest}, {"tau": "3/10+1/5i", **lowest}]
+        "cases": [
+            {
+                "tau": "0",
+                "h1": [[-6, "1"], [-4, "0"], [-2, "0"], [0, "-10800/7"]],
+                "q": [[-12, "1"], [-10, "0"]],
+            },
+            {
+                "tau": "3/10+1/5i",
+                "h1": [
+                    [-6, "1"],
+                    [-4, "-9/20-27/25i"],
+                    [-2, "563787/6250+38124/625i"],
+                    [0, "-10844945901/7000000+301631499/8750000i"],
+                ],
+                "q": [[-12, "1"], [-10, "27/10+162/25i"]],
+            },
+        ]
     }

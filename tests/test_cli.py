@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, determinism, and a
 mutation check that the acceptance suite actually fails when the code lies."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from fermatlab import cli
 from fermatlab.cli import main
-from fermatlab.families import MAX_M_ONE_EXPONENT, adjudicate, build_family
+from fermatlab.families import FAMILY_IDS, MAX_M_ONE_EXPONENT, adjudicate, build_family
 from fermatlab.reports import points_csv
 from fermatlab.verify import ScanWindow, residual_scan
 
@@ -87,6 +88,97 @@ def test_console_script_installed():
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"
+
+
+FAMILIES = sorted(FAMILY_IDS)
+
+#: subcommand -> (option strings, dest, type, default, choices, help, required)
+OPTIONS = {
+    "wp-eval": [
+        (["--g2"], "g2", None, None, None, "first invariant (with --g3)", False),
+        (["--g3"], "g3", None, None, None, "second invariant (with --g2)", False),
+        (["--tau"], "tau", None, None, None, "cubic-family parameter", False),
+        (["--case"], "case", None, None, None, "catalog case II, III or IV", False),
+        (["--z"], "z", None, None, None, "evaluation point a+bi", True),
+    ],
+    "adjudicate": [
+        (["--family"], "family", None, None, FAMILIES, None, True),
+        (["--eta"], "eta", "int", None, None, "cube-root-of-unity index 0..2", False),
+        (["--zeta"], "zeta", "int", None, None, "fourth-root-of-unity index 0..3", False),
+        (["--variant"], "variant", "int", None, None, "printed variant, 1 or 2", False),
+        (["--rho"], "rho", None, None, None, "quadratic cross-term parameter", False),
+        (["--tau"], "tau", None, None, None, "cubic cross-term parameter", False),
+        (["--sign"], "sign", None, None, ["plus", "minus"], "cross-term sign", False),
+        (["--exponent"], "exponent", "int", None, None, "exponent m for the m-one family", False),
+        (["--ell"], "ell", "int", None, None, "derivative power for the coupled witness", False),
+        (["--gamma"], "gamma", None, None, None, "first constant-pair exponent", False),
+        (["--delta"], "delta", None, None, None, "second constant-pair exponent", False),
+        (["--config"], "config", None, None, None, "key=value config file", False),
+    ],
+    "verify": [
+        (["--family"], "family", None, None, FAMILIES, None, True),
+        (["--eta"], "eta", "int", None, None, "cube-root-of-unity index 0..2", False),
+        (["--zeta"], "zeta", "int", None, None, "fourth-root-of-unity index 0..3", False),
+        (["--variant"], "variant", "int", None, None, "printed variant, 1 or 2", False),
+        (["--rho"], "rho", None, None, None, "quadratic cross-term parameter", False),
+        (["--tau"], "tau", None, None, None, "cubic cross-term parameter", False),
+        (["--sign"], "sign", None, None, ["plus", "minus"], "cross-term sign", False),
+        (["--exponent"], "exponent", "int", None, None, "exponent m for the m-one family", False),
+        (["--ell"], "ell", "int", None, None, "derivative power for the coupled witness", False),
+        (["--gamma"], "gamma", None, None, None, "first constant-pair exponent", False),
+        (["--delta"], "delta", None, None, None, "second constant-pair exponent", False),
+        (["--slot"], "slot", None, None, ["w", "exp"], "composition slot", False),
+        (["--check"], "check", None, "residual", ["residual", "derivative"], None, False),
+        (["--window"], "window", None, "-2,2,-2,2", None, None, False),
+        (["--tol"], "tol", "float", None, None, None, False),
+        (["--density"], "density", "float", None, None, "grid points per unit length", False),
+        (["--soft-exclusion"], "soft_exclusion", "float", None, None, None, False),
+        (["--config"], "config", None, None, None, "key=value config file", False),
+        (["--out"], "out", None, None, None, "write the canonical JSON report here", False),
+        (["--csv"], "csv", None, None, None, "write the per-point CSV here", False),
+    ],
+    "zeros": [
+        (["--expr"], "expr", None, None, None, "family.attr, e.g. corollary.gprime", True),
+        (["--window"], "window", None, "-2,2,-2,2", None, None, False),
+        (["--density"], "density", "float", None, None, None, False),
+        (["--compare"], "compare", None, None, None,
+         "second family.attr to compare against", False),
+        (["--relation"], "relation", None, "subset", ["subset", "superset", "equal"], None, False),
+        (["--mode"], "mode", None, "counting", ["counting", "ignoring"], None, False),
+        (["--json"], "json", None, None, None, "write the zero report here", False),
+    ],
+    "discriminant": [
+        (["--tau"], "tau", None, None, None, None, True),
+    ],
+    "suite": [
+        (["--acceptance"], "acceptance", None, False, None, None, False),
+        (["--json"], "json", None, None, None, "write the summary JSON here", False),
+    ],
+}
+
+
+def test_every_option_is_pinned():
+    """The options of every subcommand, as argparse holds them; the family
+    flags come from one table, so this shows the table changes no flag."""
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    seen = {}
+    for name, parser in sub.choices.items():
+        seen[name] = [
+            (
+                a.option_strings,
+                a.dest,
+                a.type.__name__ if a.type else None,
+                a.default,
+                list(a.choices) if a.choices is not None else None,
+                a.help,
+                a.required,
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+    assert seen == OPTIONS
 
 
 # -- wp-eval -----------------------------------------------------------------
@@ -599,18 +691,26 @@ def test_suite_requires_acceptance_flag(capsys):
     assert code == 2
 
 
-def test_suite_detects_mutations(capsys, monkeypatch):
-    """Sanity check on the gate itself: corrupt one constant and the suite
-    must report a failure."""
+def test_suite_detects_mutations(capsys, monkeypatch, tmp_path):
+    """Sanity check on the gate itself: corrupt k or l of the cubic family
+    and both the family's certificate (criterion 3) and its near-pole terms
+    (criterion 9) must fail."""
+    import fermatlab.acceptance as acceptance_mod
     import fermatlab.families as families_mod
 
     real = families_mod.tau_cubic_coefficients
+    out_json = tmp_path / "suite.json"
+    for shift in ((1, 0), (0, 1)):
 
-    def corrupted(tau):
-        k, l = real(tau)
-        return k, l + 1
+        def corrupted(tau, shift=shift):
+            k, l = real(tau)
+            return k + shift[0], l + shift[1]
 
-    monkeypatch.setattr(families_mod, "tau_cubic_coefficients", corrupted)
-    code, out, _ = run_cli(["suite", "--acceptance"], capsys)
-    assert code == 1
-    assert "FAIL" in out
+        for mod in (families_mod, acceptance_mod):
+            monkeypatch.setattr(mod, "tau_cubic_coefficients", corrupted)
+        code, out, _ = run_cli(["suite", "--acceptance", "--json", str(out_json)], capsys)
+        assert code == 1
+        assert "FAIL" in out
+        failed = [c["criterion"] for c in json.loads(out_json.read_text())["criteria"]
+                  if not c["passed"]]
+        assert failed == [3, 9]

@@ -1,6 +1,8 @@
-"""Deterministic serialization and the layered configuration."""
+"""Deterministic serialization and the config file."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import math
 import struct
@@ -12,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermatlab import reports
-from fermatlab.config import Config, load_config
-from fermatlab.families import build_family
+from fermatlab import cli, reports
+from fermatlab.config import load_config
+from fermatlab.families import adjudicate, build_family
 from fermatlab.reports import (
     CSV_HEADER,
     canonical_json,
@@ -397,19 +399,40 @@ def test_rescan_is_byte_identical(small_scan):
 # -- configuration -----------------------------------------------------------
 
 
-def test_config_defaults():
-    cfg = Config()
-    assert cfg.tol == 1e-8
-    assert cfg.grid_density == 20.0
-    assert cfg.soft_exclusion == 0.05
-    assert cfg.exclusion_budget == 0.20
-    assert cfg.series_order == 40
+def test_config_defaults(tmp_path):
+    """An empty file sets nothing: each default is the library call's own."""
+    path = tmp_path / "lab.cfg"
+    path.write_text("")
+    assert load_config(path) == {}
+    for scan in (residual_scan, derivative_identity_scan):
+        params = inspect.signature(scan).parameters
+        assert params["tol"].default == 1e-8
+        assert params["pole_ceiling"].default == 1e8
+        assert params["exclusion_budget"].default == 0.20
+    assert ScanWindow().grid_density == 20.0
+    assert ScanWindow().soft_exclusion == 0.05
+    assert inspect.signature(adjudicate).parameters["order"].default == 40
 
 
-def test_config_override_skips_none():
-    cfg = Config().override(tol=None, grid_density=10.0)
-    assert cfg.tol == 1e-8 and cfg.grid_density == 10.0
-    assert Config().override() == Config()
+def test_config_override_skips_none(tmp_path):
+    """The CLI puts the flags actually given over the file's values."""
+    path = tmp_path / "lab.cfg"
+    path.write_text("[scan]\ntol = 1e-6\ngrid_density = 8\n")
+    args = argparse.Namespace(config=str(path))
+    assert cli._settings(args, tol=None, grid_density=10.0) == {
+        "tol": 1e-6,
+        "grid_density": 10.0,
+    }
+    assert cli._settings(argparse.Namespace(config=None), tol=None) == {}
+
+
+def _through_owner(**kwargs):
+    """Hand one setting to the library call that takes it."""
+    if "order" in kwargs:
+        return adjudicate(build_family("case1"), **kwargs)
+    if {"grid_density", "soft_exclusion"} & set(kwargs):
+        return ScanWindow(**kwargs)
+    return residual_scan(build_family("case2"), **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -420,23 +443,35 @@ def test_config_override_skips_none():
         {"soft_exclusion": -0.1},
         {"pole_ceiling": 0.0},
         {"exclusion_budget": 1.5},
-        {"series_order": 5},
-        {"series_order": 100_000},
+        {"order": 5},
+        {"order": 100_000},
+        {"exclusion_budget": 0.0},
+        {"order": 9},
+        {"order": 401},
     ],
 )
 def test_config_validation(kwargs):
+    """Every config key's range is checked by its owner, not by the file."""
     with pytest.raises(ValueError):
-        Config(**kwargs)
+        _through_owner(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"order": 10}, {"order": 400}, {"exclusion_budget": 1.0}])
+def test_config_limits_are_accepted(kwargs):
+    _through_owner(**kwargs)
 
 
 def test_load_config(tmp_path):
     path = tmp_path / "lab.cfg"
     path.write_text("[scan]\ntol = 1e-6\ngrid_density = 8\n\n[series]\norder = 24\n")
-    cfg = load_config(path)
-    assert cfg.tol == 1e-6
-    assert cfg.grid_density == 8.0
-    assert cfg.series_order == 24
-    assert cfg.soft_exclusion == 0.05  # untouched default
+    assert load_config(path) == {"tol": 1e-6, "grid_density": 8.0, "order": 24}
+
+
+def test_load_config_checks_no_range(tmp_path):
+    """A value out of range passes the file; the call that takes it refuses."""
+    path = tmp_path / "lab.cfg"
+    path.write_text("[scan]\ntol = 0\n\n[series]\norder = 5\n")
+    assert load_config(path) == {"tol": 0.0, "order": 5}
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
