@@ -77,7 +77,8 @@ _COUNT_TOL = 1e-3
 #: zeros of two reports closer than this are the same zero
 _MATCH_RADIUS = 1e-6
 
-#: most refinement passes of contour phase tracking
+#: passes of contour phase tracking: each but the last halves every steep
+#: step, and a polyline still steep in the last one fails
 _PHASE_PASSES = 12
 
 #: Gauss-Legendre nodes per unit length of a cell edge
@@ -118,8 +119,8 @@ class ScanWindow:
             raise ValueError("window must have positive extent")
         if self.grid_density < 4:
             raise ValueError("grid density must be at least 4 points per unit")
-        if self.soft_exclusion <= 0:
-            raise ValueError("soft exclusion must be positive")
+        if not (math.isfinite(self.soft_exclusion) and self.soft_exclusion > 0):
+            raise ValueError("soft exclusion must be positive and finite")
         n_re, n_im = self.axis_counts()
         if n_re * n_im > MAX_GRID_POINTS:
             raise ValueError(
@@ -156,17 +157,10 @@ class ScanWindow:
         )
 
     def boundary_distance(self, z) -> np.ndarray:
-        """Distance to the rectangle's boundary curve (inside or outside)."""
+        """Distance of points z inside the window to its boundary."""
         z = np.asarray(z)
-        x, y = z.real, z.imag
-        dx_out = np.maximum(np.maximum(self.re_min - x, x - self.re_max), 0.0)
-        dy_out = np.maximum(np.maximum(self.im_min - y, y - self.im_max), 0.0)
-        outside = np.hypot(dx_out, dy_out)
-        inside = np.minimum(
-            np.minimum(x - self.re_min, self.re_max - x),
-            np.minimum(y - self.im_min, self.im_max - y),
-        )
-        return np.where(outside > 0, outside, np.maximum(inside, 0.0))
+        return np.minimum(np.minimum(z.real - self.re_min, self.re_max - z.real),
+                          np.minimum(z.imag - self.im_min, self.im_max - z.imag))
 
     def to_dict(self) -> dict:
         return {
@@ -274,10 +268,9 @@ def _relative_scan(
     The grid is scanned in blocks of _SCAN_BLOCK points, each built from the
     grid rows that hold it, so a scan keeps rel and excluded per point and
     never the complex grid."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if pole_ceiling <= 0:
-        raise ValueError("pole_ceiling must be positive")
+    for name, x in (("tol", tol), ("pole_ceiling", pole_ceiling)):
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be positive and finite")
     if not (0 < exclusion_budget <= 1):
         raise ValueError("exclusion_budget must be in (0, 1]")
     re, im = window._axes()
@@ -456,67 +449,51 @@ class ZeroReport:
         }
 
 
-def _steps(z: np.ndarray, v: np.ndarray, dv: np.ndarray):
-    """(step, steep): the phase steps of num between consecutive nodes z of
-    a polyline from its values v and derivative values dv there, and which
-    steps refinement must split.  A step is steep when it exceeds a quarter
-    turn, or when its segment's length times the larger |num'/num| at its
-    ends does: a zero or pole near the segment could then hide a whole turn
-    in a step that looks small."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.angle(v[1:] / v[:-1])
-        rate = np.abs(dv / v)
-        reach = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
-    return step, (np.abs(step) > 0.5 * math.pi) | (reach > 0.5 * math.pi)
-
-
-def _phase_track(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
-                 dv: np.ndarray) -> float:
-    """Phase change of num in turns along the polyline z (its winding when
-    the polyline is closed) from its values v and dv of num and num' there,
-    halving every steep step (see ``_steps``) until none is left.  A node
-    where num is not finite or exactly 0 stops it; a zero near the polyline
-    stops it too, as steep steps that _PHASE_PASSES halvings do not
-    resolve."""
-    for _ in range(_PHASE_PASSES):
-        lost = ~np.isfinite(v) | (v == 0)
-        if np.any(lost):
-            i = int(np.argmax(lost))
-            what = "zero" if v[i] == 0 else "not finite"
-            raise AnalyzerError(f"N is {what} at {complex(z[i]):.9g}")
-        step, steep = _steps(z, v, dv)
-        if not np.any(steep):
-            return float(np.sum(step) / (2.0 * math.pi))
-        mids = 0.5 * (z[:-1][steep] + z[1:][steep])
-        mv, mdv = evaluate_many([num, dnum], mids)
-        idx = np.flatnonzero(steep) + 1
-        z, v, dv = np.insert(z, idx, mids), np.insert(v, idx, mv), np.insert(dv, idx, mdv)
-    raise AnalyzerError(
-        f"phase tracking failed to stabilize on the contour near {complex(mids[0]):.9g}"
-    )
-
-
 def _phase_changes(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
                    dv: np.ndarray, starts: np.ndarray):
     """(turns, errors): the phase change of num, in turns, along each
-    polyline ``z[starts[i]:starts[i + 1]]`` from the values ``v`` and ``dv``
-    of num and num' there, nan where tracking fails, and the message of each
-    failure in order.  Only a polyline with a steep step, or a value
-    that is not finite or exactly 0, goes through ``_phase_track``."""
-    step, steep = _steps(z, v, dv)
-    step, steep = np.append(step, 0.0), np.append(steep, False)
-    step[starts[1:] - 1], steep[starts[1:] - 1] = 0.0, False  # no step between polylines
-    bad = ~np.isfinite(v) | (v == 0) | steep
+    polyline ``z[starts[i]:starts[i + 1]]`` (its winding when the polyline
+    is closed) from the values ``v`` and ``dv`` of num and num' there, nan
+    where tracking fails, and the message of each failure in polyline order.
+
+    Each pass fails a polyline at its first node where num is not finite or
+    exactly 0, and halves every steep step of the others, all in one
+    evaluation.  A step is steep when it exceeds a quarter turn, or when its
+    segment's length times the larger |num'/num| at its ends does: a zero or
+    pole near the segment could then hide a whole turn in a step that looks
+    small.  A polyline still steep in the _PHASE_PASSES-th pass fails: a
+    zero lies too near it."""
+    failed = np.zeros(len(starts) - 1, dtype=bool)
+    errors = {}  # polyline -> the message of its first failure
+    for p in range(_PHASE_PASSES):
+        line = np.repeat(np.arange(failed.size), np.diff(starts))  # polyline of each node
+        for i in np.flatnonzero(~np.isfinite(v) | (v == 0)):
+            what = "zero" if v[i] == 0 else "not finite"
+            errors.setdefault(line[i], f"N is {what} at {complex(z[i]):.9g}")
+        failed[list(errors)] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.angle(v[1:] / v[:-1])
+            rate = np.abs(dv / v)
+            reach = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
+        inner = ~failed[line[:-1]]
+        inner[starts[1:-1] - 1] = False  # no step between polylines
+        steep = inner & ((np.abs(step) > 0.5 * math.pi) | (reach > 0.5 * math.pi))
+        if not np.any(steep):
+            break
+        at = np.flatnonzero(steep)
+        mids = 0.5 * (z[at] + z[at + 1])
+        if p == _PHASE_PASSES - 1:
+            for i, m in zip(line[at], mids):
+                errors.setdefault(i, "phase tracking failed to stabilize on the contour "
+                                     f"near {complex(m):.9g}")
+            break
+        mv, mdv = evaluate_many([num, dnum], mids)
+        z, v, dv = np.insert(z, at + 1, mids), np.insert(v, at + 1, mv), np.insert(dv, at + 1, mdv)
+        starts = starts + np.searchsorted(at, starts)
+    step = np.append(np.where(inner, step, 0.0), 0.0)
     turns = np.add.reduceat(step, starts[:-1]) / (2.0 * math.pi)
-    errors = []
-    for i in np.flatnonzero(np.logical_or.reduceat(bad, starts[:-1])):
-        lo, hi = starts[i], starts[i + 1]
-        try:
-            turns[i] = _phase_track(num, dnum, z[lo:hi], v[lo:hi], dv[lo:hi])
-        except AnalyzerError as exc:
-            turns[i] = np.nan
-            errors.append(str(exc))  # exc itself would tie this frame into a cycle
-    return turns, errors
+    turns[list(errors)] = np.nan
+    return turns, [errors[i] for i in sorted(errors)]
 
 
 def _circle_nodes(c: np.ndarray) -> np.ndarray:
@@ -819,7 +796,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     count on their own edges and the circles certify, is reconciled against
     it.  A window is refused where N is exactly 0 or not finite at a node of
     a contour, or where a zero lies too near a contour for _PHASE_PASSES
-    halvings of its steps to resolve.
+    passes of phase tracking to resolve.
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)

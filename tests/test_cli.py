@@ -44,6 +44,35 @@ def test_version_flag(capsys):
     assert out.strip() == "0.1.0"
 
 
+#: README quickstart commands whose output is exact on every machine
+_README_EXACT = (
+    "adjudicate --family quadratic --rho 5/4 --sign plus",
+    "adjudicate --family case4 --variant 1",
+    "discriminant --tau 1",
+)
+
+
+def _readme_transcripts() -> dict:
+    """{command: the output lines shown} of README's CLI quickstart; a
+    "..." line stands for lines left out."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```console\n", 1)[1].split("```", 1)[0]
+    shown = {}
+    for chunk in block.replace("\\\n", " ").split("$ fermatlab ")[1:]:
+        head, *lines = chunk.splitlines()
+        shown[" ".join(head.split())] = [x for x in lines if x and x != "..."]
+    return shown
+
+
+@pytest.mark.parametrize("command", _README_EXACT)
+def test_readme_transcript_matches_the_cli(command, capsys):
+    shown = _readme_transcripts()[command]
+    _, out, _ = run_cli(command.split(), capsys)
+    assert shown
+    for line in shown:
+        assert line in out.splitlines()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, err = run_cli([], capsys)
     assert code == 2
@@ -544,6 +573,27 @@ def test_verify_refuses_grid_over_budget(capsys):
     )
     assert code == 2
     assert "grid points" in err
+
+
+@pytest.mark.parametrize(
+    "extra, config",
+    [
+        (["--family", "case4", "--tol", "inf"], None),
+        (["--family", "case4", "--tol", "nan"], None),
+        (["--family", "case2", "--soft-exclusion", "nan"], None),
+        (["--family", "case2"], "[scan]\npole_ceiling = nan\n"),
+    ],
+)
+def test_verify_refuses_values_that_are_not_finite(extra, config, capsys, tmp_path):
+    if config is not None:
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(config)
+        extra = extra + ["--config", str(cfg)]
+    code, out, err = run_cli(["verify", *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("must be positive and finite\n")
+    assert err.count("\n") == 1
 
 
 # -- zeros -------------------------------------------------------------------

@@ -448,6 +448,12 @@ def _through_owner(**kwargs):
         {"exclusion_budget": 0.0},
         {"order": 9},
         {"order": 401},
+        {"tol": math.inf},
+        {"tol": math.nan},
+        {"soft_exclusion": math.inf},
+        {"soft_exclusion": math.nan},
+        {"pole_ceiling": math.inf},
+        {"pole_ceiling": math.nan},
     ],
 )
 def test_config_validation(kwargs):

@@ -493,8 +493,49 @@ def test_zero_scan_boundary_zero_rejected():
 def test_phase_track_names_a_value_that_is_not_finite():
     z = np.array([0.0, 0.5, 1.0], dtype=complex)
     v = np.array([1.0, complex("inf"), 1.0])
-    with pytest.raises(AnalyzerError, match=r"^N is not finite at 0\.5\+0j$"):
-        verify._phase_track(W, ONE, z, v, np.ones(3, dtype=complex))
+    turns, errors = verify._phase_changes(W, ONE, z, v, np.ones(3, dtype=complex),
+                                          np.array([0, 3]))
+    assert np.isnan(turns).tolist() == [True]
+    assert errors == ["N is not finite at 0.5+0j"]
+
+
+def test_phase_changes_track_every_polyline_in_one_loop():
+    """Polylines of N = w: one whose halving lands on the zero at 0, so it
+    fails in the second pass; a clean one; one with a node where N is not
+    finite, so it fails in the first; and one whose steep step one halving
+    resolves.  The messages come in polyline order, not in failure order."""
+    lines = [[-1, 1], [1, 2], [0.5, 1], [2, -0.2 + 2j]]
+    z = np.array([p for line in lines for p in line], dtype=complex)
+    v = z.copy()
+    v[5] = complex("inf")
+    starts = np.cumsum([0] + [len(line) for line in lines])
+    turns, errors = verify._phase_changes(W, ONE, z, v, np.ones(z.size, dtype=complex), starts)
+    assert np.isnan(turns).tolist() == [True, False, True, False]
+    assert turns[1] == 0.0
+    assert turns[3] == pytest.approx(np.angle(-0.2 + 2j) / (2 * math.pi), abs=1e-15)
+    assert errors == ["N is zero at 0+0j", "N is not finite at 1+0j"]
+
+
+def test_zero_scan_refuses_a_pole_near_the_boundary():
+    with pytest.raises(AnalyzerError) as err:
+        zero_scan(WpPrime(engine_for(Invariants(0, 1)), W), ScanWindow(-1e-7, 1.3, -0.7, 1.2))
+    assert str(err.value) == (
+        "elliptic pole within 1e-06 of the window boundary at 0+0j; shift the window"
+    )
+
+
+def test_zero_scan_refuses_a_zero_that_tracking_cannot_resolve():
+    """g' of the corollary vanishes at pi i, 1e-6 below the top edge: the
+    steps there stay steep through every pass, and the midpoint named lies
+    next to that zero."""
+    expr = differentiate(build_family("corollary").g)
+    with pytest.raises(AnalyzerError) as err:
+        zero_scan(expr, ScanWindow(-1, 1, -1, math.pi + 1e-6))
+    prefix = "window boundary: phase tracking failed to stabilize on the contour near "
+    suffix = "; shift the window"
+    msg = str(err.value)
+    assert msg.startswith(prefix) and msg.endswith(suffix)
+    assert abs(complex(msg[len(prefix):-len(suffix)]) - math.pi * 1j) < 1e-4
 
 
 def test_zero_scan_unsupported_atoms():
