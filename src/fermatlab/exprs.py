@@ -6,13 +6,17 @@ operations and integer powers.  The trees support vectorized numeric
 evaluation, symbolic differentiation (wp -> wp', wp' -> 6 wp^2 - g2/2,
 exp -> exp, chain rule throughout) and the denominator bookkeeping the
 pole-aware scanners rely on.
+
+Evaluation compiles the trees once into a Schedule: a flat list of steps,
+one per distinct node, each reading the slots of its operands and dropping
+the slots whose last reader it is.  A scan compiles its trees once and
+replays the Schedule on every block of points, contour and circle.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from collections import Counter
 
 import numpy as np
 
@@ -200,9 +204,22 @@ def walk(e: Expr):
         stack.extend(reversed(node.children()))
 
 
+def distinct_nodes(e: Expr):
+    """Every distinct node of the tree once, in preorder of first
+    occurrence: ``walk`` without the repeated visits of a shared subtree."""
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            stack.extend(reversed(node.children()))
+
+
 def share(*roots: Expr) -> tuple:
     """The same trees with every set of structurally equal subtrees made one
-    object, so the evaluator's cache computes each distinct subtree once.
+    object, so a Schedule computes each distinct subtree once.
 
     Constants are equal when their float bits and their exact values are
     (0.0 and -0.0 stay apart, and so do Fraction(1, 3) and the float 1/3),
@@ -245,71 +262,78 @@ def share(*roots: Expr) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _uses(roots) -> Counter:
-    """How often each value of the trees will be read: per distinct node,
-    once for each parent slot that holds it, once more for each time it is
-    requested as a root (the caller's read, never released), and per
-    (engine, argument) pair once for each distinct wp / wp' node on it."""
-    uses = Counter(id(r) for r in roots)
-    seen = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, (Wp, WpPrime)):
-            uses["wp", id(node.engine), id(node.arg)] += 1
-        for c in node.children():
-            uses[id(c)] += 1
-            stack.append(c)
-    return uses
+class Schedule(tuple):
+    """Trees compiled for evaluation: the tuple of the roots, so ``len()``
+    and iteration mean the trees, and a flat list of steps that replays the
+    evaluation of each distinct node on any points.
+
+    The steps come in the order of a depth-first recursion over the roots
+    that computes the left operand first, one per distinct node (by
+    identity) but the constants and the variable, whose slots are filled
+    before the first step.  wp and wp' of one engine and one argument read
+    the slot of one engine call.  A step drops the slots whose last reader
+    it is, so a value lives until the last node that reads it has been
+    computed; the roots' own slots are never dropped."""
+
+    def __new__(cls, roots):
+        self = super().__new__(cls, roots)
+        slots, steps = [None], []  # slot 0 holds the points; a step is (fn, a, b, out)
+        seen: dict = {}  # id(node), or (id(engine), id(arg)) of an engine call -> slot
+
+        def put(value, *step) -> int:
+            """A new slot: value, or the value of step (fn, a, b)."""
+            slots.append(value)
+            if step:
+                steps.append((*step, len(slots) - 1))
+            return len(slots) - 1
+
+        def visit(e: Expr) -> int:
+            s = seen.get(id(e))
+            if s is not None:
+                return s
+            if isinstance(e, BinOp):
+                s = put(None, e.op, visit(e.lhs), visit(e.rhs))
+            elif isinstance(e, Const):
+                s = put(e.value)
+            elif isinstance(e, Var):
+                s = 0
+            elif isinstance(e, Exp):
+                s = put(None, np.exp, visit(e.arg), None)
+            elif isinstance(e, Atom):
+                key = (id(e.engine), id(e.arg))
+                if key not in seen:
+                    seen[key] = put(None, _engine_pair, put(e.engine), visit(e.arg))
+                s = put(None, operator.itemgetter(0 if isinstance(e, Wp) else 1), seen[key], None)
+            else:
+                s = put(None, operator.pow, visit(e.base), put(e.k))
+            seen[id(e)] = s
+            return s
+
+        self._outs = [visit(r) for r in self]
+        last = {s: i for i, (_, a, b, _) in enumerate(steps) for s in (a, b)}
+        drops = [[] for _ in steps]
+        for *_, out in steps:
+            if out not in self._outs:
+                drops[last[out]].append(out)
+        self._steps = [(*st, tuple(d)) for st, d in zip(steps, drops)]
+        self._slots = slots
+        return self
+
+    def run(self, z) -> list:
+        """The roots' values at the complex ndarray z, unbroadcast: a value
+        that does not depend on z stays a scalar."""
+        vals = self._slots.copy()
+        vals[0] = z
+        for fn, a, b, out, drop in self._steps:
+            vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+            for s in drop:
+                vals[s] = None
+        return [vals[s] for s in self._outs]
 
 
-def _release(key, cache: dict, uses: Counter) -> None:
-    """One read of a cached value is done; drop it after its last one."""
-    uses[key] -= 1
-    if not uses[key]:
-        del cache[key]
-
-
-def _eval(e: Expr, z, cache: dict, uses: Counter):
-    """Value of e at z.  Every node is computed once, and its value leaves
-    the cache when the last of its parents has been computed."""
-    key = id(e)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, BinOp):
-        out = e.op(_eval(e.lhs, z, cache, uses), _eval(e.rhs, z, cache, uses))
-    elif isinstance(e, Const):
-        out = e.value
-    elif isinstance(e, Var):
-        out = z
-    elif isinstance(e, Exp):
-        out = np.exp(_eval(e.arg, z, cache, uses))
-    elif isinstance(e, Atom):
-        pair = _wp_pair(e.engine, e.arg, z, cache, uses)
-        out = pair[0] if isinstance(e, Wp) else pair[1]
-        _release(("wp", id(e.engine), id(e.arg)), cache, uses)
-    else:
-        out = _eval(e.base, z, cache, uses) ** e.k
-    for c in e.children():
-        _release(id(c), cache, uses)
-    cache[key] = out
-    return out
-
-
-def _wp_pair(engine, arg: Expr, z, cache: dict, uses: Counter):
-    """wp and wp' of the same argument share one engine call."""
-    key = ("wp", id(engine), id(arg))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    a = _eval(arg, z, cache, uses)
-    p, pp, _, _ = engine.eval(np.asarray(a, dtype=complex))
-    cache[key] = (p, pp)
-    return p, pp
+def _engine_pair(engine, a) -> tuple:
+    """(wp, wp') of the engine at a, from one engine call."""
+    return engine.eval(np.asarray(a, dtype=complex))[:2]
 
 
 def evaluate(e: Expr, z):
@@ -318,24 +342,22 @@ def evaluate(e: Expr, z):
     sample points)."""
     z = np.asarray(z, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _eval(e, z, {}, _uses([e]))
+        (out,) = Schedule((e,)).run(z)
     if np.isscalar(out) or np.asarray(out).shape == ():
         return np.full(z.shape, out, dtype=complex) if z.shape else complex(out)
     return out
 
 
-def evaluate_many(exprs: list, z) -> list:
-    """Evaluate several trees on the same points with one shared cache, so
-    common subtrees (and wp ladder calls) are computed once.  A value is
-    kept only until its last reader has used it, except the requested
-    trees' own values.  Results are broadcast to z's shape."""
+def evaluate_many(exprs, z) -> list:
+    """Evaluate several trees on the same points, so common subtrees (and
+    wp engine calls) are computed once; a caller that evaluates the same
+    trees again and again passes their Schedule, compiled once.  Results
+    are broadcast to z's shape."""
+    sched = exprs if isinstance(exprs, Schedule) else Schedule(exprs)
     z = np.asarray(z, dtype=complex)
-    cache: dict = {}
-    uses = _uses(exprs)
     outs = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for e in exprs:
-            out = _eval(e, z, cache, uses)
+        for out in sched.run(z):
             arr = np.asarray(out, dtype=complex)
             if arr.shape != z.shape:
                 arr = np.broadcast_to(arr, z.shape).copy()
@@ -386,8 +408,9 @@ def denominators(e: Expr) -> list[Expr]:
 
 
 def wp_nodes(e: Expr) -> list[Expr]:
-    """Every wp / wp' node (for pole-magnitude exclusion in scans)."""
-    return [node for node in walk(e) if isinstance(node, (Wp, WpPrime))]
+    """Every distinct wp / wp' node, in preorder of first occurrence (for
+    pole-magnitude exclusion in scans and the poles of the zero analyzer)."""
+    return [node for node in distinct_nodes(e) if isinstance(node, (Wp, WpPrime))]
 
 
 def as_fraction(e: Expr) -> tuple[Expr, Expr]:

@@ -33,16 +33,17 @@ from .errors import AnalyzerError
 from .exprs import (
     Exp,
     Expr,
+    Schedule,
     W,
     Wp,
     WpPrime,
     as_fraction,
     denominators,
     differentiate,
+    distinct_nodes,
     evaluate,
     evaluate_many,
     share,
-    walk,
     wp_nodes,
 )
 from .families import SolutionFamily
@@ -222,7 +223,7 @@ _SAMPLE_DTYPE = np.dtype([("z_re", "f8"), ("z_im", "f8"), ("residual_abs", "f8")
                           ("residual_rel", "f8"), ("excluded", "i1")])
 
 
-def _guarded_values(nodes: tuple, n: int, m: int, z, den_floor, wp_ceiling,
+def _guarded_values(nodes: Schedule, n: int, m: int, z, den_floor, wp_ceiling,
                     counts: dict):
     """(values of nodes[:n], excluded) on z, excluding the samples where a
     value is not finite, a denominator nodes[n:m] is small or a wp atom
@@ -278,7 +279,7 @@ def _relative_scan(
     n = n_re * n_im
     exprs = [residual] + [t for t, _ in scale_terms]
     denos = denominators(residual)
-    nodes = share(*exprs, *denos, *wp_nodes(residual))
+    nodes = Schedule(share(*exprs, *denos, *wp_nodes(residual)))
     n_vals, n_guards = len(exprs), len(exprs) + len(denos)
     counts = {"nonfinite": 0, "denominator": 0, "pole-magnitude": 0}
     rel = np.empty(n)
@@ -449,12 +450,13 @@ class ZeroReport:
         }
 
 
-def _phase_changes(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
-                   dv: np.ndarray, starts: np.ndarray):
+def _phase_changes(pair: Schedule, z: np.ndarray, v: np.ndarray, dv: np.ndarray,
+                   starts: np.ndarray):
     """(turns, errors): the phase change of num, in turns, along each
     polyline ``z[starts[i]:starts[i + 1]]`` (its winding when the polyline
     is closed) from the values ``v`` and ``dv`` of num and num' there, nan
     where tracking fails, and the message of each failure in polyline order.
+    ``pair`` is the Schedule of (num, num').
 
     Each pass fails a polyline at its first node where num is not finite or
     exactly 0, and halves every steep step of the others, all in one
@@ -487,7 +489,7 @@ def _phase_changes(num: Expr, dnum: Expr, z: np.ndarray, v: np.ndarray,
                 errors.setdefault(i, "phase tracking failed to stabilize on the contour "
                                      f"near {complex(m):.9g}")
             break
-        mv, mdv = evaluate_many([num, dnum], mids)
+        mv, mdv = evaluate_many(pair, mids)
         z, v, dv = np.insert(z, at + 1, mids), np.insert(v, at + 1, mv), np.insert(dv, at + 1, mdv)
         starts = starts + np.searchsorted(at, starts)
     step = np.append(np.where(inner, step, 0.0), 0.0)
@@ -503,9 +505,10 @@ def _circle_nodes(c: np.ndarray) -> np.ndarray:
     return c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
 
 
-def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
+def _circle_windings(pair: Schedule, centers: list) -> list:
     """Certify each centre by the circle of radius _MULT_RADIUS about it on
-    _MULT_NODES uniform angle nodes, all circles in one evaluation.
+    _MULT_NODES uniform angle nodes, all circles in one evaluation of the
+    Schedule ``pair`` of (num, num').
 
     Per centre: None when the winding is not close to an integer, else
     (winding, centroid, several).  With s_k the moments (1/2 pi i)
@@ -519,9 +522,9 @@ def _circle_windings(num: Expr, dnum: Expr, centers: list) -> list:
     n = _MULT_NODES
     c = np.asarray(centers, dtype=complex)
     z = _circle_nodes(c).ravel()
-    nv, dv = evaluate_many([num, dnum], z)
+    nv, dv = evaluate_many(pair, z)
     closed = (np.arange(c.size)[:, None] * n + np.arange(n + 1) % n).ravel()
-    turns, _ = _phase_changes(num, dnum, z[closed], nv[closed], dv[closed],
+    turns, _ = _phase_changes(pair, z[closed], nv[closed], dv[closed],
                               np.arange(c.size + 1) * (n + 1))
     d = z.reshape(c.size, n) - c[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -556,11 +559,11 @@ def _edge_rule(panels: int):
     return t, q
 
 
-def _edges(num: Expr, dnum: Expr, ends: list):
+def _edges(pair: Schedule, ends: list):
     """(turns, moments, errors): the phase change of num in turns (nan where
     tracking fails, with the failures' messages in ``errors``) and its
     moments along the straight edges a -> b of ``ends``, all in one
-    evaluation.
+    evaluation of the Schedule ``pair`` of (num, num').
 
     moments[i] = (s0, s1, s2), the moments (1/2 pi i) integral (z - m)^k
     num'/num dz along edge i about its midpoint m, by the panels'
@@ -575,8 +578,8 @@ def _edges(num: Expr, dnum: Expr, ends: list):
         qs.append((b - a) * q)
     starts = np.cumsum([0] + [z.size for z in zs])
     z, q = np.concatenate(zs), np.concatenate(qs)
-    nv, dv = evaluate_many([num, dnum], z)
-    turns, errors = _phase_changes(num, dnum, z, nv, dv, starts)
+    nv, dv = evaluate_many(pair, z)
+    turns, errors = _phase_changes(pair, z, nv, dv, starts)
     d = z - np.repeat([0.5 * (a + b) for a, b in ends], np.diff(starts))
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(q != 0, q * dv / nv, 0.0) / (2j * math.pi)
@@ -592,12 +595,13 @@ def _spacing_error(near: complex) -> AnalyzerError:
     )
 
 
-def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list):
+def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
     """(zeros, winding): [(location, multiplicity)] of the zeros of num
-    inside the window, by recursive subdivision of the window into cells
-    (x0, x1, y0, y1), and the winding of num along the window's boundary,
-    which is the root cell's edges.  Tracking that fails on one of those
-    edges raises the AnalyzerError "window boundary: ...".
+    inside the window, with ``pair`` the Schedule of (num, num'), by
+    recursive subdivision of the window into cells (x0, x1, y0, y1), and
+    the winding of num along the window's boundary, which is the root
+    cell's edges.  Tracking that fails on one of those edges raises the
+    AnalyzerError "window boundary: ...".
 
     A cell's zero count is its boundary winding plus the orders of the
     ``poles`` ((point, order) pairs) inside it; its moments s_k about its
@@ -623,7 +627,7 @@ def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list):
                 new[s] = None
         if not new:
             return []
-        turns, moments, errors = _edges(num, dnum, list(new))
+        turns, moments, errors = _edges(pair, list(new))
         edges.update(zip(new, zip(turns.tolist(), moments.tolist())))
         return errors
 
@@ -716,7 +720,7 @@ def _find_zeros(num: Expr, dnum: Expr, window: ScanWindow, poles: list):
                 certify.append((cell, count, guess))
             else:
                 to_split.append(cell)
-        results = _circle_windings(num, dnum, [g for _, _, g in certify]) if certify else []
+        results = _circle_windings(pair, [g for _, _, g in certify]) if certify else []
         for (cell, count, guess), res in zip(certify, results):
             if res is not None and res[0] == count:
                 if res[2]:
@@ -767,7 +771,7 @@ def _supported_atoms_or_raise(num: Expr):
     """The analyzer needs the numerator meromorphic with an enumerable pole
     set: elliptic atoms at the bare variable, exponential atoms with
     division-free arguments."""
-    for node in walk(num):
+    for node in distinct_nodes(num):
         if isinstance(node, Exp) and denominators(node.arg):
             raise AnalyzerError(
                 "exponential atom with a rational argument has essential "
@@ -801,6 +805,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
     num, dnum, den = share(num, differentiate(num), den)
+    pair = Schedule((num, dnum))
 
     poles = _expr_pole_points(num, window)
     for p in poles:
@@ -811,7 +816,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
             )
 
     pole_orders = []
-    for p, res in zip(poles, _circle_windings(num, dnum, poles) if poles else []):
+    for p, res in zip(poles, _circle_windings(pair, poles) if poles else []):
         if res is None:
             raise AnalyzerError(f"winding about {p:.6g} is not close to an integer")
         w, _, several = res
@@ -821,7 +826,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
             raise _spacing_error(p)
         pole_orders.append((p, -w))
 
-    roots, boundary_total = _find_zeros(num, dnum, window, pole_orders)
+    roots, boundary_total = _find_zeros(pair, window, pole_orders)
     special = [r for r, _ in roots] + poles
     for i in range(len(special)):
         for j in range(i + 1, len(special)):

@@ -1,6 +1,7 @@
 """Tiny closed expression language used by the numeric scanners."""
 
 import cmath
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from fermatlab.exprs import (
     Exp,
     Mul,
     Pow,
+    Schedule,
     Sub,
     Var,
     W,
@@ -25,6 +27,7 @@ from fermatlab.exprs import (
     as_fraction,
     denominators,
     differentiate,
+    distinct_nodes,
     evaluate,
     evaluate_many,
     make_pow,
@@ -32,7 +35,7 @@ from fermatlab.exprs import (
     walk,
     wp_nodes,
 )
-from fermatlab.families import build_family
+from fermatlab.families import FAMILY_IDS, build_family
 from fermatlab.wp import Invariants, engine_for
 
 
@@ -238,6 +241,16 @@ def _distinct_nodes(roots) -> int:
     return len({id(n) for r in roots for n in walk(r)})
 
 
+def test_distinct_nodes_is_walk_without_repeats(eng):
+    pair = _corollary_gprime_pair()
+    x = Wp(engine_for(Invariants(1, 0)), W)
+    dag = Add(Mul(x, Wp(eng, W)), Mul(x, WpPrime(eng, W)))
+    for e in (*pair, *share(*pair), dag):
+        first = list({id(n): n for n in walk(e)}.values())
+        assert [id(n) for n in distinct_nodes(e)] == [id(n) for n in first]
+    assert [id(n) for n in wp_nodes(dag)] == [id(x), id(dag.lhs.rhs), id(dag.rhs.rhs)]
+
+
 def test_share_keeps_the_trees():
     pair = _corollary_gprime_pair()
     shared = share(*pair)
@@ -308,6 +321,16 @@ def _overlapping_roots(eng):
     return roots
 
 
+def _watched(sched: Schedule, watch) -> Schedule:
+    """sched with every step's function wrapped: watch(i, fn, args) runs
+    step i and returns its value."""
+    sched._steps = [
+        (lambda *args, i=i, fn=fn: watch(i, fn, args), *rest)
+        for i, (fn, *rest) in enumerate(sched._steps)
+    ]
+    return sched
+
+
 def test_evaluate_many_computes_each_node_once(eng, monkeypatch):
     roots = _overlapping_roots(eng)
     v1, _ = eng.basis
@@ -315,45 +338,200 @@ def test_evaluate_many_computes_each_node_once(eng, monkeypatch):
     z = np.concatenate([np.linspace(-2, 2, 7) + 0.3j, [2 * v1 / (0.5 + 0.25j), 0.1]])
     alone = [evaluate(r, z) for r in roots]
     computed, engine_args = Counter(), []
-    real_eval, real_engine = exprs._eval, wp.WeierstrassEngine.eval
+    real_engine = wp.WeierstrassEngine.eval
 
-    def counting_eval(e, z, cache, *rest):
-        if id(e) not in cache:
-            computed[id(e)] += 1
-        return real_eval(e, z, cache, *rest)
+    def counting_step(i, fn, args):
+        computed[i] += 1
+        return fn(*args)
 
     def counting_engine(self, a):
         engine_args.append((self, a.tobytes()))
         return real_engine(self, a)
 
-    monkeypatch.setattr(exprs, "_eval", counting_eval)
     monkeypatch.setattr(wp.WeierstrassEngine, "eval", counting_engine)
-    outs = evaluate_many(list(roots), z)
+    sched = _watched(Schedule(roots), counting_step)
+    outs = evaluate_many(sched, z)
     assert not np.isfinite(outs[0]).all()
     for a, b in zip(outs, alone):
         assert a.tobytes() == b.tobytes()
-    assert set(computed.values()) == {1}
-    assert len(computed) == _distinct_nodes(roots)
+    # one step per distinct node but the constants and the variable, and
+    # one for the engine call that wp and wp' of one argument share
+    leaves = {id(n) for r in roots for n in walk(r) if isinstance(n, (Const, Var))}
+    assert len(sched._steps) == _distinct_nodes(roots) - len(leaves) + 1
+    assert set(computed.values()) == {1} and len(computed) == len(sched._steps)
     assert len(engine_args) == 1
 
 
-def test_evaluate_drops_values_at_their_last_use(monkeypatch):
+def test_evaluate_drops_values_at_their_last_use():
     """A chain of 60 nodes keeps a few arrays alive at a time, not 60."""
     chain = W
     for k in range(60):
         chain = Add(Mul(chain, Const(0.5)), Exp(W)) if k % 2 else Sub(chain, Const(k))
-    live = []
-    real_eval = exprs._eval
-
-    def watching(e, z, cache, *rest):
-        live.append(sum(isinstance(v, np.ndarray) for v in cache.values()))
-        return real_eval(e, z, cache, *rest)
-
     z = np.linspace(0, 1, 5) + 0.5j
+    made, live = [weakref.ref(z)], []
+
+    def watching(i, fn, args):
+        live.append(sum(r() is not None for r in made))
+        out = fn(*args)
+        if isinstance(out, np.ndarray):
+            made.append(weakref.ref(out))
+        return out
+
     want = evaluate(chain, z)
-    monkeypatch.setattr(exprs, "_eval", watching)
-    assert evaluate_many([chain], z)[0].tobytes() == want.tobytes()
-    assert 0 < max(live) <= 3
+    assert evaluate_many(_watched(Schedule([chain]), watching), z)[0].tobytes() == want.tobytes()
+    assert len(made) > 60 and 0 < max(live) <= 3
+
+
+# -- the recursive evaluator the Schedule replaced, frozen as the reference ----
+
+
+def _uses(roots) -> Counter:
+    uses = Counter(id(r) for r in roots)
+    seen = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, (Wp, WpPrime)):
+            uses["wp", id(node.engine), id(node.arg)] += 1
+        for c in node.children():
+            uses[id(c)] += 1
+            stack.append(c)
+    return uses
+
+
+def _release(key, cache: dict, uses: Counter) -> None:
+    uses[key] -= 1
+    if not uses[key]:
+        del cache[key]
+
+
+def _eval(e, z, cache: dict, uses: Counter):
+    key = id(e)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(e, exprs.BinOp):
+        out = e.op(_eval(e.lhs, z, cache, uses), _eval(e.rhs, z, cache, uses))
+    elif isinstance(e, Const):
+        out = e.value
+    elif isinstance(e, Var):
+        out = z
+    elif isinstance(e, Exp):
+        out = np.exp(_eval(e.arg, z, cache, uses))
+    elif isinstance(e, exprs.Atom):
+        pair = _wp_pair(e.engine, e.arg, z, cache, uses)
+        out = pair[0] if isinstance(e, Wp) else pair[1]
+        _release(("wp", id(e.engine), id(e.arg)), cache, uses)
+    else:
+        out = _eval(e.base, z, cache, uses) ** e.k
+    for c in e.children():
+        _release(id(c), cache, uses)
+    cache[key] = out
+    return out
+
+
+def _wp_pair(engine, arg, z, cache: dict, uses: Counter):
+    key = ("wp", id(engine), id(arg))
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    a = _eval(arg, z, cache, uses)
+    p, pp, _, _ = engine.eval(np.asarray(a, dtype=complex))
+    cache[key] = (p, pp)
+    return p, pp
+
+
+def _reference_evaluate(e, z):
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _eval(e, z, {}, _uses([e]))
+    if np.isscalar(out) or np.asarray(out).shape == ():
+        return np.full(z.shape, out, dtype=complex) if z.shape else complex(out)
+    return out
+
+
+def _reference_evaluate_many(roots, z) -> list:
+    z = np.asarray(z, dtype=complex)
+    cache: dict = {}
+    uses = _uses(roots)
+    outs = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for e in roots:
+            arr = np.asarray(_eval(e, z, cache, uses), dtype=complex)
+            if arr.shape != z.shape:
+                arr = np.broadcast_to(arr, z.shape).copy()
+            outs.append(arr)
+    return outs
+
+
+def _scan_roots(residual, fam) -> tuple:
+    """The roots a residual scan evaluates: residual, f, g, the
+    denominators and the wp atoms."""
+    return share(residual, fam.f, fam.g, *denominators(residual), *wp_nodes(residual))
+
+
+def _reference_roots() -> dict:
+    out = {}
+    for fid in FAMILY_IDS:
+        fam = build_family(fid)
+        out[fid + ".residual"] = _scan_roots(fam.residual_expr(), fam)
+        if fam.kind in ("fermat", "corollary"):
+            out[fid + ".derivative"] = _scan_roots(fam.derivative_identity_expr(), fam)
+    cor, quad, circle = (build_family(f) for f in ("corollary", "quadratic", "case1"))
+    targets = {"corollary-f'": cor.f, "corollary-g'": cor.g, "quadratic-f'": quad.f,
+               "quadratic-g'": quad.g, "case1-f'": circle.f, "case1-g'": circle.g}
+    targets = {k: differentiate(e) for k, e in targets.items()}
+    targets["wp'"] = WpPrime(engine_for(Invariants(0, 1)), W)
+    for key, expr in targets.items():
+        num, den = as_fraction(expr)
+        out[key] = share(num, differentiate(num), den)
+    return out
+
+
+REFERENCE_ROOTS = _reference_roots()
+
+
+def _reference_points(roots) -> np.ndarray:
+    """A grid and the poles of tanh and sech; with wp atoms, the lattice
+    points and half periods of their engines (wp is nan at a pole), and
+    without them, points where exp overflows and nan and inf inputs (the
+    engine refuses those)."""
+    grid = (np.linspace(-2, 2, 9)[:, None] + 1j * np.linspace(-3.5, 3.5, 11)).ravel()
+    special = [0.0, 0.5j * np.pi, -1.5j * np.pi]
+    engines = {id(n.engine): n.engine for r in roots for n in wp_nodes(r)}
+    for eng in engines.values():
+        v1, v2 = eng.basis
+        special += [v1, v2, v1 + v2, -v1, 0.5 * v1, 0.5 * (v1 + v2)]
+    if not engines:
+        special += [710.0, 1000 + 1j, complex("nan"), complex("inf"), complex(0, float("nan"))]
+    return np.concatenate([grid, special])
+
+
+def _aliasing(arrs) -> list:
+    """For each array, the index of the first one that is the same object."""
+    return [next(i for i, b in enumerate(arrs) if b is a) for a in arrs]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ROOTS))
+def test_schedule_matches_the_recursive_evaluator_bit_for_bit(name):
+    roots = REFERENCE_ROOTS[name]
+    sched = Schedule(roots)
+    z = _reference_points(roots)
+    for points in (z, z.reshape(1, -1), z[:0], z[0], z[5], complex(z[-1])):
+        got = evaluate_many(sched, points)
+        want = _reference_evaluate_many(list(roots), points)
+        assert len(got) == len(want) == len(roots)
+        for a, b in zip(got, want):
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        assert _aliasing(got) == _aliasing(want)
+    for r in roots:
+        for points in (z, z[:0], z[3], complex(z[-1])):
+            a, b = evaluate(r, points), _reference_evaluate(r, points)
+            assert type(a) is type(b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 #: repr of differentiate(e) and as_fraction(e) for two catalog expressions.

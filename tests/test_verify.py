@@ -20,6 +20,7 @@ from fermatlab.exprs import (
     Expr,
     Mul,
     Pow,
+    Schedule,
     Sub,
     W,
     Wp,
@@ -439,6 +440,49 @@ def test_zero_scan_evaluation_budget(monkeypatch):
     assert sum(points) < 15_000
 
 
+def _compile_log(monkeypatch) -> tuple:
+    """(compiled, passed): the root count of every Schedule built, and the
+    object each evaluate_many call of verify is given."""
+    compiled, passed = [], []
+    real_new, real_many = Schedule.__new__, verify.evaluate_many
+
+    def counting_new(cls, roots):
+        sched = real_new(cls, roots)
+        compiled.append(len(sched))
+        return sched
+
+    def logging_many(trees, z):
+        passed.append(trees)
+        return real_many(trees, z)
+
+    monkeypatch.setattr(Schedule, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(verify, "evaluate_many", logging_many)
+    return compiled, passed
+
+
+def test_zero_scan_compiles_its_pair_once(monkeypatch):
+    """(N, N') is compiled once per scan, not per contour pass, halving pass
+    or circle batch; D once more, for the one evaluation at the zeros."""
+    expr = differentiate(build_family("corollary").g)
+    want = zero_scan(expr, TALL)
+    compiled, passed = _compile_log(monkeypatch)
+    assert zero_scan(expr, TALL) == want
+    assert compiled == [2, 1]
+    assert len(passed) > 5 and all(p is passed[0] for p in passed)
+    assert isinstance(passed[0], Schedule) and len(passed[0]) == 2
+
+
+def test_residual_scan_compiles_its_trees_once(monkeypatch):
+    window = ScanWindow(-2, 2, -2, 2, grid_density=35)  # 141^2 points: 3 blocks
+    fam = build_family("case2")
+    want = residual_scan(fam, window, keep_samples=True)
+    compiled, passed = _compile_log(monkeypatch)
+    got = residual_scan(fam, window, keep_samples=True)
+    assert got.to_dict() == want.to_dict() and got.samples.tobytes() == want.samples.tobytes()
+    assert len(passed) == 3 and all(p is passed[0] for p in passed)
+    assert compiled == [len(passed[0])]
+
+
 def test_zero_scan_multiplicity_three():
     """(e^w - 1)^3 on [-1, 1]^2: its triple zero sits on both midpoint
     lines, so every first split must shift."""
@@ -493,8 +537,8 @@ def test_zero_scan_boundary_zero_rejected():
 def test_phase_track_names_a_value_that_is_not_finite():
     z = np.array([0.0, 0.5, 1.0], dtype=complex)
     v = np.array([1.0, complex("inf"), 1.0])
-    turns, errors = verify._phase_changes(W, ONE, z, v, np.ones(3, dtype=complex),
-                                          np.array([0, 3]))
+    turns, errors = verify._phase_changes(Schedule((W, ONE)), z, v,
+                                          np.ones(3, dtype=complex), np.array([0, 3]))
     assert np.isnan(turns).tolist() == [True]
     assert errors == ["N is not finite at 0.5+0j"]
 
@@ -509,7 +553,8 @@ def test_phase_changes_track_every_polyline_in_one_loop():
     v = z.copy()
     v[5] = complex("inf")
     starts = np.cumsum([0] + [len(line) for line in lines])
-    turns, errors = verify._phase_changes(W, ONE, z, v, np.ones(z.size, dtype=complex), starts)
+    turns, errors = verify._phase_changes(Schedule((W, ONE)), z, v,
+                                          np.ones(z.size, dtype=complex), starts)
     assert np.isnan(turns).tolist() == [True, False, True, False]
     assert turns[1] == 0.0
     assert turns[3] == pytest.approx(np.angle(-0.2 + 2j) / (2 * math.pi), abs=1e-15)
@@ -544,6 +589,18 @@ def test_zero_scan_unsupported_atoms():
     eng = engine_for(Invariants(0, 1))
     with pytest.raises(AnalyzerError, match="composed"):
         zero_scan(WpPrime(eng, Mul(Const(2), W)), ScanWindow(-1, 1, -1, 1))
+
+
+def test_zero_scan_raises_the_first_refusal_in_preorder():
+    """The atoms are checked once per distinct node, in preorder of first
+    occurrence: the refusal is the one a full walk meets first."""
+    eng = engine_for(Invariants(0, 1))
+    bad_exp, bad_wp = Exp(Div(ONE, W)), Wp(eng, Mul(Const(2), W))
+    window = ScanWindow(0.5, 1.5, -1, 1)
+    for first, second, match in ((bad_exp, bad_wp, "essential"), (bad_wp, bad_exp, "composed")):
+        shared = Mul(first, second)
+        with pytest.raises(AnalyzerError, match=match):
+            zero_scan(Add(Mul(shared, shared), Sub(second, first)), window)
 
 
 def test_zero_scan_elliptic_cell():
