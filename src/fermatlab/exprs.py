@@ -7,6 +7,10 @@ evaluation, symbolic differentiation (wp -> wp', wp' -> 6 wp^2 - g2/2,
 exp -> exp, chain rule throughout) and the denominator bookkeeping the
 pole-aware scanners rely on.
 
+Nodes are hash-consed: a constructor returns the live node of the same key
+(a constant's float bits, exact value and type; a node's engine, exponent and
+children) from a weak table, so equal subtrees are one object.
+
 Evaluation compiles the trees once into a Schedule: a flat list of steps,
 one per distinct node, each reading the slots of its operands and dropping
 the slots whose last reader it is.  A scan compiles its trees once and
@@ -15,8 +19,10 @@ replays the Schedule on every block of points, contour and circle.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
+import weakref
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .scalars import is_exact_scalar
 class Expr:
     """Base node; build trees with ordinary operators."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def children(self) -> tuple:
         """The node's direct subtrees, in evaluation order."""
@@ -63,6 +69,10 @@ class Expr:
         return make_pow(self, k)
 
 
+#: key -> the one live node with that key
+_NODES = weakref.WeakValueDictionary()
+
+
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -72,10 +82,16 @@ def as_expr(x) -> Expr:
 class Const(Expr):
     __slots__ = ("value", "exact")
 
-    def __init__(self, value):
-        self.value = complex(value)
+    def __new__(cls, value):
+        v = complex(value)
         # the int, Fraction or RationalComplex it was built from; None for a float
-        self.exact = value if is_exact_scalar(value) else None
+        exact = value if is_exact_scalar(value) else None
+        key = (cls, struct.pack("dd", v.real, v.imag), type(exact), exact)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            node.value, node.exact = v, exact
+        return node
 
     def __repr__(self):
         return f"Const({self.value})"
@@ -84,12 +100,15 @@ class Const(Expr):
 class Var(Expr):
     __slots__ = ()
 
+    def __new__(cls):
+        return W
+
     def __repr__(self):
         return "w"
 
 
 #: the shared variable node
-W = Var()
+W = object.__new__(Var)
 
 
 class Atom(Expr):
@@ -98,9 +117,14 @@ class Atom(Expr):
     __slots__ = ("engine", "arg")
     symbol = ""
 
-    def __init__(self, engine, arg):
-        self.engine = engine
-        self.arg = as_expr(arg)
+    def __new__(cls, engine, arg):
+        arg = as_expr(arg)
+        key = (cls, id(engine), id(arg))
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            node.engine, node.arg = engine, arg
+        return node
 
     def children(self) -> tuple:
         return (self.arg,)
@@ -113,8 +137,8 @@ class Exp(Atom):
     __slots__ = ()
     symbol = "exp"
 
-    def __init__(self, arg):
-        super().__init__(None, arg)
+    def __new__(cls, arg):
+        return Atom.__new__(cls, None, arg)
 
 
 class Wp(Atom):
@@ -133,8 +157,13 @@ class BinOp(Expr):
     __slots__ = ("lhs", "rhs")
     symbol = ""
 
-    def __init__(self, lhs, rhs):
-        self.lhs, self.rhs = lhs, rhs
+    def __new__(cls, lhs, rhs):
+        key = (cls, id(lhs), id(rhs))
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            node.lhs, node.rhs = lhs, rhs
+        return node
 
     def children(self) -> tuple:
         return (self.lhs, self.rhs)
@@ -168,9 +197,13 @@ class Pow(Expr):
 
     __slots__ = ("base", "k")
 
-    def __init__(self, base, k: int):
-        self.base = base
-        self.k = k
+    def __new__(cls, base, k: int):
+        key = (cls, id(base), k)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            node.base, node.k = base, k
+        return node
 
     def children(self) -> tuple:
         return (self.base,)
@@ -179,7 +212,9 @@ class Pow(Expr):
         return f"({self.base!r} ** {self.k})"
 
 
-ONE = Const(1)
+#: 1 as as_fraction's "no denominator", apart from every Const(1) of a tree
+ONE = object.__new__(Const)
+ONE.value, ONE.exact = 1 + 0j, 1
 
 
 def make_pow(base: Expr, k) -> Expr:
@@ -215,46 +250,6 @@ def distinct_nodes(e: Expr):
             seen.add(id(node))
             yield node
             stack.extend(reversed(node.children()))
-
-
-def share(*roots: Expr) -> tuple:
-    """The same trees with every set of structurally equal subtrees made one
-    object, so a Schedule computes each distinct subtree once.
-
-    Constants are equal when their float bits and their exact values are
-    (0.0 and -0.0 stay apart, and so do Fraction(1, 3) and the float 1/3),
-    atoms when their engines are the same object.  The trees keep their
-    shape: ``repr``, ``walk`` order and ``denominators`` do not change.
-    """
-    canon: dict = {}  # structural key -> shared node
-    done: dict = {}  # id(original node) -> shared node
-
-    def visit(node: Expr) -> Expr:
-        hit = done.get(id(node))
-        if hit is not None:
-            return hit
-        kids = tuple(visit(c) for c in node.children())
-        if isinstance(node, Const):
-            v = node.value
-            key = (Const, struct.pack("dd", v.real, v.imag), node.exact)
-        else:
-            extra = node.k if isinstance(node, Pow) else id(getattr(node, "engine", None))
-            key = (type(node), extra) + tuple(id(c) for c in kids)
-        out = canon.get(key)
-        if out is None:
-            if all(a is b for a, b in zip(kids, node.children())):
-                out = node
-            elif isinstance(node, Pow):
-                out = Pow(kids[0], node.k)
-            elif isinstance(node, (Wp, WpPrime)):
-                out = type(node)(node.engine, kids[0])
-            else:
-                out = type(node)(*kids)
-            canon[key] = out
-        done[id(node)] = out
-        return out
-
-    return tuple(visit(r) for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -371,30 +366,37 @@ def evaluate_many(exprs, z) -> list:
 
 
 def differentiate(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(0)
-    if isinstance(e, Var):
-        return ONE
-    if isinstance(e, Atom):
-        if isinstance(e, Exp):
-            outer = e
-        elif isinstance(e, Wp):
-            outer = WpPrime(e.engine, e.arg)
-        else:
-            # second derivative of wp: 6 wp^2 - g2/2
-            g2 = e.engine.invariants.g2c
-            outer = Sub(Mul(Const(6), Pow(Wp(e.engine, e.arg), 2)), Const(g2 / 2.0))
-        return Mul(outer, differentiate(e.arg))
-    if isinstance(e, Pow):
-        inner = Mul(Const(e.k), make_pow(e.base, e.k - 1))
-        return Mul(inner, differentiate(e.base))
-    if isinstance(e, (Add, Sub)):
-        return type(e)(differentiate(e.lhs), differentiate(e.rhs))
-    left = Mul(differentiate(e.lhs), e.rhs)
-    right = Mul(e.lhs, differentiate(e.rhs))
-    if isinstance(e, Mul):
-        return Add(left, right)
-    return Div(Sub(left, right), Pow(e.rhs, 2))
+    @functools.cache  # each distinct subtree once
+    def d(e: Expr) -> Expr:
+        if isinstance(e, Const):
+            return Const(0)
+        if isinstance(e, Var):
+            return ONE
+        if isinstance(e, Atom):
+            if isinstance(e, Exp):
+                outer = e
+            elif isinstance(e, Wp):
+                outer = WpPrime(e.engine, e.arg)
+            else:
+                # second derivative of wp: 6 wp^2 - g2/2
+                g2 = e.engine.invariants.g2c
+                outer = Sub(Mul(Const(6), Pow(Wp(e.engine, e.arg), 2)), Const(g2 / 2.0))
+            return Mul(outer, d(e.arg))
+        if isinstance(e, Pow):
+            inner = Mul(Const(e.k), make_pow(e.base, e.k - 1))
+            return Mul(inner, d(e.base))
+        if isinstance(e, (Add, Sub)):
+            return type(e)(d(e.lhs), d(e.rhs))
+        left = Mul(d(e.lhs), e.rhs)
+        right = Mul(e.lhs, d(e.rhs))
+        if isinstance(e, Mul):
+            return Add(left, right)
+        return Div(Sub(left, right), Pow(e.rhs, 2))
+
+    try:
+        return d(e)
+    finally:
+        d.cache_clear()  # d refers to itself: free its values now
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +421,27 @@ def as_fraction(e: Expr) -> tuple[Expr, Expr]:
     exp / wp / wp' nodes are treated as atoms: the result is exact as an
     identity of meromorphic functions away from the atoms' own poles.
     """
-    if isinstance(e, (Const, Var, Atom)):
-        return e, ONE
-    if isinstance(e, Pow):
-        bn, bd = as_fraction(e.base)
-        num = bn if bn is ONE else Pow(bn, e.k)
-        den = bd if bd is ONE else Pow(bd, e.k)
-        return num, den
-    an, ad = as_fraction(e.lhs)
-    bn, bd = as_fraction(e.rhs)
-    if isinstance(e, (Add, Sub)):
-        return type(e)(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd)
-    if isinstance(e, Mul):
-        return _mul(an, bn), _mul(ad, bd)
-    return _mul(an, bd), _mul(ad, bn)
+    @functools.cache  # each distinct subtree once
+    def frac(e: Expr) -> tuple[Expr, Expr]:
+        if isinstance(e, (Const, Var, Atom)):
+            return e, ONE
+        if isinstance(e, Pow):
+            bn, bd = frac(e.base)
+            num = bn if bn is ONE else Pow(bn, e.k)
+            den = bd if bd is ONE else Pow(bd, e.k)
+            return num, den
+        an, ad = frac(e.lhs)
+        bn, bd = frac(e.rhs)
+        if isinstance(e, (Add, Sub)):
+            return type(e)(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd)
+        if isinstance(e, Mul):
+            return _mul(an, bn), _mul(ad, bd)
+        return _mul(an, bd), _mul(ad, bn)
+
+    try:
+        return frac(e)
+    finally:
+        frac.cache_clear()  # frac refers to itself: free its values now
 
 
 def _mul(a: Expr, b: Expr) -> Expr:

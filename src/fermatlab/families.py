@@ -42,7 +42,6 @@ from .exprs import (
     Wp,
     WpPrime,
     differentiate,
-    share,
 )
 from .quotient import (
     QuotientElement,
@@ -265,8 +264,8 @@ def _lowered_series(family: SolutionFamily, order: int):
     t = beta, valid through t**order; None when the trees hold a float
     constant, a wp / wp' atom, a w outside beta, or exp of anything but c t.
 
-    The trees pass through ``exprs.share``, and one id-keyed cache lowers
-    each distinct subtree once.  Constant subtrees stay exact scalars, and a
+    Equal subtrees are one node, and one cache lowers each distinct
+    subtree once.  Constant subtrees stay exact scalars, and a
     quotient multiplies by a cached inverse of its denominator:
     1/(c x) = (1/x)/c, 1/e^(c t) = e^(-c t) and 1/b^k = (1/b)^k.  The
     corollary's g = h (f')^ell is not lowered from its expanded tree but
@@ -276,12 +275,8 @@ def _lowered_series(family: SolutionFamily, order: int):
     if family.beta is None:
         return None
     high = order + _SERIES_SLACK
-    roots = [family.residual_expr(), family.beta, family.f, family.g]
-    if family.kind == "corollary":
-        roots += [family.h, differentiate(family.beta)]
-    residual, slot, f, g, *rest = share(*roots)
-    # id(node) -> exact scalar or series; share's output keeps every node alive
-    values = {id(slot): LaurentSeries.make(1, [1] + [0] * (high - 1), high)}
+    residual, slot, f, g = family.residual_expr(), family.beta, family.f, family.g
+    values = {slot: LaurentSeries.make(1, [1] + [0] * (high - 1), high)}  # node -> its value
     inverses = {}
 
     def rate(arg: Expr):
@@ -295,7 +290,7 @@ def _lowered_series(family: SolutionFamily, order: int):
         raise _NotLowerable
 
     def lower(node: Expr):
-        out = values.get(id(node))
+        out = values.get(node)
         if out is not None:
             return out
         if isinstance(node, Const):
@@ -315,11 +310,11 @@ def _lowered_series(family: SolutionFamily, order: int):
             out = exp_series(rate(node.arg), high)
         else:  # wp, wp', or w outside the slot
             raise _NotLowerable
-        values[id(node)] = out
+        values[node] = out
         return out
 
     def inverse(node: Expr):
-        out = inverses.get(id(node))
+        out = inverses.get(node)
         if out is not None:
             return out
         if isinstance(node, Exp) and node is not slot:
@@ -331,15 +326,15 @@ def _lowered_series(family: SolutionFamily, order: int):
         else:
             x = lower(node)
             out = x.invert() if isinstance(x, LaurentSeries) else Fraction(1) / x
-        inverses[id(node)] = out
+        inverses[node] = out
         return out
 
     try:
         fs = lower(f)
         if family.kind == "corollary":
-            h, dbeta = rest
+            dbeta = differentiate(slot)
             df = fs.differentiate()
-            values[id(g)] = _times(lower(h), _times(lower(dbeta), df) ** family.ell)
+            values[g] = _times(lower(family.h), _times(lower(dbeta), df) ** family.ell)
         return fs, lower(g), lower(residual)
     except _NotLowerable:
         return None

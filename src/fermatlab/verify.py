@@ -22,7 +22,9 @@ separate, count mismatch -- raises AnalyzerError rather than guessing.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -43,7 +45,6 @@ from .exprs import (
     distinct_nodes,
     evaluate,
     evaluate_many,
-    share,
     wp_nodes,
 )
 from .families import SolutionFamily
@@ -279,7 +280,7 @@ def _relative_scan(
     n = n_re * n_im
     exprs = [residual] + [t for t, _ in scale_terms]
     denos = denominators(residual)
-    nodes = Schedule(share(*exprs, *denos, *wp_nodes(residual)))
+    nodes = Schedule((*exprs, *denos, *wp_nodes(residual)))
     n_vals, n_guards = len(exprs), len(exprs) + len(denos)
     counts = {"nonfinite": 0, "denominator": 0, "pole-magnitude": 0}
     rel = np.empty(n)
@@ -467,31 +468,30 @@ def _phase_changes(pair: Schedule, z: np.ndarray, v: np.ndarray, dv: np.ndarray,
     zero lies too near it."""
     failed = np.zeros(len(starts) - 1, dtype=bool)
     errors = {}  # polyline -> the message of its first failure
-    for p in range(_PHASE_PASSES):
-        line = np.repeat(np.arange(failed.size), np.diff(starts))  # polyline of each node
-        for i in np.flatnonzero(~np.isfinite(v) | (v == 0)):
-            what = "zero" if v[i] == 0 else "not finite"
-            errors.setdefault(line[i], f"N is {what} at {complex(z[i]):.9g}")
-        failed[list(errors)] = True
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(_PHASE_PASSES):
+            line = np.repeat(np.arange(failed.size), np.diff(starts))  # polyline of each node
+            for i in np.flatnonzero(~np.isfinite(v) | (v == 0)):
+                what = "zero" if v[i] == 0 else "not finite"
+                errors.setdefault(line[i], f"N is {what} at {complex(z[i]):.9g}")
+            failed[list(errors)] = True
             step = np.angle(v[1:] / v[:-1])
             rate = np.abs(dv / v)
-            reach = np.abs(np.diff(z)) * np.maximum(rate[1:], rate[:-1])
-        inner = ~failed[line[:-1]]
-        inner[starts[1:-1] - 1] = False  # no step between polylines
-        steep = inner & ((np.abs(step) > 0.5 * math.pi) | (reach > 0.5 * math.pi))
-        if not np.any(steep):
-            break
-        at = np.flatnonzero(steep)
-        mids = 0.5 * (z[at] + z[at + 1])
-        if p == _PHASE_PASSES - 1:
-            for i, m in zip(line[at], mids):
-                errors.setdefault(i, "phase tracking failed to stabilize on the contour "
-                                     f"near {complex(m):.9g}")
-            break
-        mv, mdv = evaluate_many(pair, mids)
-        z, v, dv = np.insert(z, at + 1, mids), np.insert(v, at + 1, mv), np.insert(dv, at + 1, mdv)
-        starts = starts + np.searchsorted(at, starts)
+            reach = np.abs(z[1:] - z[:-1]) * np.maximum(rate[1:], rate[:-1])
+            inner = ~failed[line[:-1]]
+            inner[starts[1:-1] - 1] = False  # no step between polylines
+            at = np.flatnonzero(inner & ((np.abs(step) > 0.5 * math.pi) | (reach > 0.5 * math.pi)))
+            if not at.size:
+                break
+            mids = 0.5 * (z[at] + z[at + 1])
+            if p == _PHASE_PASSES - 1:
+                for i, m in zip(line[at], mids):
+                    errors.setdefault(i, "phase tracking failed to stabilize on the contour "
+                                         f"near {complex(m):.9g}")
+                break
+            mv, mdv = evaluate_many(pair, mids)
+            z, v, dv = (np.insert(x, at + 1, y) for x, y in ((z, mids), (v, mv), (dv, mdv)))
+            starts = starts + np.searchsorted(at, starts)
     step = np.append(np.where(inner, step, 0.0), 0.0)
     turns = np.add.reduceat(step, starts[:-1]) / (2.0 * math.pi)
     turns[list(errors)] = np.nan
@@ -568,19 +568,18 @@ def _edges(pair: Schedule, ends: list):
     moments[i] = (s0, s1, s2), the moments (1/2 pi i) integral (z - m)^k
     num'/num dz along edge i about its midpoint m, by the panels'
     Gauss-Legendre rule."""
-    zs, qs = [], []
-    for a, b in ends:
-        per = max(_EDGE_PANELS, math.ceil(abs(b - a) * _BOUNDARY_NODES_PER_UNIT / _GL_NODES))
-        t, q = _edge_rule(per)
-        z = a + (b - a) * t
-        z[-1] = b
-        zs.append(z)
-        qs.append((b - a) * q)
-    starts = np.cumsum([0] + [z.size for z in zs])
-    z, q = np.concatenate(zs), np.concatenate(qs)
+    rules = [_edge_rule(max(_EDGE_PANELS, math.ceil(abs(b - a) * _BOUNDARY_NODES_PER_UNIT
+                                                    / _GL_NODES))) for a, b in ends]
+    sizes = [t.size for t, _ in rules]
+    starts = np.cumsum([0] + sizes)
+    # node k of edge i is a_i + (b_i - a_i) t_k, and its weight (b_i - a_i) q_k
+    span = np.repeat([b - a for a, b in ends], sizes)
+    z = np.repeat([a for a, _ in ends], sizes) + span * np.concatenate([t for t, _ in rules])
+    z[starts[1:] - 1] = [b for _, b in ends]
+    q = span * np.concatenate([q for _, q in rules])
     nv, dv = evaluate_many(pair, z)
     turns, errors = _phase_changes(pair, z, nv, dv, starts)
-    d = z - np.repeat([0.5 * (a + b) for a, b in ends], np.diff(starts))
+    d = z - np.repeat([0.5 * (a + b) for a, b in ends], sizes)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(q != 0, q * dv / nv, 0.0) / (2j * math.pi)
     lo = starts[:-1]
@@ -593,6 +592,19 @@ def _spacing_error(near: complex) -> AnalyzerError:
         f"zeros/poles closer than {_MIN_SPACING:g} near "
         f"{complex(near):.6g}; multiplicities cannot be isolated"
     )
+
+
+def _pairs_within(points: list, radius: float):
+    """Every pair (i, j), i < j, of points at most radius apart, by a sweep
+    over the points sorted by real part: a point farther than radius in
+    real part, and every one after it, is farther than radius."""
+    order = sorted(range(len(points)), key=lambda i: points[i].real)
+    for k, i in enumerate(order):
+        for j in map(order.__getitem__, range(k + 1, len(order))):
+            if points[j].real - points[i].real > radius:
+                break
+            if abs(points[i] - points[j]) <= radius:
+                yield min(i, j), max(i, j)
 
 
 def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
@@ -611,7 +623,12 @@ def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
     return the cell's count; every other cell is split in two across its
     longer side.  Each edge is evaluated once, for every cell that has it,
     and the new edges of one level go to one evaluation."""
-    edges: dict = {}  # (a, b) -> (turns, moments about (a + b)/2) along a -> b
+    # (a, b) -> (sign, turns, midpoint, moments about it), sign -1.0 if tracked b -> a
+    edges: dict = {}
+    # the poles' indices by real and by imaginary part, for the split lines
+    coords = [[p.real for p, _ in poles], [p.imag for p, _ in poles]]
+    by_part = [sorted(range(len(poles)), key=xs.__getitem__) for xs in coords]
+    keys = [[xs[i] for i in ids] for xs, ids in zip(coords, by_part)]
 
     def sides(cell) -> list:
         x0, x1, y0, y1 = cell
@@ -622,36 +639,39 @@ def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
         """Track the sides of cells not tracked yet; returns the messages
         of those whose tracking failed."""
         new: dict = {}  # a split line is a side of both children: once
-        for s in (s for cell in cells for s in sides(cell)):
-            if not any(k in known for k in (s, s[::-1]) for known in (edges, new)):
-                new[s] = None
+        for cell in cells:
+            for s in sides(cell):
+                if s not in edges and s[::-1] not in new:
+                    new[s] = None
         if not new:
             return []
         turns, moments, errors = _edges(pair, list(new))
-        edges.update(zip(new, zip(turns.tolist(), moments.tolist())))
+        for (a, b), t, m in zip(new, turns.tolist(), moments.tolist()):
+            edges[a, b], edges[b, a] = (1.0, t, 0.5 * (a + b), m), (-1.0, t, 0.5 * (a + b), m)
         return errors
 
     def shifted(m, d: complex):
         """Moments about c of moments m taken about c + d."""
         return m[0], m[1] + d * m[0], m[2] + d * (2.0 * m[1] + d * m[0])
 
-    def measure(cell):
-        """(count, c, (s0, s1, s2)): the cell's zero count (nan when an edge
-        failed to track) and its zero moments about its centre c."""
+    def measure(cell, among):
+        """(count, c, (s0, s1, s2), inside): the cell's zero count (nan when
+        an edge failed to track), its zero moments about its centre c, and
+        the indices of the poles of ``among`` (the poles of a cell that holds
+        it, in order) inside it."""
         x0, x1, y0, y1 = cell
         c = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
         turns, parts = 0.0, []
-        for a, b in sides(cell):
-            sign = 1.0 if (a, b) in edges else -1.0
-            t, m = edges[(a, b)] if sign > 0 else edges[(b, a)]
+        for side in sides(cell):
+            sign, t, mid, m = edges[side]
             turns += sign * t
-            parts.append([sign * x for x in shifted(m, 0.5 * (a + b) - c)])
+            parts.append([sign * x for x in shifted(m, mid - c)])
         count = round(turns) if math.isfinite(turns) else math.nan
-        for p, order in poles:
-            if x0 < p.real < x1 and y0 < p.imag < y1:
-                count += order
-                parts.append(shifted((order, 0.0, 0.0), p - c))
-        return count, c, tuple(sum(col) for col in zip(*parts))
+        inside = [i for i in among if x0 < poles[i][0].real < x1 and y0 < poles[i][0].imag < y1]
+        for p, order in map(poles.__getitem__, inside):
+            count += order
+            parts.append(shifted((order, 0.0, 0.0), p - c))
+        return count, c, tuple(sum(col) for col in zip(*parts)), inside
 
     def halves(cell, frac: float):
         """(children, split line from its lower left end) of cell."""
@@ -663,49 +683,55 @@ def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
         return [(x0, x1, y0, ys), (x0, x1, ys, y1)], (complex(x0, ys), complex(x1, ys))
 
     def near_pole(a: complex, b: complex) -> bool:
+        # a pole within _MULT_RADIUS of a vertical (horizontal) line is as
+        # near in real (imaginary) part: look within twice that, for rounding
+        axis = 0 if a.real == b.real else 1
+        at, ids = (a.real, a.imag)[axis], by_part[axis]
+        lo = bisect.bisect_left(keys[axis], at - 2.0 * _MULT_RADIUS)
+        hi = bisect.bisect_right(keys[axis], at + 2.0 * _MULT_RADIUS)
         return any(
             abs(p - complex(min(max(p.real, a.real), b.real), min(max(p.imag, a.imag), b.imag)))
             < _MULT_RADIUS
-            for p, _ in poles
+            for p, _ in map(poles.__getitem__, ids[lo:hi])
         )
 
     def split(cells: list) -> list:
-        """Children of every cell, split at the first fraction whose
-        children's moment counts s0 match their winding counts; failing
-        that, at the one that matches best.  A split line passing within
-        _MULT_RADIUS of a known pole is never tried."""
+        """(child, its measure) of every (cell, its poles), split at the
+        first fraction whose children's moment counts s0 match their winding
+        counts; failing that, at the one that matches best.  A split line
+        passing within _MULT_RADIUS of a known pole is never tried."""
         best = [(math.inf, None)] * len(cells)
         for frac in _SPLIT_FRACTIONS:
             todo = []
-            for i, cell in enumerate(cells):
+            for i, (cell, _) in enumerate(cells):
                 kids, line = halves(cell, frac)
-                if best[i][0] > _COUNT_TOL and not near_pole(*line):
+                if best[i][0] > _COUNT_TOL and not (poles and near_pole(*line)):
                     todo.append((i, kids))
             add_edges([kid for _, kids in todo for kid in kids])
             for i, kids in todo:
-                miss = sum(abs(s[0] - n) for n, _, s in map(measure, kids))
+                measured = [(kid, measure(kid, cells[i][1])) for kid in kids]
+                miss = sum(abs(s[0] - n) for _, (n, _, s, _) in measured)
                 if miss < best[i][0]:  # False for nan: an edge failed to track
-                    best[i] = (miss, kids)
+                    best[i] = (miss, measured)
         out = []
-        for cell, (_, kids) in zip(cells, best):
-            if kids is None:
+        for (cell, _), (_, measured) in zip(cells, best):
+            if measured is None:
                 raise AnalyzerError(
                     "no split line of the cell [%.6g, %.6g] x [%.6g, %.6g] avoids its "
                     "zeros and poles" % cell
                 )
-            out.extend(kids)
+            out.extend(measured)
         return out
 
     root = (window.re_min, window.re_max, window.im_min, window.im_max)
     errors = add_edges([root])
     if errors:
         raise AnalyzerError(f"window boundary: {errors[0]}; shift the window")
-    winding = round(sum(edges[s][0] for s in sides(root)))
-    cells, found = [root], []
+    winding = round(sum(edges[s][1] for s in sides(root)))
+    cells, found = [(root, measure(root, range(len(poles))))], []
     while cells:
         certify, to_split = [], []
-        for cell in cells:
-            count, c, (s0, s1, s2) = measure(cell)
+        for cell, (count, c, (s0, s1, s2), inside) in cells:
             if math.isnan(count):
                 raise AnalyzerError(f"phase tracking failed on an edge of the cell about {c:.6g}")
             if count < 0:
@@ -717,18 +743,18 @@ def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
                 raise _spacing_error(c)
             guess = c + s1 / s0 if s0 else c
             if abs(s0 * s2 - s1 * s1) <= _ONE_ZERO_TOL * abs(s0 * size) ** 2 and _in(cell, guess):
-                certify.append((cell, count, guess))
+                certify.append((cell, count, guess, inside))
             else:
-                to_split.append(cell)
-        results = _circle_windings(pair, [g for _, _, g in certify]) if certify else []
-        for (cell, count, guess), res in zip(certify, results):
+                to_split.append((cell, inside))
+        results = _circle_windings(pair, [g for _, _, g, _ in certify]) if certify else []
+        for (cell, count, guess, inside), res in zip(certify, results):
             if res is not None and res[0] == count:
                 if res[2]:
                     raise _spacing_error(guess)
                 if abs(res[1] - guess) <= 0.5 * _MULT_RADIUS and _in(cell, res[1]):
                     found.append((res[1], count))
                     continue
-            to_split.append(cell)
+            to_split.append((cell, inside))
         cells = split(to_split)
     return found, winding
 
@@ -742,10 +768,7 @@ def _expr_pole_points(num: Expr, window: ScanWindow):
     """Pole candidates of the numerator inside the window: the lattice points
     of every elliptic atom, which ``_supported_atoms_or_raise`` has checked
     to be evaluated at the bare variable."""
-    engines = []
-    for node in wp_nodes(num):
-        if all(node.engine is not e for e in engines):
-            engines.append(node.engine)
+    engines = {id(node.engine): node.engine for node in wp_nodes(num)}.values()
     pts: list[complex] = []
     corners = [
         complex(window.re_min, window.im_min),
@@ -761,8 +784,16 @@ def _expr_pole_points(num: Expr, window: ScanWindow):
         for a in range(a_lo, a_hi + 1):
             for b in range(b_lo, b_hi + 1):
                 p = a * v1 + b * v2
-                if window.contains(p) and all(abs(p - q) > 1e-9 for q in pts):
+                if window.contains(p):
                     pts.append(complex(p))
+    # a point within 1e-9 of one kept before it is that pole again
+    seen_near: dict = {}
+    for i, j in _pairs_within(pts, 1e-9):
+        seen_near.setdefault(j, []).append(i)
+    keep: list = []
+    for j in range(len(pts)):
+        keep.append(not any(keep[i] for i in seen_near.get(j, ())))
+    pts = list(itertools.compress(pts, keep))
     pts.sort(key=lambda p: (round(p.real, 9), round(p.imag, 9)))
     return pts
 
@@ -804,8 +835,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
-    num, dnum, den = share(num, differentiate(num), den)
-    pair = Schedule((num, dnum))
+    pair = Schedule((num, differentiate(num)))
 
     poles = _expr_pole_points(num, window)
     for p in poles:
@@ -828,10 +858,10 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
 
     roots, boundary_total = _find_zeros(pair, window, pole_orders)
     special = [r for r, _ in roots] + poles
-    for i in range(len(special)):
-        for j in range(i + 1, len(special)):
-            if abs(special[i] - special[j]) < _MIN_SPACING:
-                raise _spacing_error(special[i])
+    close = [i for i, j in _pairs_within(special, _MIN_SPACING)
+             if abs(special[i] - special[j]) < _MIN_SPACING]
+    if close:
+        raise _spacing_error(special[min(close)])
 
     # D at each zero (column 0) and on the circle about it
     at = np.asarray([r for r, _ in roots], dtype=complex)

@@ -1,6 +1,7 @@
 """Tiny closed expression language used by the numeric scanners."""
 
 import cmath
+import gc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +32,6 @@ from fermatlab.exprs import (
     evaluate,
     evaluate_many,
     make_pow,
-    share,
     walk,
     wp_nodes,
 )
@@ -229,7 +229,7 @@ def test_as_fraction_derivative_denominator_squares():
     assert abs(evaluate(num, z) / evaluate(den, z) - ref) < 1e-8 * (1 + abs(ref))
 
 
-# -- structural sharing ------------------------------------------------------
+# -- hash-consed nodes --------------------------------------------------------
 
 
 def _corollary_gprime_pair():
@@ -245,78 +245,85 @@ def test_distinct_nodes_is_walk_without_repeats(eng):
     pair = _corollary_gprime_pair()
     x = Wp(engine_for(Invariants(1, 0)), W)
     dag = Add(Mul(x, Wp(eng, W)), Mul(x, WpPrime(eng, W)))
-    for e in (*pair, *share(*pair), dag):
+    for e in (*pair, dag):
         first = list({id(n): n for n in walk(e)}.values())
         assert [id(n) for n in distinct_nodes(e)] == [id(n) for n in first]
     assert [id(n) for n in wp_nodes(dag)] == [id(x), id(dag.lhs.rhs), id(dag.rhs.rhs)]
 
 
-def test_share_keeps_the_trees():
+def test_equal_structure_is_one_node():
     pair = _corollary_gprime_pair()
-    shared = share(*pair)
-    for orig, new in zip(pair, shared):
-        assert repr(new) == repr(orig)
-        assert [repr(n) for n in walk(new)] == [repr(n) for n in walk(orig)]
-        assert [repr(d) for d in denominators(new)] == [repr(d) for d in denominators(orig)]
-
-
-def test_share_merges_equal_subtrees_once():
-    pair = _corollary_gprime_pair()
-    assert _distinct_nodes(pair) == 601
-    # exp atoms only, no engine: repr tells structurally distinct nodes apart
+    again = _corollary_gprime_pair()
+    assert pair[0] is again[0] and pair[1] is again[1]
+    assert Add(Exp(Mul(Const(2), W)), Const(0.5)) is Add(Exp(Mul(Const(2), W)), Const(0.5))
+    assert Pow(W, 2) is Pow(W, 2) and Pow(W, 2) is not Pow(W, 3)
+    assert Var() is W
+    # exp atoms only, no engine: repr tells structurally distinct nodes
+    # apart, and each is one node but Const(1), which ONE prints as too
     structural = len({repr(n) for r in pair for n in walk(r)})
-    assert _distinct_nodes(share(*pair)) == structural < 601
+    assert _distinct_nodes(pair) == structural + 1 == 149
+    assert len(list(walk(pair[1]))) == 1999
 
 
-def test_share_evaluates_bit_identically():
-    pair = _corollary_gprime_pair()
-    z = np.concatenate([
-        (np.linspace(-1, 1, 9)[:, None] + 1j * np.linspace(-7, 7, 15)).ravel(),
-        # overflowing exp, the cancelled zeros 1 + e^{2w} = 0, and a NaN
-        [710.0, 1000 + 1j, 0.5j * np.pi, -1.5j * np.pi, complex("nan")],
-    ])
-    plain = evaluate_many(list(pair), z)
-    shared = evaluate_many(list(share(*pair)), z)
-    assert not all(np.isfinite(a).all() for a in plain)
-    for a, b in zip(plain, shared):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_share_keeps_signed_zero_constants_apart():
-    pos, neg, pos2 = share(Const(0.0), Const(-0.0), Const(0.0))
+def test_interning_keeps_signed_zero_constants_apart():
+    pos, neg, pos2 = Const(0.0), Const(-0.0), Const(0.0)
     assert pos is not neg and pos is pos2
-    a, b = share(Add(W, Const(0.0)), Add(W, Const(-0.0)))
+    a, b = Add(W, Const(0.0)), Add(W, Const(-0.0))
     assert a is not b and a.lhs is b.lhs is W
 
 
-def test_share_keeps_exact_and_float_constants_apart():
-    exact, flt, exact2 = share(Const(Fraction(1, 3)), Const(1 / 3), Const(Fraction(1, 3)))
+def test_interning_keeps_exact_and_float_constants_apart():
+    exact, flt, exact2 = Const(Fraction(1, 3)), Const(1 / 3), Const(Fraction(1, 3))
     assert exact.value == flt.value
     assert exact is not flt and exact is exact2
     assert (exact.exact, flt.exact) == (Fraction(1, 3), None)
+    # equal exact values of different types keep their own type
+    assert Const(Fraction(2)) is not Const(2) and type(Const(2).exact) is int
 
 
-def test_share_keeps_engines_apart():
+def test_interning_keeps_engines_apart():
     e1 = engine_for(Invariants(0, 1))
     e2 = engine_for(Invariants(1, 0))
-    a, b, c = share(Wp(e1, W), Wp(e2, W), WpPrime(e1, W))
+    a, b, c = Wp(e1, W), Wp(e2, W), WpPrime(e1, W)
     assert len({id(a), id(b), id(c)}) == 3
-    x, y = share(Wp(e1, W), Wp(e1, W))
-    assert x is y
+    assert Wp(e1, W) is a
+
+
+def test_one_is_kept_out_of_the_table():
+    """as_fraction reads ``is ONE`` as "no denominator": a tree's Const(1)
+    is a factor of its own, and stays one."""
+    assert ONE is not Const(1) and ONE.value == Const(1).value
+    num, den = as_fraction(Div(W, Const(1)))
+    assert num is W and repr(den) == "Const((1+0j))" and den is Const(1)
+    assert make_pow(W, 0) is ONE
+
+
+def test_node_table_is_weak():
+    """The table holds only live nodes: dropping a tree empties it again."""
+    gc.collect()
+    baseline = len(exprs._NODES)
+    chain = W
+    for k in range(200):
+        chain = Add(Mul(chain, Const(1000.25 + k)), Exp(Mul(Const(k + 0.5j), W)))
+    assert len(exprs._NODES) >= baseline + 800
+    keep = weakref.ref(chain)
+    del chain
+    gc.collect()
+    assert keep() is None and len(exprs._NODES) == baseline
 
 
 # -- values freed at their last use -------------------------------------------
 
 
 def _overlapping_roots(eng):
-    """Shared trees in which the root x is a subtree of the root big, wp and
+    """Trees in which the root x is a subtree of the root big, wp and
     wp' share an argument, x appears twice as the child of one Mul, and big
     is requested twice."""
     arg = Mul(Const(0.5 + 0.25j), W)
     x = Add(Wp(eng, arg), Exp(W))
     sq = Mul(Add(Wp(eng, arg), Exp(W)), Add(Wp(eng, arg), Exp(W)))
     big = Div(Sub(sq, WpPrime(eng, arg)), Add(x, ONE))
-    roots = share(big, x, WpPrime(eng, arg), sq, big)
+    roots = (big, x, WpPrime(eng, arg), sq, big)
     assert roots[3].lhs is roots[3].rhs is roots[1] and roots[0] is roots[4]
     return roots
 
@@ -470,7 +477,7 @@ def _reference_evaluate_many(roots, z) -> list:
 def _scan_roots(residual, fam) -> tuple:
     """The roots a residual scan evaluates: residual, f, g, the
     denominators and the wp atoms."""
-    return share(residual, fam.f, fam.g, *denominators(residual), *wp_nodes(residual))
+    return (residual, fam.f, fam.g, *denominators(residual), *wp_nodes(residual))
 
 
 def _reference_roots() -> dict:
@@ -487,7 +494,7 @@ def _reference_roots() -> dict:
     targets["wp'"] = WpPrime(engine_for(Invariants(0, 1)), W)
     for key, expr in targets.items():
         num, den = as_fraction(expr)
-        out[key] = share(num, differentiate(num), den)
+        out[key] = (num, differentiate(num), den)
     return out
 
 

@@ -188,7 +188,7 @@ def test_series_route_refuses_a_float_constant():
     third = Fraction(1, 3)
     exact = dataclasses.replace(fam, f=fam.f + Const(third) - Const(third))
     assert adjudicate(exact).verdict == "ZERO"
-    # the same value as a float: share must not merge it into the exact one
+    # the same value as a float: interning must not merge it into the exact one
     mixed = dataclasses.replace(fam, f=fam.f + Const(third) - Const(1 / 3))
     verdict = adjudicate(mixed)
     assert (verdict.verdict, verdict.route) == ("UNAVAILABLE", "none")

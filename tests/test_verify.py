@@ -425,7 +425,7 @@ def test_zero_scan_is_deterministic():
 def test_zero_scan_evaluation_budget(monkeypatch):
     """Points evaluated by one g' scan of the tall window: 617,289 when every
     grid seed took 50 Newton steps, 20,021 for subdivision after a grid pass
-    of 11,521 points, and 10,804 with no grid pass."""
+    of 11,521 points, and 10,804 in 9 evaluations with no grid pass."""
     points = []
 
     def counting(fn):
@@ -437,7 +437,7 @@ def test_zero_scan_evaluation_budget(monkeypatch):
     monkeypatch.setattr(verify, "evaluate", counting(verify.evaluate))
     monkeypatch.setattr(verify, "evaluate_many", counting(verify.evaluate_many))
     zero_scan(differentiate(build_family("corollary").g), TALL)
-    assert sum(points) < 15_000
+    assert (len(points), sum(points)) == (9, 10_804)
 
 
 def _compile_log(monkeypatch) -> tuple:
@@ -509,6 +509,67 @@ def test_zero_scan_zero_on_first_split_line():
     got = sorted((z.z for z in rep.zeros), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     assert len(got) == 2 and abs(got[0] + 0.5) < 1e-12 and abs(got[1] - 0.5j) < 1e-12
     assert all(z.multiplicity == 1 for z in rep.zeros) and rep.reconciled
+
+
+def test_pair_sweep_matches_the_loop_over_all_pairs():
+    """The sweep finds every pair at most a radius apart, as a loop over all
+    pairs does, and so the spacing check names the same point: on random
+    clusters, with points repeated, on one vertical line, and at exactly the
+    radius."""
+    rng = np.random.default_rng(21)
+    r = verify._MIN_SPACING
+    for trial in range(300):
+        n = int(rng.integers(0, 30))
+        pts = list(rng.uniform(-0.03, 0.03, n) + 1j * rng.uniform(-0.03, 0.03, n))
+        if n and trial % 3 == 0:
+            pts += [pts[0], complex(pts[-1].real, pts[-1].imag + r), complex(0.0, trial * r / 7)]
+        if trial % 5 == 0:
+            pts += [complex(0.01, k * r * 0.9) for k in range(6)]
+        pts = [complex(p) for p in pts]
+        rng.shuffle(pts)
+        loop = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                if abs(pts[i] - pts[j]) <= r]
+        assert sorted(verify._pairs_within(pts, r)) == loop
+        first = next((i for i, j in loop if abs(pts[i] - pts[j]) < r), None)
+        close = [i for i, j in verify._pairs_within(pts, r) if abs(pts[i] - pts[j]) < r]
+        assert (min(close) if close else None) == first
+
+
+def test_zero_scan_of_a_window_with_many_poles():
+    """wp' on [-12, 12]^2: 67 triple poles and the 228 half periods, each
+    pole found from the cell that holds it and each split line checked
+    against the poles near it."""
+    eng = engine_for(Invariants(0, 1))
+    rep = zero_scan(WpPrime(eng, W), ScanWindow(-12, 12, -12, 12))
+    assert (len(rep.zeros), len(rep.poles)) == (228, 67)
+    assert all(z.multiplicity == 1 for z in rep.zeros) and all(p[2] == 3 for p in rep.poles)
+    assert rep.reconciled and rep.interior_total == 228 - 3 * 67
+
+
+def test_no_split_line_passes_near_a_pole(monkeypatch):
+    """No tracked edge passes within _MULT_RADIUS of a pole: each window's
+    first split line, vertical or horizontal, would pass 2e-4 from the pole
+    at 0, on one side or the other."""
+    eng = engine_for(Invariants(0, 1))
+    ends, real_edges = [], verify._edges
+
+    def logging(pair, new):
+        ends.extend(new)
+        return real_edges(pair, new)
+
+    monkeypatch.setattr(verify, "_edges", logging)
+    poles = set()
+    for d in (2e-4, -2e-4):
+        for window in ((-1 + d, 1 + d, -0.5, 1.5), (-0.9, 0.9, -1.5 + d, 1.5 + d)):
+            rep = zero_scan(WpPrime(eng, W), ScanWindow(*window))
+            assert rep.reconciled and (0.0, 0.0, 3) in rep.poles
+            poles.update(complex(re, im) for re, im, _ in rep.poles)
+    clamp = lambda x, lo, hi: min(max(x, min(lo, hi)), max(lo, hi))  # noqa: E731
+    assert len(ends) > 20
+    for a, b in ends:
+        for p in poles:
+            near = complex(clamp(p.real, a.real, b.real), clamp(p.imag, a.imag, b.imag))
+            assert abs(p - near) >= verify._MULT_RADIUS
 
 
 def test_zero_scan_close_roots_rejected():

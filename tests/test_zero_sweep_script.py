@@ -1,0 +1,42 @@
+"""``scripts/zero_sweep.py``: one digest over zero_scan's reports on a fixed
+grid of targets and windows."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+from fermatlab.verify import ScanWindow, zero_scan
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "zero_sweep.py"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("zero_sweep", _SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_grid_holds_the_zero_sets_targets():
+    script = _script()
+    labels = [label for label, _ in script.targets()]
+    assert len(labels) == len(set(labels)) == 32 and len(script.WINDOWS) == 18
+    for want in ("corollary f'", "corollary g'", "quadratic rho=-17/15 f'",
+                 "quadratic rho=-17/15 g'", "case1 f'", "case1 g'", "wp'(0,1)"):
+        assert want in labels
+    assert script.WINDOWS[:2] == [(-1.0, 1.0, -7.0, 7.0), (0.2, 3.0, 0.2, 2.8)]
+
+
+def test_a_scan_is_one_line_of_its_report_or_its_refusal():
+    script = _script()
+    targets = dict(script.targets())
+    cell = ScanWindow(0.2, 3.0, 0.2, 2.8)
+    rep = zero_scan(targets["wp'(0,1)"], cell)
+    zeros = ",".join(f"{z.re.hex()} {z.im.hex()} 1" for z in rep.zeros)
+    poles = ",".join(f"{re.hex()} {im.hex()} 3" for re, im, _ in rep.poles)
+    assert script.line(targets["wp'(0,1)"], cell) == (
+        f"zeros {zeros}; cancelled ; poles {poles}; interior {rep.interior_total}; "
+        f"boundary {rep.boundary_total}"
+    )
+    refused = script.line(targets["corollary g'"], ScanWindow(-1, 1, -1, math.pi + 1e-6))
+    assert refused.startswith("refused AnalyzerError: window boundary: phase tracking failed")
