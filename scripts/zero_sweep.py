@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one SHA-256 digest over zero_scan's output on a fixed grid.
 
-The grid crosses the derivatives f' and g' of catalog families, and a few
-bare wp / wp' atoms, with a fixed list of windows; it includes the seven
+The grid crosses the derivatives f' and g' of catalog families, a few
+bare wp / wp' atoms, and three quotients whose numerator and denominator
+vanish together at 0, with a fixed list of windows; it includes the seven
 targets of the benchmark's zero-sets workload on their windows, with the
 quadratic family at the rho that workload draws for seed 3.  Each scan
 contributes one line: the float.hex of every reported zero, cancelled zero
@@ -21,7 +22,7 @@ import hashlib
 from fractions import Fraction
 
 from fermatlab.errors import FermatLabError
-from fermatlab.exprs import W, Wp, WpPrime, differentiate
+from fermatlab.exprs import ONE, Div, Exp, Mul, Pow, Sub, W, Wp, WpPrime, differentiate
 from fermatlab.families import build_family
 from fermatlab.verify import ScanWindow, zero_scan
 from fermatlab.wp import Invariants, engine_for
@@ -77,6 +78,9 @@ def targets() -> list:
     for g2, g3 in ((0, 1), (1, 0)):
         eng = engine_for(Invariants(g2, g3))
         out += [(f"wp'({g2},{g3})", WpPrime(eng, W)), (f"wp({g2},{g3})", Wp(eng, W))]
+    e1 = Sub(Exp(W), ONE)
+    out += [("w^2/w", Div(Mul(W, W), W)), ("w^3/w", Div(Pow(W, 3), W)),
+            ("(e^w-1)^2/(e^w-1)", Div(Pow(e1, 2), e1))]
     return out
 
 

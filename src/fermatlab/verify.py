@@ -12,9 +12,9 @@ expression.  It subdivides the window into cells, counts each cell's zeros
 by its boundary winding and locates a lone zero by the contour moments of
 the logarithmic derivative, certifies every reported multiplicity by a
 small-circle winding number, refines each location by the winding
-centroid, judges on that circle whether the denominator cancels the zero,
-and reconciles the interior count (zeros minus elliptic pole
-orders), which the leaf cells and their circles give on their own
+centroid, takes the denominator's order at the zero from its winding on
+the same circle, and reconciles the interior count (zeros minus elliptic
+pole orders), which the leaf cells and their circles give on their own
 contours, against the winding of the window's boundary.  Any ambiguity --
 near-boundary zeros, unresolvable phase tracking, zeros too close to
 separate, count mismatch -- raises AnalyzerError rather than guessing.
@@ -35,6 +35,7 @@ from .errors import AnalyzerError
 from .exprs import (
     Exp,
     Expr,
+    ONE,
     Schedule,
     W,
     Wp,
@@ -43,7 +44,6 @@ from .exprs import (
     denominators,
     differentiate,
     distinct_nodes,
-    evaluate,
     evaluate_many,
     wp_nodes,
 )
@@ -148,21 +148,6 @@ class ScanWindow:
         n_re, n_im = self.axis_counts()
         return (np.linspace(self.re_min, self.re_max, n_re),
                 np.linspace(self.im_min, self.im_max, n_im))
-
-    def contains(self, z) -> np.ndarray:
-        z = np.asarray(z)
-        return (
-            (z.real >= self.re_min)
-            & (z.real <= self.re_max)
-            & (z.imag >= self.im_min)
-            & (z.imag <= self.im_max)
-        )
-
-    def boundary_distance(self, z) -> np.ndarray:
-        """Distance of points z inside the window to its boundary."""
-        z = np.asarray(z)
-        return np.minimum(np.minimum(z.real - self.re_min, self.re_max - z.real),
-                          np.minimum(z.imag - self.im_min, self.im_max - z.imag))
 
     def to_dict(self) -> dict:
         return {
@@ -428,8 +413,8 @@ class ZeroRecord:
 @dataclass(frozen=True)
 class ZeroReport:
     window: dict
-    zeros: tuple  # ZeroRecord, zeros of the expression itself
-    cancelled: tuple  # numerator zeros coinciding with denominator zeros
+    zeros: tuple  # ZeroRecord, zeros of the expression: multiplicity k_N - k_D > 0
+    cancelled: tuple  # ZeroRecord, zeros of N where k_D >= k_N: multiplicity k_N
     poles: tuple  # (re, im, order) of elliptic-atom poles inside the window
     interior_total: int  # numerator zeros minus pole orders, with multiplicity
     boundary_total: int  # boundary winding of the numerator
@@ -498,13 +483,6 @@ def _phase_changes(pair: Schedule, z: np.ndarray, v: np.ndarray, dv: np.ndarray,
     return turns, [errors[i] for i in sorted(errors)]
 
 
-def _circle_nodes(c: np.ndarray) -> np.ndarray:
-    """The _MULT_NODES uniform angle nodes of the circle of radius
-    _MULT_RADIUS about each centre of c, one row per centre."""
-    n = _MULT_NODES
-    return c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
-
-
 def _circle_windings(pair: Schedule, centers: list) -> list:
     """Certify each centre by the circle of radius _MULT_RADIUS about it on
     _MULT_NODES uniform angle nodes, all circles in one evaluation of the
@@ -514,14 +492,16 @@ def _circle_windings(pair: Schedule, centers: list) -> list:
     (winding, centroid, several).  With s_k the moments (1/2 pi i)
     contour-integral (z - centre)^k num'/num dz, the centroid is
     centre + s_1 / winding, and ``several`` says that s_0 s_2 - s_1^2 shows
-    more than one distinct zero or pole inside.
+    more than one distinct zero or pole inside; at winding 0 (the centre
+    itself is the centroid) it says that s_1 or s_2 is not close to 0, as
+    when a zero and a pole inside cancel in the winding.
 
     The moments use the parametrized trapezoid rule on the uniform angle
     nodes (dz = i (z - centre) d theta), which is spectrally accurate for the
     circle; a chord-based rule would be ~1e-3 off at this radius."""
     n = _MULT_NODES
     c = np.asarray(centers, dtype=complex)
-    z = _circle_nodes(c).ravel()
+    z = (c[:, None] + _MULT_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)).ravel()
     nv, dv = evaluate_many(pair, z)
     closed = (np.arange(c.size)[:, None] * n + np.arange(n + 1) % n).ravel()
     turns, _ = _phase_changes(pair, z[closed], nv[closed], dv[closed],
@@ -537,7 +517,11 @@ def _circle_windings(pair: Schedule, centers: list) -> list:
             out.append(None)
             continue
         w = int(round(raw))
-        several = w != 0 and abs(w * s2[i] - s1[i] ** 2) > _ONE_ZERO_TOL * (w * _MULT_RADIUS) ** 2
+        if w:
+            several = abs(w * s2[i] - s1[i] ** 2) > _ONE_ZERO_TOL * (w * _MULT_RADIUS) ** 2
+        else:
+            several = (abs(s1[i]) > _ONE_ZERO_TOL * _MULT_RADIUS
+                       or abs(s2[i]) > _ONE_ZERO_TOL * _MULT_RADIUS ** 2)
         out.append((w, complex(c[i] + s1[i] / w) if w else complex(c[i]), several))
     return out
 
@@ -607,13 +591,13 @@ def _pairs_within(points: list, radius: float):
                 yield min(i, j), max(i, j)
 
 
-def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
+def _find_zeros(pair: Schedule, root: tuple, poles: list):
     """(zeros, winding): [(location, multiplicity)] of the zeros of num
-    inside the window, with ``pair`` the Schedule of (num, num'), by
-    recursive subdivision of the window into cells (x0, x1, y0, y1), and
-    the winding of num along the window's boundary, which is the root
-    cell's edges.  Tracking that fails on one of those edges raises the
-    AnalyzerError "window boundary: ...".
+    inside the window ``root`` = (re_min, re_max, im_min, im_max), with
+    ``pair`` the Schedule of (num, num'), by recursive subdivision of the
+    window into cells (x0, x1, y0, y1), and the winding of num along the
+    window's boundary, which is the root cell's edges.  Tracking that fails
+    on one of those edges raises the AnalyzerError "window boundary: ...".
 
     A cell's zero count is its boundary winding plus the orders of the
     ``poles`` ((point, order) pairs) inside it; its moments s_k about its
@@ -723,7 +707,6 @@ def _find_zeros(pair: Schedule, window: ScanWindow, poles: list):
             out.extend(measured)
         return out
 
-    root = (window.re_min, window.re_max, window.im_min, window.im_max)
     errors = add_edges([root])
     if errors:
         raise AnalyzerError(f"window boundary: {errors[0]}; shift the window")
@@ -764,18 +747,15 @@ def _in(cell, z: complex) -> bool:
     return x0 <= z.real <= x1 and y0 <= z.imag <= y1
 
 
-def _expr_pole_points(num: Expr, window: ScanWindow):
-    """Pole candidates of the numerator inside the window: the lattice points
-    of every elliptic atom, which ``_supported_atoms_or_raise`` has checked
-    to be evaluated at the bare variable."""
+def _expr_pole_points(num: Expr, root: tuple):
+    """Pole candidates of the numerator inside the window ``root`` =
+    (re_min, re_max, im_min, im_max): the lattice points of every elliptic
+    atom, which ``_supported_atoms_or_raise`` has checked to be evaluated
+    at the bare variable."""
     engines = {id(node.engine): node.engine for node in wp_nodes(num)}.values()
     pts: list[complex] = []
-    corners = [
-        complex(window.re_min, window.im_min),
-        complex(window.re_max, window.im_min),
-        complex(window.re_max, window.im_max),
-        complex(window.re_min, window.im_max),
-    ]
+    x0, x1, y0, y1 = root
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     for eng in engines:
         v1, v2 = eng.basis
         a_vals, b_vals = eng.lattice_coordinates(corners)
@@ -784,7 +764,7 @@ def _expr_pole_points(num: Expr, window: ScanWindow):
         for a in range(a_lo, a_hi + 1):
             for b in range(b_lo, b_hi + 1):
                 p = a * v1 + b * v2
-                if window.contains(p):
+                if _in(root, p):
                     pts.append(complex(p))
     # a point within 1e-9 of one kept before it is that pole again
     seen_near: dict = {}
@@ -824,22 +804,26 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     say when it holds one distinct zero and where (the Delves-Lyness
     method).  Each such zero is certified by a small circle whose winding
     must equal the cell's count, and its location is that circle's winding
-    centroid.  A zero that D shares is reported as cancelled: D is not
-    finite there, or |D| <= 1e-9 (1 + max |D| on the circle of radius
-    _MULT_RADIUS about it).  The window is the root cell, and its edges'
+    centroid.  D's order k_D at a zero of N of multiplicity k_N is D's
+    winding on the same circle (negative at a pole of D): when k_N - k_D > 0
+    the zero is reported as a zero of that multiplicity, else as cancelled
+    with multiplicity k_N.  The window is the root cell, and its edges'
     winding is ``boundary_total``; the interior total, which the leaf cells
     count on their own edges and the circles certify, is reconciled against
     it.  A window is refused where N is exactly 0 or not finite at a node of
     a contour, or where a zero lies too near a contour for _PHASE_PASSES
-    passes of phase tracking to resolve.
+    passes of phase tracking to resolve; and where D's winding on a zero's
+    circle is not close to an integer, or D has a zero or pole inside that
+    circle anywhere but at the zero.
     """
     num, den = as_fraction(expr)
     _supported_atoms_or_raise(num)
     pair = Schedule((num, differentiate(num)))
 
-    poles = _expr_pole_points(num, window)
+    x0, x1, y0, y1 = root = (window.re_min, window.re_max, window.im_min, window.im_max)
+    poles = _expr_pole_points(num, root)
     for p in poles:
-        if window.boundary_distance(np.asarray(p)) < _BOUNDARY_MARGIN:
+        if min(p.real - x0, x1 - p.real, p.imag - y0, y1 - p.imag) < _BOUNDARY_MARGIN:
             raise AnalyzerError(
                 f"elliptic pole within {_BOUNDARY_MARGIN:g} of the window "
                 f"boundary at {complex(p):.9g}; shift the window"
@@ -856,25 +840,26 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
             raise _spacing_error(p)
         pole_orders.append((p, -w))
 
-    roots, boundary_total = _find_zeros(pair, window, pole_orders)
+    roots, boundary_total = _find_zeros(pair, root, pole_orders)
     special = [r for r, _ in roots] + poles
     close = [i for i, j in _pairs_within(special, _MIN_SPACING)
              if abs(special[i] - special[j]) < _MIN_SPACING]
     if close:
         raise _spacing_error(special[min(close)])
 
-    # D at each zero (column 0) and on the circle about it
-    at = np.asarray([r for r, _ in roots], dtype=complex)
-    den_at = evaluate(den, np.hstack([at[:, None], _circle_nodes(at)]).ravel())
-    den_at = den_at.reshape(at.size, _MULT_NODES + 1)
-    ring = np.abs(den_at[:, 1:])
-    scale = np.max(ring, axis=1, where=np.isfinite(ring), initial=0.0)
-    den_zero = ~np.isfinite(den_at[:, 0]) | (np.abs(den_at[:, 0]) <= 1e-9 * (1.0 + scale))
+    # D's order at each zero, from its winding on the zero's own circle
+    den_windings = (_circle_windings(Schedule((den, differentiate(den))), [r for r, _ in roots])
+                    if den is not ONE and roots else [(0, None, False)] * len(roots))
     zero_records = []
     cancelled_records = []
-    for (r, mult), cancelled in zip(roots, den_zero):
-        rec = ZeroRecord(float(r.real), float(r.imag), int(mult))
-        (cancelled_records if cancelled else zero_records).append(rec)
+    for (r, mult), res in zip(roots, den_windings):
+        if res is None or res[2] or (res[0] and abs(res[1] - r) > _MATCH_RADIUS):
+            raise _spacing_error(r)
+        net = mult - res[0]
+        if net > 0:
+            zero_records.append(ZeroRecord(float(r.real), float(r.imag), int(net)))
+        else:
+            cancelled_records.append(ZeroRecord(float(r.real), float(r.imag), int(mult)))
     interior = sum(m for _, m in roots) - sum(k for _, k in pole_orders)
 
     if interior != boundary_total:

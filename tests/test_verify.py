@@ -94,14 +94,6 @@ def test_window_point_budget_admits_dense_scans():
         ScanWindow(-2, 2, -2, 2, grid_density=250)
 
 
-def test_window_contains_and_boundary_distance():
-    w = ScanWindow(-1, 1, -1, 1)
-    assert w.contains(0.5 + 0.5j)
-    assert not w.contains(1.5)
-    assert abs(w.boundary_distance(0.0) - 1.0) < 1e-12
-    assert abs(w.boundary_distance(0.9 + 0.2j) - 0.1) < 1e-12
-
-
 # -- residual scans ----------------------------------------------------------
 
 
@@ -413,6 +405,50 @@ def test_zero_scan_judges_cancellation_on_the_zeros_own_circle():
     assert rep.poles == () and rep.reconciled
 
 
+_E1 = Sub(Exp(W), ONE)
+
+
+@pytest.mark.parametrize("expr, mult, n_mult", [
+    (Div(Mul(W, W), W), 1, 2),
+    (Div(Pow(W, 3), W), 2, 3),
+    (Div(Pow(_E1, 2), _E1), 1, 2),
+])
+def test_zero_scan_nets_the_denominators_order(expr, mult, n_mult):
+    """N and D both vanish at 0, N to the higher order: the expression has
+    a zero there of multiplicity k_N - k_D, not a cancelled zero of N."""
+    rep = zero_scan(expr, ScanWindow(-1, 1.3, -1, 1.2))
+    assert [r.multiplicity for r in rep.zeros] == [mult] and rep.cancelled == ()
+    assert abs(rep.zeros[0].z) < 1e-12
+    assert rep.interior_total == rep.boundary_total == n_mult
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_zero_scan_adds_the_order_of_a_pole_of_the_denominator(k):
+    """w^k / wp(w): D has a double pole at the zero of N, so the expression
+    has a zero of multiplicity k + 2 there."""
+    eng = engine_for(Invariants(0, 1))
+    rep = zero_scan(Div(Pow(W, k), Wp(eng, W)), ScanWindow(-0.7, 0.9, -0.6, 0.8))
+    assert [r.multiplicity for r in rep.zeros] == [k + 2] and rep.cancelled == ()
+    assert abs(rep.zeros[0].z) < 1e-12 and rep.poles == () and rep.reconciled
+
+
+def test_zero_scan_refuses_a_zero_of_the_denominator_beside_the_zero():
+    """D = w - 5e-4 vanishes inside the zero's circle but not at the zero."""
+    with pytest.raises(AnalyzerError, match="closer than"):
+        zero_scan(Div(W, Sub(W, Const(5e-4))), ScanWindow(-1, 1.3, -1, 1.2))
+
+
+def test_zero_scan_refuses_a_denominator_whose_winding_cancels():
+    """D = wp(w) - wp(r) has zeros at r and -r and a double pole at 0, all
+    inside the circle about the zero r of N: D's winding there is 0."""
+    eng = engine_for(Invariants(0, 1))
+    r = 4e-4 + 1e-4j
+    wp_r = complex(evaluate(Wp(eng, W), np.array([r]))[0])
+    expr = Div(Sub(W, Const(r)), Sub(Wp(eng, W), Const(wp_r)))
+    with pytest.raises(AnalyzerError, match="closer than"):
+        zero_scan(expr, ScanWindow(-1, 1.3, -1, 1.2))
+
+
 def test_zero_scan_is_deterministic():
     """Two runs give the same report, bit for bit."""
     expr = differentiate(build_family("corollary").g)
@@ -425,19 +461,19 @@ def test_zero_scan_is_deterministic():
 def test_zero_scan_evaluation_budget(monkeypatch):
     """Points evaluated by one g' scan of the tall window: 617,289 when every
     grid seed took 50 Newton steps, 20,021 for subdivision after a grid pass
-    of 11,521 points, and 10,804 in 9 evaluations with no grid pass."""
+    of 11,521 points, 10,804 in 9 evaluations with no grid pass and D
+    evaluated apart at each zero and on its circle, and 10,795 in 9 now
+    that D's winding on each zero's circle is one of them."""
     points = []
 
-    def counting(fn):
-        def wrapper(e, z):
-            points.append(np.asarray(z).size)
-            return fn(e, z)
-        return wrapper
+    def counting(e, z):
+        points.append(np.asarray(z).size)
+        return real(e, z)
 
-    monkeypatch.setattr(verify, "evaluate", counting(verify.evaluate))
-    monkeypatch.setattr(verify, "evaluate_many", counting(verify.evaluate_many))
+    real = verify.evaluate_many
+    monkeypatch.setattr(verify, "evaluate_many", counting)
     zero_scan(differentiate(build_family("corollary").g), TALL)
-    assert (len(points), sum(points)) == (9, 10_804)
+    assert (len(points), sum(points)) == (9, 10_795)
 
 
 def _compile_log(monkeypatch) -> tuple:
@@ -462,14 +498,16 @@ def _compile_log(monkeypatch) -> tuple:
 
 def test_zero_scan_compiles_its_pair_once(monkeypatch):
     """(N, N') is compiled once per scan, not per contour pass, halving pass
-    or circle batch; D once more, for the one evaluation at the zeros."""
+    or circle batch, and (D, D') once more, for D's windings on the zeros'
+    circles."""
     expr = differentiate(build_family("corollary").g)
     want = zero_scan(expr, TALL)
     compiled, passed = _compile_log(monkeypatch)
     assert zero_scan(expr, TALL) == want
-    assert compiled == [2, 1]
-    assert len(passed) > 5 and all(p is passed[0] for p in passed)
-    assert isinstance(passed[0], Schedule) and len(passed[0]) == 2
+    assert compiled == [2, 2]
+    pair, den_pair = passed[0], passed[-1]
+    assert len(passed) > 5 and all(p is pair for p in passed[:-1]) and den_pair is not pair
+    assert all(isinstance(p, Schedule) and len(p) == 2 for p in (pair, den_pair))
 
 
 def test_residual_scan_compiles_its_trees_once(monkeypatch):

@@ -20,9 +20,10 @@ def _script():
 def test_grid_holds_the_zero_sets_targets():
     script = _script()
     labels = [label for label, _ in script.targets()]
-    assert len(labels) == len(set(labels)) == 32 and len(script.WINDOWS) == 18
+    assert len(labels) == len(set(labels)) == 35 and len(script.WINDOWS) == 18
     for want in ("corollary f'", "corollary g'", "quadratic rho=-17/15 f'",
-                 "quadratic rho=-17/15 g'", "case1 f'", "case1 g'", "wp'(0,1)"):
+                 "quadratic rho=-17/15 g'", "case1 f'", "case1 g'", "wp'(0,1)",
+                 "w^2/w", "w^3/w", "(e^w-1)^2/(e^w-1)"):
         assert want in labels
     assert script.WINDOWS[:2] == [(-1.0, 1.0, -7.0, 7.0), (0.2, 3.0, 0.2, 2.8)]
 
