@@ -411,7 +411,7 @@ def denominators(e: Expr) -> list[Expr]:
 
 def wp_nodes(e: Expr) -> list[Expr]:
     """Every distinct wp / wp' node, in preorder of first occurrence (for
-    pole-magnitude exclusion in scans and the poles of the zero analyzer)."""
+    pole-magnitude exclusion in scans)."""
     return [node for node in distinct_nodes(e) if isinstance(node, (Wp, WpPrime))]
 
 

@@ -18,6 +18,9 @@ pole orders), which the leaf cells and their circles give on their own
 contours, against the winding of the window's boundary.  Any ambiguity --
 near-boundary zeros, unresolvable phase tracking, zeros too close to
 separate, count mismatch -- raises AnalyzerError rather than guessing.
+The work that depends on the expression alone (clearing denominators, the
+atom check, compiling N, D and their derivatives) is cached per expression,
+so a repeat scan of an expression does only the work of its window.
 """
 
 from __future__ import annotations
@@ -747,12 +750,11 @@ def _in(cell, z: complex) -> bool:
     return x0 <= z.real <= x1 and y0 <= z.imag <= y1
 
 
-def _expr_pole_points(num: Expr, root: tuple):
+def _expr_pole_points(engines: tuple, root: tuple):
     """Pole candidates of the numerator inside the window ``root`` =
-    (re_min, re_max, im_min, im_max): the lattice points of every elliptic
-    atom, which ``_supported_atoms_or_raise`` has checked to be evaluated
-    at the bare variable."""
-    engines = {id(node.engine): node.engine for node in wp_nodes(num)}.values()
+    (re_min, re_max, im_min, im_max): the lattice points of the engines of
+    its elliptic atoms, which ``_supported_atoms_or_raise`` has checked to
+    be evaluated at the bare variable."""
     pts: list[complex] = []
     x0, x1, y0, y1 = root
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
@@ -778,50 +780,69 @@ def _expr_pole_points(num: Expr, root: tuple):
     return pts
 
 
-def _supported_atoms_or_raise(num: Expr):
-    """The analyzer needs the numerator meromorphic with an enumerable pole
-    set: elliptic atoms at the bare variable, exponential atoms with
-    division-free arguments."""
+def _supported_atoms_or_raise(num: Expr) -> tuple:
+    """The engines of the numerator's elliptic atoms, in preorder of first
+    occurrence.  The analyzer needs the numerator meromorphic with an
+    enumerable pole set: elliptic atoms at the bare variable, exponential
+    atoms with division-free arguments."""
+    engines: dict = {}
     for node in distinct_nodes(num):
         if isinstance(node, Exp) and denominators(node.arg):
             raise AnalyzerError(
                 "exponential atom with a rational argument has essential "
                 "singularities; zero accounting is not supported"
             )
-        if isinstance(node, (Wp, WpPrime)) and node.arg is not W:
-            raise AnalyzerError(
-                "cannot enumerate poles of an elliptic atom with a composed argument"
-            )
+        if isinstance(node, (Wp, WpPrime)):
+            if node.arg is not W:
+                raise AnalyzerError(
+                    "cannot enumerate poles of an elliptic atom with a composed argument"
+                )
+            engines.setdefault(id(node.engine), node.engine)
+    return tuple(engines.values())
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(expr: Expr) -> tuple:
+    """(pair, den_pair, engines): zero_scan's work that depends on the
+    expression alone, done once per expression.  pair is the Schedule of
+    (N, N') for expr = N / D, den_pair that of (D, D') or None when D is
+    ONE, and engines those of N's elliptic atoms.  Interned nodes hash by
+    identity, so the expression itself is the key; a refusal raises and is
+    not cached."""
+    num, den = as_fraction(expr)
+    engines = _supported_atoms_or_raise(num)
+    pair = Schedule((num, differentiate(num)))
+    den_pair = None if den is ONE else Schedule((den, differentiate(den)))
+    return pair, den_pair, engines
 
 
 def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     """Locate and certify the zero set of ``expr`` inside ``window``.
 
     Works on the cleared-denominator numerator N = expr * D; nothing is
-    sampled before the contours.  The window is subdivided recursively into
-    cells; each cell's zero count comes from its boundary winding and the
-    known elliptic poles inside it, and the moments of N'/N about its centre
-    say when it holds one distinct zero and where (the Delves-Lyness
-    method).  Each such zero is certified by a small circle whose winding
-    must equal the cell's count, and its location is that circle's winding
-    centroid.  D's order k_D at a zero of N of multiplicity k_N is D's
-    winding on the same circle (negative at a pole of D): when k_N - k_D > 0
-    the zero is reported as a zero of that multiplicity, else as cancelled
-    with multiplicity k_N.  The window is the root cell, and its edges'
-    winding is ``boundary_total``; the interior total, which the leaf cells
-    count on their own edges and the circles certify, is reconciled against
-    it.  A window is refused where N is exactly 0 or not finite at a node of
-    a contour, or where a zero lies too near a contour for _PHASE_PASSES
-    passes of phase tracking to resolve; and where D's winding on a zero's
-    circle is not close to an integer, or D has a zero or pole inside that
-    circle anywhere but at the zero.
+    sampled before the contours.  The Schedules of (N, N') and (D, D') and
+    N's elliptic engines come from ``_compiled``, once per expression; a
+    call does only what depends on the window.  The window is subdivided
+    recursively into cells; each cell's zero count comes from its boundary
+    winding and the known elliptic poles inside it, and the moments of N'/N
+    about its centre say when it holds one distinct zero and where (the
+    Delves-Lyness method).  Each such zero is certified by a small circle
+    whose winding must equal the cell's count, and its location is that
+    circle's winding centroid.  D's order k_D at a zero of N of multiplicity
+    k_N is D's winding on the same circle (negative at a pole of D): when
+    k_N - k_D > 0 the zero is reported as a zero of that multiplicity, else
+    as cancelled with multiplicity k_N.  The window is the root cell, and
+    its edges' winding is ``boundary_total``; the interior total, which the
+    leaf cells count on their own edges and the circles certify, is
+    reconciled against it.  A window is refused where N is exactly 0 or not
+    finite at a node of a contour, or where a zero lies too near a contour
+    for _PHASE_PASSES passes of phase tracking to resolve; and where D's
+    winding on a zero's circle is not close to an integer, or D has a zero
+    or pole inside that circle anywhere but at the zero.
     """
-    num, den = as_fraction(expr)
-    _supported_atoms_or_raise(num)
-    pair = Schedule((num, differentiate(num)))
-
+    pair, den_pair, engines = _compiled(expr)
     x0, x1, y0, y1 = root = (window.re_min, window.re_max, window.im_min, window.im_max)
-    poles = _expr_pole_points(num, root)
+    poles = _expr_pole_points(engines, root)
     for p in poles:
         if min(p.real - x0, x1 - p.real, p.imag - y0, y1 - p.imag) < _BOUNDARY_MARGIN:
             raise AnalyzerError(
@@ -848,8 +869,8 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
         raise _spacing_error(special[min(close)])
 
     # D's order at each zero, from its winding on the zero's own circle
-    den_windings = (_circle_windings(Schedule((den, differentiate(den))), [r for r, _ in roots])
-                    if den is not ONE and roots else [(0, None, False)] * len(roots))
+    den_windings = (_circle_windings(den_pair, [r for r, _ in roots])
+                    if den_pair is not None and roots else [(0, None, False)] * len(roots))
     zero_records = []
     cancelled_records = []
     for (r, mult), res in zip(roots, den_windings):

@@ -497,17 +497,50 @@ def _compile_log(monkeypatch) -> tuple:
 
 
 def test_zero_scan_compiles_its_pair_once(monkeypatch):
-    """(N, N') is compiled once per scan, not per contour pass, halving pass
-    or circle batch, and (D, D') once more, for D's windings on the zeros'
-    circles."""
+    """(N, N') and (D, D') are compiled once per expression, not per scan,
+    contour pass, halving pass or circle batch: a second scan of the same
+    expression, on another window, compiles nothing and replays the same
+    two Schedules."""
+    verify._compiled.cache_clear()
     expr = differentiate(build_family("corollary").g)
-    want = zero_scan(expr, TALL)
     compiled, passed = _compile_log(monkeypatch)
-    assert zero_scan(expr, TALL) == want
+    zero_scan(expr, TALL)
     assert compiled == [2, 2]
     pair, den_pair = passed[0], passed[-1]
-    assert len(passed) > 5 and all(p is pair for p in passed[:-1]) and den_pair is not pair
+    assert den_pair is not pair and len(passed) > 5
+    assert all(p is pair or p is den_pair for p in passed)
     assert all(isinstance(p, Schedule) and len(p) == 2 for p in (pair, den_pair))
+    compiled.clear()
+    passed.clear()
+    zero_scan(expr, ScanWindow(-1.0, 1.0, -2.0, 2.0))
+    assert compiled == [] and len(passed) > 5
+    assert all(p is pair or p is den_pair for p in passed) and den_pair in passed
+
+
+def test_zero_scan_cache_is_bounded(monkeypatch):
+    """65 distinct expressions keep the last 64; the first compiles again."""
+    verify._compiled.cache_clear()
+    exprs = [Sub(W, Const(complex(k / 100, 0.3))) for k in range(65)]
+    for e in exprs:
+        zero_scan(e, ScanWindow(-1, 1, -1, 1))
+    assert verify._compiled.cache_info().currsize == 64
+    compiled, _ = _compile_log(monkeypatch)
+    zero_scan(exprs[-1], ScanWindow(-1, 1, -1, 1))
+    assert compiled == []
+    zero_scan(exprs[0], ScanWindow(-1, 1, -1, 1))
+    assert compiled == [2]
+
+
+def test_zero_scan_caches_no_refusal():
+    verify._compiled.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(AnalyzerError, match="essential singularit") as err:
+            zero_scan(Exp(Div(ONE, W)))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    info = verify._compiled.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
 
 
 def test_residual_scan_compiles_its_trees_once(monkeypatch):

@@ -5,7 +5,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+from fermatlab import verify
+from fermatlab.exprs import Div, W, Wp
 from fermatlab.verify import ScanWindow, zero_scan
+from fermatlab.wp import Invariants, engine_for
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "zero_sweep.py"
 
@@ -41,3 +44,23 @@ def test_a_scan_is_one_line_of_its_report_or_its_refusal():
     )
     refused = script.line(targets["corollary g'"], ScanWindow(-1, 1, -1, math.pi + 1e-6))
     assert refused.startswith("refused AnalyzerError: window boundary: phase tracking failed")
+
+
+def test_a_repeat_scan_reports_what_a_cold_scan_does():
+    """The seven zero-sets targets, w/wp(w) and (e^w-1)^2/(e^w-1) on three
+    windows: a scan that finds the expression compiled gives the same line
+    as one that compiles it."""
+    script = _script()
+    targets = dict(script.targets())
+    keys = ("corollary f'", "corollary g'", "quadratic rho=-17/15 f'",
+            "quadratic rho=-17/15 g'", "case1 f'", "case1 g'", "wp'(0,1)",
+            "(e^w-1)^2/(e^w-1)")
+    exprs = [targets[k] for k in keys] + [Div(W, Wp(engine_for(Invariants(0, 1)), W))]
+    for expr in exprs:
+        for bounds in script.WINDOWS[:3]:
+            window = ScanWindow(*bounds)
+            verify._compiled.cache_clear()
+            cold = script.line(expr, window)
+            hits = verify._compiled.cache_info().hits
+            assert script.line(expr, window) == cold
+            assert verify._compiled.cache_info().hits == hits + 1
