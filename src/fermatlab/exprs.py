@@ -229,19 +229,9 @@ def make_pow(base: Expr, k) -> Expr:
     return Pow(base, k)
 
 
-def walk(e: Expr):
-    """Every node of the tree in preorder; a shared subtree is visited once
-    per occurrence."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children()))
-
-
 def distinct_nodes(e: Expr):
     """Every distinct node of the tree once, in preorder of first
-    occurrence: ``walk`` without the repeated visits of a shared subtree."""
+    occurrence: a shared subtree is visited where it first occurs."""
     seen = set()
     stack = [e]
     while stack:
@@ -405,8 +395,9 @@ def differentiate(e: Expr) -> Expr:
 
 
 def denominators(e: Expr) -> list[Expr]:
-    """Every denominator subtree, in deterministic (preorder) order."""
-    return [node.rhs for node in walk(e) if isinstance(node, Div)]
+    """Every distinct denominator subtree once, in preorder of first
+    occurrence."""
+    return list({node.rhs: None for node in distinct_nodes(e) if isinstance(node, Div)})
 
 
 def wp_nodes(e: Expr) -> list[Expr]:

@@ -43,13 +43,7 @@ from .exprs import (
     WpPrime,
     differentiate,
 )
-from .quotient import (
-    QuotientElement,
-    RationalPoly,
-    RingVerdict,
-    quotient_adjudicate,
-    sign_normalized,
-)
+from .quotient import QuotientElement, quotient_adjudicate, ring
 from .scalars import (
     CBRT4,
     ETA,
@@ -196,18 +190,16 @@ def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
         raise ValueError(f"series order must be between 10 and {MAX_SERIES_ORDER}")
     res = family.exact_residual
     if res is not None:
-        rv: RingVerdict = quotient_adjudicate(res.element)
-        if rv.is_zero:
+        parts = quotient_adjudicate(res.element)
+        if parts is None:
             return FamilyVerdict(family.family_id, "ZERO", "ring", res.description)
-        even = sign_normalized(rv.even_residual)
-        odd = sign_normalized(rv.odd_residual)
         return FamilyVerdict(
             family.family_id,
             "NONZERO",
             "ring",
             res.description,
-            even_coeffs_desc=even.descending_strings(),
-            odd_coeffs_desc=odd.descending_strings(),
+            even_coeffs_desc=parts[0],
+            odd_coeffs_desc=parts[1],
         )
     lowered = _lowered_series(family, order)
     if lowered is None:
@@ -345,21 +337,6 @@ def _lowered_series(family: SolutionFamily, order: int):
         inverses.clear()
 
 
-# ---------------------------------------------------------------------------
-# Ring scaffolding.
-# ---------------------------------------------------------------------------
-
-
-def _ring(inv):
-    """(cubic, 1, P, X) in Q(i)[P, X]/(X^2 - cubic), the cubic being
-    4P^3 - g2 P - g3 of the exact invariants ``inv``."""
-    cubic = RationalPoly.make([-inv.g3, -inv.g2, 0, 4])
-    one = QuotientElement.from_scalar(1, cubic)
-    p = QuotientElement.p_power(1, cubic)
-    x = QuotientElement.x_times(RationalPoly.constant(1), cubic)
-    return cubic, one, p, x
-
-
 def _slot_label(expr: Expr) -> str:
     if expr is W:
         return "w"
@@ -427,7 +404,7 @@ def build_case_ii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     eta = ETA[eta_index]
     f = (Const(3) + Const(SQRT3) * x) / (Const(6) * p)
     g = Const(eta) * (Const(3) - Const(SQRT3) * x) / (Const(6) * p)
-    _, one, P, X = _ring(inv)  # X^2 -> 4P^3 - 1
+    one, P, X = ring([-inv.g3, -inv.g2, 0, 4])  # X^2 -> 4P^3 - 1
     elem = (
         one.scale(54) + (X * X).scale(54) - (P * P * P).scale(216)
     )  # parity pairing of (3 + s X)^3 + (3 - s X)^3 with s^2 = 3, eta^3 = 1
@@ -459,9 +436,8 @@ def build_case_iii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     eta = ETA[eta_index]
     f = Const(1j) * x
     g = Const(eta * CBRT4) * p
-    _, one, P, X = _ring(inv)
-    i = RationalComplex(0, 1)
-    xi = QuotientElement.x_times(RationalPoly.constant(i), X.cubic)
+    one, P, X = ring([-inv.g3, -inv.g2, 0, 4])
+    xi = X.scale(RationalComplex(0, 1))
     elem = (xi * xi) + (P * P * P).scale(4) - one  # (iX)^2 + 4P^3 - 1
     return SolutionFamily(
         family_id="case3",
@@ -506,21 +482,17 @@ def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
             Const(4) * p**2
         )
         g = (Const(zeta * 1j) * x) / (Const(2) * p)
-    cubic, one, P, X = _ring(inv)
-    d_poly = QuotientElement(cubic, RationalPoly.zero(), cubic)  # D = the cubic itself
-    z4 = RationalComplex(0, 1) ** (4 * zeta_index)  # zeta^4, exactly 1
-    p4 = (P * P * P * P).scale(z4 * 16)
+    one, P, X = ring([-inv.g3, -inv.g2, 0, 4])
+    d = X * X  # D is the cubic itself; zeta^4 = 1 leaves 16 P^4
+    p3 = P * P * P
+    p4 = (p3 * P).scale(16)
     if variant == 1:
-        n_poly = QuotientElement(
-            RationalPoly.make([third, twelfth, 0, -4]), RationalPoly.zero(), cubic
-        )
-        elem = n_poly * n_poly + p4 - d_poly * d_poly
+        n = p3.scale(-4) + P.scale(twelfth) + one.scale(third)
+        elem = n * n + p4 - d * d
         desc = "N^2 + 16 P^4 - D^2, N = -4P^3 + P/12 + 1/3, D = 4P^3 + P/12 + 1/6"
     else:
-        m_poly = QuotientElement(
-            RationalPoly.make([-third, -twelfth, 0, 4]), RationalPoly.zero(), cubic
-        )
-        elem = d_poly * d_poly - m_poly * m_poly - p4
+        m = p3.scale(4) - P.scale(twelfth) - one.scale(third)
+        elem = d * d - m * m - p4
         desc = "D^2 - M^2 - 16 P^4, M = 4P^3 - P/12 - 1/3, D = 4P^3 + P/12 + 1/6"
     return SolutionFamily(
         family_id="case4",
@@ -619,10 +591,7 @@ def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
         # variable U = 4^(1/3) P absorbs the cube root: X^2 -> U^3 + k U + l
         t = RationalComplex.coerce(tau)
         k, l = tau_cubic_coefficients(t)
-        cubic = RationalPoly.make([l, k, 0, RationalComplex(1)])
-        one = QuotientElement.from_scalar(1, cubic)
-        U = QuotientElement.p_power(1, cubic)
-        X = QuotientElement.x_times(RationalPoly.constant(1), cubic)
+        one, U, X = ring([l, k, 0, 1])
         s = 36 + 9 * t**3
         a = U.scale(-3 * t) + one.scale(s)
         d = U.scale(6) + one.scale(54 * t * t)

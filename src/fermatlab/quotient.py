@@ -7,91 +7,65 @@ differential equation satisfied by the parametrizing function.  An element is
 stored as evenPart(P) + X * oddPart(P); multiplication eagerly rewrites X^2
 via C, so "is this identically zero" becomes "are both parts the zero
 polynomial" -- an exact, machine-checkable verdict.
+
+Polynomials keep the representation of ``series.LaurentSeries``: Gaussian
+integer numerators over one reduced common denominator, multiplied by the
+series layer's product kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import lcm
 
-from .scalars import RationalComplex
+from .series import _cmul, _numerators, _parts, _reduce, _view
+
+
+def _poly(den, re, im) -> "RationalPoly":
+    """Polynomial from numerators over den: drops zero top terms and reduces."""
+    n = len(re)
+    while n and re[n - 1] == 0 and im[n - 1] == 0:
+        n -= 1
+    return RationalPoly(*_reduce(den, re[:n], im[:n]))
 
 
 @dataclass(frozen=True)
 class RationalPoly:
-    """Dense univariate polynomial over Q(i); coeffs[k] multiplies t**k."""
+    """Dense univariate polynomial over Q(i): coefficient k, multiplying
+    t**k, is (re[k] + i*im[k]) / den; no zero top term, so equality is
+    equality of polynomials."""
 
-    coeffs: tuple
+    den: int
+    re: tuple
+    im: tuple
 
     @staticmethod
     def make(coeffs) -> "RationalPoly":
-        cs = [RationalComplex.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return RationalPoly(tuple(cs))
-
-    @staticmethod
-    def zero() -> "RationalPoly":
-        return RationalPoly(())
-
-    @staticmethod
-    def constant(c) -> "RationalPoly":
-        return RationalPoly.make([c])
-
-    @staticmethod
-    def monomial(c, k: int) -> "RationalPoly":
-        return RationalPoly.make([0] * k + [c])
+        """From coefficients in ascending degree: ints, Fractions or
+        RationalComplex values."""
+        return _poly(*_numerators(coeffs))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> RationalComplex:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return RationalComplex(0)
+        return not self.re
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly.make(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return _poly(
+            den,
+            [f * a + g * b for a, b in zip_longest(self.re, other.re, fillvalue=0)],
+            [f * a + g * b for a, b in zip_longest(self.im, other.im, fillvalue=0)],
         )
 
-    def __neg__(self):
-        return RationalPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return RationalPoly.zero()
-        out = [RationalComplex(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return RationalPoly.make(out)
+        n = len(self.re) + len(other.re) - 1
+        return _poly(self.den * other.den, *_cmul(self.re, self.im, other.re, other.im, 0, n))
 
     def scale(self, c) -> "RationalPoly":
-        c = RationalComplex.coerce(c)
-        return RationalPoly.make([a * c for a in self.coeffs])
-
-    def __pow__(self, k: int):
-        out = RationalPoly.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def leading_coefficient(self) -> RationalComplex:
-        return self.coeffs[-1] if self.coeffs else RationalComplex(0)
-
-    def descending_strings(self) -> list[str]:
-        """Coefficients from the top degree down, as exact strings."""
-        return [str(self.coefficient(k)) for k in range(self.degree, -1, -1)]
+        cr, ci, cd = _parts(c)
+        return _poly(self.den * cd, *_cmul(self.re, self.im, (cr,), (ci,), 0, len(self.re)))
 
 
 @dataclass(frozen=True)
@@ -106,18 +80,6 @@ class QuotientElement:
         if self.cubic != other.cubic:
             raise ValueError("elements live in different quotient rings")
 
-    @staticmethod
-    def from_scalar(c, cubic: RationalPoly) -> "QuotientElement":
-        return QuotientElement(RationalPoly.constant(c), RationalPoly.zero(), cubic)
-
-    @staticmethod
-    def p_power(k: int, cubic: RationalPoly) -> "QuotientElement":
-        return QuotientElement(RationalPoly.monomial(1, k), RationalPoly.zero(), cubic)
-
-    @staticmethod
-    def x_times(poly: RationalPoly, cubic: RationalPoly) -> "QuotientElement":
-        return QuotientElement(RationalPoly.zero(), poly, cubic)
-
     @property
     def is_zero(self) -> bool:
         return self.even.is_zero and self.odd.is_zero
@@ -126,11 +88,8 @@ class QuotientElement:
         self._check(other)
         return QuotientElement(self.even + other.even, self.odd + other.odd, self.cubic)
 
-    def __neg__(self):
-        return QuotientElement(-self.even, -self.odd, self.cubic)
-
     def __sub__(self, other):
-        return self + (-other)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
         self._check(other)
@@ -142,42 +101,32 @@ class QuotientElement:
     def scale(self, c) -> "QuotientElement":
         return QuotientElement(self.even.scale(c), self.odd.scale(c), self.cubic)
 
-    def __pow__(self, k: int):
-        out = QuotientElement.from_scalar(1, self.cubic)
-        for _ in range(k):
-            out = out * self
-        return out
+
+def ring(cubic_coeffs) -> tuple:
+    """(1, P, X) of Q(i)[P, X] / (X^2 - C), the coefficients of the cubic C
+    given in ascending degree."""
+    cubic = RationalPoly.make(cubic_coeffs)
+    zero, one = RationalPoly.make(()), RationalPoly.make([1])
+    return (
+        QuotientElement(one, zero, cubic),
+        QuotientElement(RationalPoly.make([0, 1]), zero, cubic),
+        QuotientElement(zero, one, cubic),
+    )
 
 
-@dataclass(frozen=True)
-class RingVerdict:
-    """Outcome of exact adjudication in the quotient ring.
-
-    ``even_residual`` and ``odd_residual`` are reported verbatim (no sign
-    massaging): a residual is only defined up to which side of the identity
-    was subtracted, and callers that need comparability normalize explicitly.
-    """
-
-    is_zero: bool
-    even_residual: RationalPoly
-    odd_residual: RationalPoly
-
-    @property
-    def verdict(self) -> str:
-        return "ZERO" if self.is_zero else "NONZERO"
+def _descending(poly: RationalPoly) -> list[str]:
+    """Coefficients from the top degree down, as exact strings, with the
+    overall sign flipped so the leading coefficient has positive real part
+    (ties broken toward positive imaginary part)."""
+    s = -1 if poly.re and (poly.re[-1], poly.im[-1]) < (0, 0) else 1
+    return [str(_view(poly.den, s * r, s * i)) for r, i in zip(poly.re[::-1], poly.im[::-1])]
 
 
-def quotient_adjudicate(elem: QuotientElement) -> RingVerdict:
-    """ZERO iff both parts vanish identically; residual polynomials verbatim."""
-    return RingVerdict(elem.is_zero, elem.even, elem.odd)
-
-
-def sign_normalized(poly: RationalPoly) -> RationalPoly:
-    """Flip the overall sign so the leading coefficient has positive real part
-    (ties broken toward positive imaginary part).  Residual polynomials differ
-    by a global sign depending on which side of an identity was subtracted;
-    this makes reports comparable."""
-    lead = poly.leading_coefficient()
-    if lead.re < 0 or (lead.re == 0 and lead.im < 0):
-        return -poly
-    return poly
+def quotient_adjudicate(elem: QuotientElement):
+    """None when elem is zero; otherwise the descending coefficient strings
+    of its even and odd parts, each sign-normalized: a residual is defined
+    only up to which side of the identity was subtracted, so equivalent
+    write-ups of one failure report the same strings."""
+    if elem.is_zero:
+        return None
+    return _descending(elem.even), _descending(elem.odd)

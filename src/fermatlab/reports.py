@@ -31,12 +31,7 @@ _UNQUOTE = re.compile(r'"\\u0001f:([^"]*)"')
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; exact round-trip for doubles."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    return format(float(x), ".17g")
 
 
 def _encode(obj):

@@ -38,6 +38,14 @@ def _parts(c):
     )
 
 
+def _numerators(coeffs):
+    """(den, re, im): the coefficients as numerators over their least
+    common denominator."""
+    parts = [_parts(c) for c in coeffs]
+    den = lcm(*(d for _, _, d in parts))
+    return den, [r * (den // d) for r, _, d in parts], [i * (den // d) for _, i, d in parts]
+
+
 def _view(den, r, i):
     return RationalComplex(Fraction(r, den), Fraction(i, den))
 
@@ -134,12 +142,9 @@ class LaurentSeries:
 
     @staticmethod
     def make(low, coeffs, high=None) -> "LaurentSeries":
-        parts = [_parts(c) for c in coeffs]
+        den, re, im = _numerators(coeffs)
         if high is None:
-            high = low + len(parts) - 1
-        den = lcm(*(d for _, _, d in parts))
-        re = [r * (den // d) for r, _, d in parts]
-        im = [i * (den // d) for _, i, d in parts]
+            high = low + len(re) - 1
         return _normal(low, high, den, re, im)
 
     @staticmethod
@@ -269,9 +274,6 @@ class LaurentSeries:
         den, re, im = _inverse(self.den, self.re, self.im, self.high - m + 1)
         return _normal(-m, self.high - 2 * m, den, re, im)
 
-    def __truediv__(self, other):
-        return self * other.invert()
-
     def differentiate(self) -> "LaurentSeries":
         e = range(self.low, self.low + len(self.re))
         return _normal(
@@ -281,15 +283,6 @@ class LaurentSeries:
             list(map(mul, self.re, e)),
             list(map(mul, self.im, e)),
         )
-
-    # -- views --------------------------------------------------------------
-    def evaluate(self, z: complex) -> complex:
-        """Partial-sum evaluation (float), for small |z| cross-checks."""
-        total = 0j
-        d = self.den
-        for k, (r, i) in enumerate(zip(self.re, self.im)):
-            total += complex(r / d, i / d) * z ** (self.low + k)
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,6 @@ class ScanReport:
     failures: tuple = ()
     samples: Optional[np.ndarray] = None  # _SAMPLE_DTYPE rows, one per point
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
     def to_dict(self) -> dict:
         return {
             "check": self.check,
@@ -221,9 +217,8 @@ def _guarded_values(nodes: Schedule, n: int, m: int, z, den_floor, wp_ceiling,
     vals = evaluate_many(nodes, z)
 
     def flagged(arrs, test) -> np.ndarray:
-        # nodes that share a subtree evaluate to one array: test it once
         out = np.zeros(z.shape, dtype=bool)
-        for arr in {id(a): a for a in arrs}.values():
+        for arr in arrs:
             out |= test(arr)
         return out
 
@@ -257,7 +252,10 @@ def _relative_scan(
 
     The grid is scanned in blocks of _SCAN_BLOCK points, each built from the
     grid rows that hold it, so a scan keeps rel and excluded per point and
-    never the complex grid."""
+    never the complex grid.  A last block of one point joins the block
+    before it: the engine rounds a one-element array apart from a longer
+    one, so a lone point would get other bits than the same point in a
+    block."""
     for name, x in (("tol", tol), ("pole_ceiling", pole_ceiling)):
         if not (math.isfinite(x) and x > 0):
             raise ValueError(f"{name} must be positive and finite")
@@ -274,8 +272,9 @@ def _relative_scan(
     rel = np.empty(n)
     excluded = np.empty(n, dtype=bool)
     samples = np.empty(n, dtype=_SAMPLE_DTYPE) if keep_samples else None
-    for lo in range(0, n, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, n)
+    last = n - 1 if n > _SCAN_BLOCK and n % _SCAN_BLOCK == 1 else n
+    for lo in range(0, last, _SCAN_BLOCK):
+        hi = n if lo + _SCAN_BLOCK >= last else lo + _SCAN_BLOCK
         r0, r1 = lo // n_re, (hi - 1) // n_re + 1
         z = (re[None, :] + 1j * im[r0:r1, None]).ravel()[lo - r0 * n_re:hi - r0 * n_re]
         vals, exc = _guarded_values(nodes, n_vals, n_guards, z,

@@ -32,7 +32,6 @@ from fermatlab.exprs import (
     evaluate,
     evaluate_many,
     make_pow,
-    walk,
     wp_nodes,
 )
 from fermatlab.families import FAMILY_IDS, build_family
@@ -191,6 +190,9 @@ def test_denominators_collects_nested():
     # preorder: a division's own denominator comes before those inside it,
     # and the left operand's before the right operand's
     assert dens[0] is outer.rhs and dens[1] is inner.rhs
+    # a denominator shared by two quotients is listed once
+    shared = Add(Div(ONE, outer.rhs), Div(Const(2), outer.rhs))
+    assert [id(d) for d in denominators(shared)] == [id(outer.rhs)]
     right = Div(Const(2), Exp(W))
     left_first = denominators(Add(outer, right))
     assert [id(d) for d in left_first] == [id(outer.rhs), id(inner.rhs), id(right.rhs)]
@@ -237,6 +239,14 @@ def _corollary_gprime_pair():
     return num, differentiate(num)
 
 
+def walk(e):
+    """Every node of the tree in preorder, a shared subtree once per
+    occurrence: the reference that distinct_nodes is checked against."""
+    yield e
+    for child in e.children():
+        yield from walk(child)
+
+
 def _distinct_nodes(roots) -> int:
     return len({id(n) for r in roots for n in walk(r)})
 
@@ -249,6 +259,16 @@ def test_distinct_nodes_is_walk_without_repeats(eng):
         first = list({id(n): n for n in walk(e)}.values())
         assert [id(n) for n in distinct_nodes(e)] == [id(n) for n in first]
     assert [id(n) for n in wp_nodes(dag)] == [id(x), id(dag.lhs.rhs), id(dag.rhs.rhs)]
+
+
+def test_denominators_are_distinct_in_first_occurrence_order():
+    """The corollary's derivative identity divides by 8 denominator
+    occurrences of 5 distinct subtrees."""
+    e = build_family("corollary").derivative_identity_expr()
+    every = [n.rhs for n in walk(e) if isinstance(n, Div)]
+    assert len(every) == 8
+    assert [id(d) for d in denominators(e)] == list({id(d): d for d in every})
+    assert len(denominators(e)) == 5
 
 
 def test_equal_structure_is_one_node():

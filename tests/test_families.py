@@ -178,9 +178,13 @@ def test_lowered_members_agree_with_the_trees(family_id, params):
     the equation still vanishes."""
     fam = build_family(family_id, slot="w", **params)
     f, g, _ = _lowered_series(fam, 40)
+
+    def partial(s, z):
+        return sum(complex(a) * z ** (s.low + k) for k, a in enumerate(s.coeffs))
+
     for z in (0.05, 0.05 * cmath.exp(2.1j), 0.05 * cmath.exp(-1.3j)):
-        assert abs(f.evaluate(z) - evaluate(fam.f, z)) < 1e-12
-        assert abs(g.evaluate(z) - evaluate(fam.g, z)) < 1e-12
+        assert abs(partial(f, z) - evaluate(fam.f, z)) < 1e-12
+        assert abs(partial(g, z) - evaluate(fam.g, z)) < 1e-12
 
 
 def test_series_route_refuses_a_float_constant():

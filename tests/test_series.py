@@ -247,7 +247,8 @@ def test_exp_series_matches_cmath():
     c = RationalComplex(Fraction(3, 10), Fraction(-11, 10))
     s = exp_series(c, 30)
     for z in (0.1, -0.2 + 0.15j, 0.05j):
-        assert abs(s.evaluate(z) - cmath.exp(complex(c) * z)) < 1e-12
+        partial = sum(complex(a) * z ** (s.low + k) for k, a in enumerate(s.coeffs))
+        assert abs(partial - cmath.exp(complex(c) * z)) < 1e-12
 
 
 def test_exp_series_derivative_rule():

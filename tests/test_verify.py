@@ -100,7 +100,7 @@ def test_window_point_budget_admits_dense_scans():
 @pytest.mark.parametrize("family_id", ["case2", "case3", "case5", "m-one"])
 def test_certified_families_pass_scan(family_id):
     rep = residual_scan(build_family(family_id))
-    assert rep.verdict == "PASS" and rep.passed
+    assert rep.verdict == "PASS"
     assert rep.p95_residual < 1e-12
     assert rep.points_total == 81 * 81
 
@@ -280,6 +280,21 @@ def test_scan_blocks_that_split_rows_keep_every_bit(monkeypatch):
     assert lone[0] == lone[1]
     for rep in reps:
         _check_summary(rep, w)
+
+
+def test_scan_last_point_alone_joins_the_block_before(monkeypatch):
+    """113 x 145 = 16,385 = 2 * 8,192 + 1 points: the lone last point is
+    evaluated in the block before it, so an elliptic family keeps the bits
+    of one batch."""
+    w = ScanWindow(-3.5, 3.5, -4.5, 4.5, grid_density=16)
+    assert w.axis_counts() == (113, 145)
+    for family_id in ("case2", "case4"):
+        fam = build_family(family_id)
+        runs = []
+        for block in (8192, 10**6):
+            monkeypatch.setattr(verify, "_SCAN_BLOCK", block)
+            runs.append(residual_scan(fam, w, keep_samples=True).samples.tobytes())
+        assert runs[0] == runs[1]
 
 
 def test_scan_summary_of_few_and_no_valid_points():

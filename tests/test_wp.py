@@ -244,7 +244,8 @@ def test_engine_matches_series_near_origin(eng01):
         if abs(z) < 0.05:
             continue
         p, _, _ = eng01.eval_scalar(z)
-        assert abs(p - series.evaluate(z)) < 1e-10 * (1 + abs(p))
+        partial = sum(complex(c) * z ** (series.low + k) for k, c in enumerate(series.coeffs))
+        assert abs(p - partial) < 1e-10 * (1 + abs(p))
 
 
 @pytest.mark.parametrize(
