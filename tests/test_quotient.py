@@ -72,6 +72,12 @@ def test_poly_ring_laws(a, b, c):
     assert (a + a.scale(-1)).is_zero
 
 
+def test_poly_pow_and_monomial():
+    m = RationalPoly.make([0, 0, 0, 2])
+    assert len(m.re) - 1 == 3 and _coeffs(m)[-1] == RationalComplex(2)
+    assert m * m == RationalPoly.make([0] * 6 + [4])
+
+
 @given(
     st.lists(gaussian, min_size=0, max_size=5),
     st.lists(gaussian, min_size=0, max_size=5),
@@ -123,7 +129,7 @@ def test_element_associativity(u, v, w):
     assert quotient_adjudicate((u * v) * w - u * (v * w)) is None
 
 
-def test_scaled_powers_of_p():
+def test_scalar_and_power_shortcuts():
     p2 = P * P
     combined = ONE.scale(2) * p2
     assert combined.even == RationalPoly.make([0, 0, 2])
