@@ -17,33 +17,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
-from fermatlab.families import adjudicate, build_family
+from fermatlab.errors import FermatLabError
+from fermatlab.families import CATALOG, adjudicate, build_family
 from fermatlab.verify import ScanWindow, residual_scan
-
-# (label, build_family kwargs) for every catalog entry worth a row.  The
-# refuted case-IV/VI variants and the printed-minus-sign quadratic are
-# included on purpose: the point of the table is to show which printed
-# identities certify and which do not.
-CATALOG = [
-    ("case1", dict(family_id="case1")),
-    ("case2", dict(family_id="case2")),
-    ("case3", dict(family_id="case3")),
-    ("case4 v1", dict(family_id="case4", variant=1)),
-    ("case4 v2", dict(family_id="case4", variant=2)),
-    ("case5", dict(family_id="case5")),
-    ("case6 v1", dict(family_id="case6", variant=1)),
-    ("case6 v2", dict(family_id="case6", variant=2)),
-    ("quadratic +2rho", dict(family_id="quadratic", rho=Fraction(5, 4), sign="plus")),
-    ("quadratic -2rho", dict(family_id="quadratic", rho=Fraction(5, 4), sign="minus")),
-    ("cubic tau=0", dict(family_id="cubic", tau=0)),
-    ("cubic tau=1", dict(family_id="cubic", tau=1)),
-    ("unit-unit", dict(family_id="unit-unit")),
-    ("m-one m=3", dict(family_id="m-one", m=3)),
-    ("picard-pair", dict(family_id="picard-pair", m=3, n=2)),
-    ("corollary", dict(family_id="corollary", ell=1)),
-]
 
 
 def residual_detail(verdict) -> str:
@@ -66,7 +43,15 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float,
                     help="numeric scan tolerance (default: residual_scan's)")
     args = ap.parse_args(argv)
+    try:
+        return print_table(args)
+    except (ValueError, OverflowError, FermatLabError) as exc:
+        # a bad setting is refused as the fermatlab command refuses it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def print_table(args) -> int:
     # a setting left out keeps the default of the library call that takes it
     window = ScanWindow(
         re_min=-args.half_width, re_max=args.half_width,
@@ -81,8 +66,8 @@ def main(argv=None) -> int:
 
     details = []
     t0 = time.perf_counter()
-    for label, kwargs in CATALOG:
-        fam = build_family(**kwargs)
+    for label, family_id, params, _ in CATALOG:
+        fam = build_family(family_id, **params)
         verdict = adjudicate(fam)
         report = residual_scan(fam, window, **scan_kwargs)
         print(

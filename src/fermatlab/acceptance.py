@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .exprs import differentiate
-from .families import adjudicate, build_family
+from .families import CATALOG, adjudicate, build_family
 from .reports import canonical_json, points_csv, scan_payload
 from .scalars import RationalComplex
 from .series import LaurentSeries, ode_residual_series, wp_series
@@ -156,19 +156,10 @@ def _c2_engine_checks():
     }
 
 
-def _zero_family_specs():
-    """(family_id, kwargs) for every catalog entry expected to adjudicate ZERO."""
-    specs = [("case1", {})]
-    specs += [("case2", {"eta_index": e}) for e in range(3)]
-    specs += [("case3", {"eta_index": e}) for e in range(3)]
-    specs += [
-        ("quadratic", {}),
-        ("cubic", {}),
-        ("unit-unit", {}),
-        ("m-one", {}),
-        ("corollary", {}),
-    ]
-    return specs
+def _catalog_rows(verdict):
+    """(family_id, params) of every catalog row expected to adjudicate
+    ``verdict``, in table order."""
+    return [(fid, params) for _, fid, params, want in CATALOG if want == verdict]
 
 
 def _c3_zero_families_certify_and_scan():
@@ -176,7 +167,7 @@ def _c3_zero_families_certify_and_scan():
     1e-8 on the standard window, in both composition slots."""
     rows = []
     ok = True
-    for fid, kwargs in _zero_family_specs():
+    for fid, kwargs in _catalog_rows("ZERO"):
         fam = build_family(fid, **kwargs)
         verdict = adjudicate(fam)
         row = {"family": fid, **{k: str(v) for k, v in kwargs.items()}}
@@ -195,40 +186,24 @@ _CASE4_COEFFS = ("44/3", "-4", "0", "1/36", "1/12")
 
 
 def _c4_nonzero_families():
-    """Both fourth-power variants: NONZERO with the exact normalized residual
-    coefficients for degrees [4,3,2,1,0], and scan FAIL; the opposite-sign
-    quadratic equation: NONZERO and scan FAIL."""
+    """Every NONZERO family: NONZERO and scan FAIL; a family with a ring
+    residual also gives the exact normalized residual coefficients for
+    degrees [4,3,2,1,0] and no odd part."""
     rows = []
     ok = True
-    for variant in (1, 2):
-        fam = build_family("case4", variant=variant)
+    for fid, kwargs in _catalog_rows("NONZERO"):
+        fam = build_family(fid, **kwargs)
         verdict = adjudicate(fam)
         rep = residual_scan(fam)
-        coeffs = tuple(verdict.even_coeffs_desc or ())
-        good = (
-            verdict.verdict == "NONZERO"
-            and coeffs == _CASE4_COEFFS
-            and not (verdict.odd_coeffs_desc or ())
-            and rep.verdict == "FAIL"
-        )
+        row = {"family": fid, **kwargs, "verdict": verdict.verdict}
+        good = verdict.verdict == "NONZERO" and rep.verdict == "FAIL"
+        if fam.exact_residual is not None:
+            coeffs = tuple(verdict.even_coeffs_desc or ())
+            good = good and coeffs == _CASE4_COEFFS and not (verdict.odd_coeffs_desc or ())
+            row["coeffs"] = list(coeffs)
+        row["scan"] = rep.verdict
         ok = ok and good
-        rows.append(
-            {
-                "family": "case4",
-                "variant": variant,
-                "verdict": verdict.verdict,
-                "coeffs": list(coeffs),
-                "scan": rep.verdict,
-            }
-        )
-    fam = build_family("quadratic", sign="minus")
-    verdict = adjudicate(fam)
-    rep = residual_scan(fam)
-    ok = ok and verdict.verdict == "NONZERO" and rep.verdict == "FAIL"
-    rows.append(
-        {"family": "quadratic", "sign": "minus", "verdict": verdict.verdict,
-         "scan": rep.verdict}
-    )
+        rows.append(row)
     return ok, {"families": rows}
 
 
@@ -266,7 +241,7 @@ def _c6_derivative_identity_scans():
     power-sum kind."""
     rows = []
     ok = True
-    for fid, kwargs in _zero_family_specs():
+    for fid, kwargs in _catalog_rows("ZERO"):
         fam = build_family(fid, **kwargs)
         if fam.kind not in ("fermat", "corollary"):
             continue

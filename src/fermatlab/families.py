@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateLatticeError
 from .exprs import (
     Add,
     BinOp,
@@ -61,7 +60,6 @@ from .wp import (
     invariants_from_case,
     invariants_from_tau,
     tau_cubic_coefficients,
-    tau_is_degenerate,
 )
 
 
@@ -574,8 +572,6 @@ def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
     """Pair solving f^3 - 3 tau f g + g^3 = 1:
     f, g = (-3 tau 4^(1/3) P + 36 + 9 tau^3 +/- X) / (6 (4^(1/3) P + 9 tau^2))
     on the tau-family invariants."""
-    if tau_is_degenerate(tau):
-        raise DegenerateLatticeError(f"tau={tau!r} has tau^3 == -1")
     beta = _slot_expr(slot)
     inv = invariants_from_tau(tau)
     eng = engine_for(inv)
@@ -742,6 +738,34 @@ _BUILDERS = {
 }
 
 FAMILY_IDS = tuple(_BUILDERS)
+
+#: (label, family id, build_family parameters, expected exact verdict) of
+#: every catalog entry, in report order.  The refuted case-IV/VI variants and
+#: the printed-minus-sign quadratic are rows on purpose: the catalog shows
+#: which printed identities certify and which do not.  Plain data, so the
+#: import builds nothing.
+CATALOG = (
+    ("case1", "case1", {}, "ZERO"),
+    ("case2", "case2", {"eta_index": 0}, "ZERO"),
+    ("case2 eta=1", "case2", {"eta_index": 1}, "ZERO"),
+    ("case2 eta=2", "case2", {"eta_index": 2}, "ZERO"),
+    ("case3", "case3", {"eta_index": 0}, "ZERO"),
+    ("case3 eta=1", "case3", {"eta_index": 1}, "ZERO"),
+    ("case3 eta=2", "case3", {"eta_index": 2}, "ZERO"),
+    ("case4 v1", "case4", {"variant": 1}, "NONZERO"),
+    ("case4 v2", "case4", {"variant": 2}, "NONZERO"),
+    ("case5", "case5", {}, "ZERO"),
+    ("case6 v1", "case6", {"variant": 1}, "NONZERO"),
+    ("case6 v2", "case6", {"variant": 2}, "NONZERO"),
+    ("quadratic +2rho", "quadratic", {}, "ZERO"),
+    ("quadratic -2rho", "quadratic", {"sign": "minus"}, "NONZERO"),
+    ("cubic tau=0", "cubic", {}, "ZERO"),
+    ("cubic tau=1", "cubic", {"tau": 1}, "ZERO"),
+    ("unit-unit", "unit-unit", {}, "ZERO"),
+    ("m-one m=3", "m-one", {}, "ZERO"),
+    ("picard-pair", "picard-pair", {}, "UNAVAILABLE"),
+    ("corollary", "corollary", {}, "ZERO"),
+)
 
 
 def build_family(family_id: str, **params) -> SolutionFamily:

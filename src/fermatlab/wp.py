@@ -149,7 +149,7 @@ def invariants_from_tau(tau) -> Invariants:
     the real cube root of 4.  Raises DegenerateLatticeError when tau^3 == -1.
     """
     if tau_is_degenerate(tau):
-        raise DegenerateLatticeError(f"tau={tau!r} has tau^3 == -1")
+        raise DegenerateLatticeError(f"tau={tau} has tau^3 == -1")
     te = _tau_exact(tau)
     if te is not None and te.is_zero:
         return Invariants(0, 432)

@@ -12,6 +12,7 @@ import pytest
 
 from fermatlab import acceptance
 from fermatlab.acceptance import RUNTIME_BUDGET_SECONDS
+from fermatlab.families import CATALOG, build_family
 from fermatlab.scalars import RationalComplex
 from fermatlab.series import LaurentSeries, wp_series
 from fermatlab.wp import tau_cubic_coefficients
@@ -39,6 +40,32 @@ def test_suite_is_complete(acceptance_suite):
 
 def test_suite_runtime_budget(acceptance_suite):
     assert acceptance_suite.total_elapsed <= RUNTIME_BUDGET_SECONDS
+
+
+#: the keys of each criterion's family rows that are not build parameters
+_RESULT_KEYS = {
+    3: {"family", "verdict", "scan_w", "p95_w", "scan_exp", "p95_exp"},
+    4: {"family", "verdict", "coeffs", "scan"},
+    6: {"family", "scan", "p95"},
+}
+
+
+@pytest.mark.parametrize("cid, verdict", [(3, "ZERO"), (4, "NONZERO"), (6, "ZERO")])
+def test_criteria_cover_the_catalog(acceptance_suite, cid, verdict):
+    """Criteria 3, 4 and 6 list, in table order, exactly the catalog rows
+    of their verdict (criterion 6 those of power-sum kind)."""
+    want = [
+        (fid, {k: str(v) for k, v in params.items()})
+        for _, fid, params, expected in CATALOG
+        if expected == verdict
+        and (cid != 6 or build_family(fid, **params).kind in ("fermat", "corollary"))
+    ]
+    rows = result_for(acceptance_suite, cid).details["families"]
+    got = [
+        (row["family"], {k: str(v) for k, v in row.items() if k not in _RESULT_KEYS[cid]})
+        for row in rows
+    ]
+    assert got == want
 
 
 # -- criterion 9: the cubic family's near-pole limits, exactly ----------------

@@ -3,13 +3,21 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from fermatlab.families import CATALOG
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog.py"
 
 #: (label, exact verdict, route) of every row, in order
 ROWS = [
     ("case1", "ZERO", "series"),
     ("case2", "ZERO", "ring"),
+    ("case2 eta=1", "ZERO", "ring"),
+    ("case2 eta=2", "ZERO", "ring"),
     ("case3", "ZERO", "ring"),
+    ("case3 eta=1", "ZERO", "ring"),
+    ("case3 eta=2", "ZERO", "ring"),
     ("case4 v1", "NONZERO", "ring"),
     ("case4 v2", "NONZERO", "ring"),
     ("case5", "ZERO", "ring"),
@@ -38,17 +46,36 @@ REFUTED = [
 ]
 
 
-def test_catalog_table(capsys):
+def _load_script():
     spec = importlib.util.spec_from_file_location("run_catalog", _SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--density", "5"]) == 0
+    return script
+
+
+def test_catalog_table(capsys):
+    assert _load_script().main(["--density", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line[:17].rstrip() for line in lines[2 : 2 + len(ROWS)]]
     assert rows == [label for label, _, _ in ROWS]
+    # the script prints every row of the catalog table, in its order
+    assert rows == [label for label, _, _, _ in CATALOG]
     cols = [line[17:].split()[:2] for line in lines[2 : 2 + len(ROWS)]]
     assert cols == [[verdict, route] for _, verdict, route in ROWS]
     assert lines[2 + len(ROWS)] == ""
     assert lines[3 + len(ROWS) : 3 + len(ROWS) + len(REFUTED)] == REFUTED
     # the last line is the timing line, which is not pinned
     assert lines[-1].startswith(f"{len(ROWS)} families in ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--half-width", "0"], "error: window must have positive extent"),
+        (["--density", "nan"], "error: window bounds and grid density must be finite"),
+        (["--tol", "-1"], "error: tol must be positive and finite"),
+    ],
+)
+def test_catalog_table_refuses_a_bad_setting(capsys, argv, message):
+    assert _load_script().main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [message]

@@ -262,8 +262,9 @@ def test_wp_eval_degenerate_invariants(capsys):
 
 
 def test_wp_eval_degenerate_tau(capsys):
-    code, _, _ = run_cli(["wp-eval", "--tau", "-1", "--z", "0.4"], capsys)
+    code, _, err = run_cli(["wp-eval", "--tau", "-1", "--z", "0.4"], capsys)
     assert code == 2
+    assert "error: tau=-1 has tau^3 == -1" in err
 
 
 def test_wp_eval_bad_complex(capsys):
