@@ -126,11 +126,13 @@ class ScanWindow:
             raise ValueError("grid density must be at least 4 points per unit")
         if not (math.isfinite(self.soft_exclusion) and self.soft_exclusion > 0):
             raise ValueError("soft exclusion must be positive and finite")
-        n_re, n_im = self.axis_counts()
+        # float counts, so that a width beyond the float range is refused
+        # here instead of overflowing int()
+        n_re, n_im = self._counts()
         if n_re * n_im > MAX_GRID_POINTS:
             raise ValueError(
-                f"window needs {n_re} x {n_im} grid points, more than the "
-                f"limit of {MAX_GRID_POINTS}"
+                f"window needs {n_re:.3g} x {n_im:.3g} grid points, more than "
+                f"the limit of {MAX_GRID_POINTS}"
             )
 
     @property
@@ -141,10 +143,12 @@ class ScanWindow:
     def height(self) -> float:
         return self.im_max - self.im_min
 
+    def _counts(self):
+        return tuple(max(2.0, np.ceil(span * self.grid_density) + 1.0)
+                     for span in (self.width, self.height))
+
     def axis_counts(self) -> tuple[int, int]:
-        n_re = max(2, int(math.ceil(self.width * self.grid_density)) + 1)
-        n_im = max(2, int(math.ceil(self.height * self.grid_density)) + 1)
-        return n_re, n_im
+        return tuple(int(n) for n in self._counts())
 
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid's real (fast) and imaginary (slow) coordinates."""

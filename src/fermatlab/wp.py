@@ -2,9 +2,9 @@
 
 Given invariants (g2, g3) with nonzero discriminant, this module computes a
 period lattice by the complex AGM, validates it against the function itself
-(differential-equation residual plus genuine periodicity of an unreduced
-evaluation), and evaluates the function by lattice reduction, argument
-halving, truncated Laurent series and the duplication formula.
+(differential-equation residual plus symmetry of an unreduced evaluation
+about the half periods), and evaluates the function by lattice reduction,
+argument halving, truncated Laurent series and the duplication formula.
 
 The elliptic function wp satisfies (wp')^2 = 4 wp^3 - g2 wp - g3 and
 wp'' = 6 wp^2 - g2/2 throughout this package.  Catalog sources that write
@@ -14,11 +14,9 @@ the cubic as 4 wp^3 + A wp + B are stored as g2 = -A, g3 = -B.
 from __future__ import annotations
 
 import cmath
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -212,20 +210,6 @@ class HalfPeriods:
     omega3: complex
 
 
-def _ladder_eval(z: complex, g2: complex, coeffs: np.ndarray, depth: int):
-    """Evaluate (wp, wp') at z by series at z/2**depth plus duplication.
-
-    No lattice reduction: this is the validation route, correct whenever the
-    halved argument lands inside the series' convergence disc.
-    """
-    u = z / (2.0**depth)
-    p, pp = _series_pair(np.asarray([u]), coeffs)
-    p, pp = p[0], pp[0]
-    for _ in range(depth):
-        p, pp = _duplicate(p, pp, g2)
-    return p, pp
-
-
 def _series_pair(u, coeffs):
     """Vectorized series evaluation: wp = 1/w + w * S(w), wp' = -2/u^3 + 2u * S'(w)
     with w = u^2 and S built from the tail coefficients c_2..c_K."""
@@ -267,93 +251,106 @@ def _coeff_array(g2, g3, order: int) -> np.ndarray:
     return np.array(c, dtype=complex)
 
 
+def _ladder(z: np.ndarray, depth: np.ndarray, coeffs: np.ndarray, g2: complex):
+    """(wp, wp') at the points z by the series at z / 2**depth, then
+    ``depth`` duplication steps per point (points needing fewer steps are
+    masked out of the later ones).  No lattice reduction happens here."""
+    u = z / np.exp2(depth)
+    p, pp = _series_pair(u, coeffs)
+    for j in range(int(depth.max()) if depth.size else 0):
+        mask = depth > j
+        if mask.all():
+            p, pp = _duplicate(p, pp, g2)
+            continue
+        pj, ppj = _duplicate(p[mask], pp[mask], g2)
+        p[mask] = pj
+        pp[mask] = ppj
+    return p, pp
+
+
 def _validate_periods(g2, g3, w1, w3, coeffs) -> bool:
-    """Genuine post-contract: unreduced evaluation must satisfy the cubic
-    differential equation and be invariant under both period shifts, to
-    1e-6 relative to |wp| + 1 and |wp'| + 1."""
+    """Genuine post-contract: at two sample points z near the origin, the
+    unreduced evaluation at z + w and z - w (w = w1, w3) must satisfy the
+    cubic differential equation and agree, to 1e-6 relative to |wp| + 1 and
+    |wp'| + 1.  That holds when 2 w1 and 2 w3 are periods (at these generic
+    points, only then), and the points stay within about one half period of
+    the origin, so the duplication ladder stays short."""
     s = min(abs(2 * w1), abs(2 * w3), abs(2 * w1 + 2 * w3), abs(2 * w1 - 2 * w3))
     if s == 0:
         return False
-    r0 = 0.3 * s
-    samples = [0.1233 * 2 * w1 + 0.2177 * 2 * w3, -0.1812 * 2 * w1 + 0.3791 * 2 * w3]
-    for z in samples:
-        vals = []
-        for shift in (0, 2 * w1, 2 * w3):
-            zz = z + shift
-            depth = max(0, math.ceil(math.log2(max(abs(zz) / r0, 1.0))))
-            if depth > _MAX_UNREDUCED_DEPTH:
-                return False
-            p, pp = _ladder_eval(zz, g2, coeffs, depth)
-            if not (np.isfinite(p) and np.isfinite(pp)):
-                return False
-            ode = pp * pp - (4.0 * p**3 - g2 * p - g3)
-            if abs(ode) > 1e-6 * (1.0 + abs(p)) ** 3:
-                return False
-            vals.append((p, pp))
-        (p0, pp0) = vals[0]
-        for p, pp in vals[1:]:
-            if abs(p - p0) > 1e-6 * (1.0 + abs(p0)):
-                return False
-            if abs(pp - pp0) > 1e-6 * (1.0 + abs(pp0)):
-                return False
+    z = np.array([c + sign * w
+                  for c in (0.1233 * w1 + 0.2177 * w3, -0.1812 * w1 + 0.3791 * w3)
+                  for w in (w1, w3) for sign in (1, -1)])
+    depth = np.ceil(np.log2(np.maximum(np.abs(z) / (0.3 * s), 1.0))).astype(int)
+    if depth.max() > _MAX_UNREDUCED_DEPTH:
+        return False
+    p, pp = _ladder(z, depth, coeffs, g2)
+    if not (np.isfinite(p).all() and np.isfinite(pp).all()):
+        return False
+    ode = pp * pp - (4.0 * p**3 - g2 * p - g3)
+    if (np.abs(ode) > 1e-6 * (1.0 + np.abs(p)) ** 3).any():
+        return False
+    for v in (p, pp):
+        if (np.abs(v[0::2] - v[1::2]) > 1e-6 * (1.0 + np.abs(v[1::2]))).any():
+            return False
     return True
 
 
 def periods_from_invariants(inv: Invariants) -> HalfPeriods:
     """Half periods (omega1, omega3) with Im(omega3/omega1) > 0.
 
-    Root pairing for the two AGM calls is implementation-chosen: candidate
-    pairings are tried in a fixed order and the first one passing the
-    self-validating post-contract wins.  When none passes, the search runs
-    again on invariants scaled by homogeneity,
+    The periods come from one AGM pair over the differences of the cubic's
+    roots, taken in ``cubic_roots``' order, and their Gauss-reduced basis
+    must pass ``_validate_periods``.  When it fails, the same route runs once
+    more on invariants scaled by homogeneity,
     wp(lam z; lam^-4 g2, lam^-6 g3) = lam^-2 wp(z; g2, g3) with
     lam = max(|g2|^(1/4), |g3|^(1/6)), and the periods it finds are divided
     by lam.  They are checked in that frame only: homogeneity carries the
-    check over exactly, while a rerun on the unscaled invariants loses about
-    1e-6 along its duplication ladder and refuses good lattices.
+    check over exactly.  Raises ConvergenceError, naming the invariants,
+    when both frames fail.
     """
     g2, g3 = inv.g2c, inv.g3c
-    coeffs = _coeff_array(g2, g3, _SERIES_ORDER)
-    found, reason = _pairing_search(g2, g3, coeffs)
+    found, reason = _agm_periods(g2, g3)
     if found is None:  # lam > 0: Invariants refuses g2 = g3 = 0
         lam = max(abs(g2) ** 0.25, abs(g3) ** (1.0 / 6.0))
-        sg2, sg3 = g2 / lam**4, g3 / lam**6
-        found, reason = _pairing_search(sg2, sg3, _coeff_array(sg2, sg3, _SERIES_ORDER))
-        if found is not None:
-            found = (found[0] / lam, found[1] / lam)
-    if found is None:
-        raise ConvergenceError(f"period computation failed: {reason}")
+        scaled, scaled_reason = _agm_periods(g2 / lam**4, g3 / lam**6)
+        if scaled is None:
+            raise ConvergenceError(
+                f"period computation failed for g2={g2}, g3={g3}: {reason}; "
+                f"the invariants rescaled by homogeneity failed too: {scaled_reason}"
+            )
+        found = (scaled[0] / lam, scaled[1] / lam)
     return _normalize_periods(*found)
 
 
-def _pairing_search(g2: complex, g3: complex, coeffs):
-    """((w1, w3), "") for the first root pairing whose periods pass
-    ``_validate_periods``, or (None, reason)."""
-    roots = cubic_roots(4.0, -g2, -g3)
-    last_reason = "no candidate pairing produced a valid lattice"
-    for perm in permutations(range(3)):
-        e1, e2, e3 = roots[perm[0]], roots[perm[1]], roots[perm[2]]
-        try:
-            a = cmath.sqrt(e1 - e3)
-            b = cmath.sqrt(e1 - e2)
-            c = cmath.sqrt(e2 - e3)
-            if abs(a - b) > abs(a + b):
-                b = -b
-            if abs(a - c) > abs(a + c):
-                c = -c
-            w1 = cmath.pi / (2.0 * complex_agm(a, b))
-            w3 = 1j * cmath.pi / (2.0 * complex_agm(a, c))
-        except (ValueError, ConvergenceError) as exc:
-            last_reason = str(exc)
-            continue
-        ratio = w3 / w1
-        if abs(ratio.imag) < 1e-9:
-            continue
-        if ratio.imag < 0:
-            w3 = -w3
-        if _validate_periods(g2, g3, w1, w3, coeffs):
-            return (w1, w3), ""
-    return None, last_reason
+def _agm_periods(g2: complex, g3: complex):
+    """((w1, w3), "") from one AGM pair, or (None, reason).
+
+    ``_validate_periods`` checks the Gauss-reduced basis of the pair, the
+    one the engine evaluates with, so its verdict belongs to the lattice
+    and not to the order of the roots."""
+    e1, e2, e3 = cubic_roots(4.0, -g2, -g3)
+    try:
+        a = cmath.sqrt(e1 - e3)
+        b = cmath.sqrt(e1 - e2)
+        c = cmath.sqrt(e2 - e3)
+        if abs(a - b) > abs(a + b):
+            b = -b
+        if abs(a - c) > abs(a + c):
+            c = -c
+        w1 = cmath.pi / (2.0 * complex_agm(a, b))
+        w3 = 1j * cmath.pi / (2.0 * complex_agm(a, c))
+    except (ValueError, ConvergenceError) as exc:
+        return None, str(exc)
+    ratio = w3 / w1
+    if abs(ratio.imag) < 1e-9:
+        return None, "the AGM periods are collinear"
+    if ratio.imag < 0:
+        w3 = -w3
+    v1, v3 = _gauss_reduce(2 * w1, 2 * w3)
+    if not _validate_periods(g2, g3, v1 / 2, v3 / 2, _coeff_array(g2, g3, _SERIES_ORDER)):
+        return None, "the AGM periods fail validation"
+    return (w1, w3), ""
 
 
 def _normalize_periods(w1: complex, w3: complex) -> HalfPeriods:
@@ -477,16 +474,7 @@ class WeierstrassEngine:
             raise LatticeReductionError(
                 f"duplication ladder depth {dmax} exceeds budget {_MAX_LADDER}"
             )
-        u = zr / np.exp2(depth)
-        p, pp = _series_pair(u, self._coeffs)
-        for j in range(dmax):
-            mask = depth > j
-            if mask.all():
-                p, pp = _duplicate(p, pp, self._g2)
-                continue
-            pj, ppj = _duplicate(p[mask], pp[mask], self._g2)
-            p[mask] = pj
-            pp[mask] = ppj
+        p, pp = _ladder(zr, depth, self._coeffs, self._g2)
         ppp = 6.0 * p * p - self._g2 / 2.0
         if any_pole:
             nanc = complex(float("nan"), float("nan"))

@@ -280,8 +280,8 @@ _HUGE = "1" + "0" * 400
     [
         # neither the invariants nor their homogeneous scaling give a valid
         # lattice (ConvergenceError)
-        ["verify", "--family", "cubic", "--tau", "5e3"],
-        ["adjudicate", "--family", "cubic", "--tau", "5e3"],
+        ["verify", "--family", "cubic", "--tau", "3e4"],
+        ["adjudicate", "--family", "cubic", "--tau", "3e4"],
         # the discriminant would overflow: refused by name (ValueError)
         ["wp-eval", "--g2", "1e200", "--g3", "1", "--z", "0.1"],
         ["verify", "--family", "cubic", "--tau", "1e200"],
@@ -316,15 +316,26 @@ def test_numeric_failures_exit_2(argv, capsys):
         if far in argv:
             assert err.startswith("error: z=")
             assert "the reduction resolves only coordinates up to 2^20 in magnitude" in err
+    if "3e4" in argv:
+        assert err.startswith("error: period computation failed for g2=")
+        assert "g3=" in err and "rescaled by homogeneity failed too" in err
+
+
+@pytest.mark.parametrize("tau", ["10000", "-10000", "5000i"])
+def test_wp_eval_builds_near_degenerate_lattices(tau, capsys):
+    # the discriminant is 6e-11 (5e-10 at 5000i) of g2^3
+    code, out, _ = run_cli(["wp-eval", "--tau", tau, "--z", "0.1"], capsys)
+    assert code == 0
+    assert json.loads(out)["odeResidual"] < 1e-12
 
 
 def test_cubic_near_degenerate_lattice_builds_by_homogeneity(capsys):
-    # at tau = 1000 the discriminant is 6e-8 of g2^3 and no root pairing of
-    # the invariants themselves validates; their scaled copy does
+    # at tau = 1000 the discriminant is 6e-8 of g2^3 and the periods of the
+    # invariants themselves fail validation; those of their scaled copy pass
     code, out, err = run_cli(["verify", "--family", "cubic", "--tau", "1e3"], capsys)
     assert code in (0, 1, 3)
     assert out.split(":")[0] in ("PASS", "FAIL", "INCONCLUSIVE")
-    assert "no candidate pairing" not in err
+    assert "period computation failed" not in err
 
 
 @pytest.mark.parametrize("flags, slot", [([], "w"), (["--slot", "exp"], "e^w")])

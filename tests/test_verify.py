@@ -71,6 +71,15 @@ def test_window_density_controls_grid():
     assert w.axis_counts() == (11, 21)
 
 
+# windows refused for their point count, which the message names
+_OVER_BUDGET = (
+    {"grid_density": 1e5},
+    # a width beyond the float range, and a grid count of 301 digits
+    {"re_min": -1e308, "re_max": 1e308, "im_min": -1, "im_max": 1},
+    {"re_min": -1e300, "re_max": 1e300, "im_min": -1, "im_max": 1},
+)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -78,12 +87,13 @@ def test_window_density_controls_grid():
         {"im_min": 2, "im_max": 2},
         {"grid_density": 2},
         {"soft_exclusion": 0.0},
-        {"grid_density": 1e5},
+        _OVER_BUDGET[0],
         {"grid_density": float("inf")},
+        *_OVER_BUDGET[1:],
     ],
 )
 def test_window_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid points" if kwargs in _OVER_BUDGET else None):
         ScanWindow(**kwargs)
 
 

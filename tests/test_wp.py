@@ -184,7 +184,7 @@ def test_half_period_value_is_branch_point():
     assert abs(pp) < 1e-9
 
 
-@pytest.mark.parametrize("tau", [1500, -1500, 1500j, 3000])
+@pytest.mark.parametrize("tau", [1500, -1500, 1500j, 3000, 5000, 5000j])
 def test_near_degenerate_lattice_by_homogeneity(tau):
     """Large tau: the periods come from the invariants scaled by lam and are
     checked only in that frame.  The engine on the unscaled invariants must
@@ -444,9 +444,24 @@ def test_eval_unreduced_agrees_far_from_origin(eng01):
     p0, pp0, _ = eng01.eval_scalar(z)
     # the validation route: no lattice reduction, the series at far / 2^depth
     depth = max(0, math.ceil(math.log2(max(abs(far) / (0.3 * abs(v1)), 1.0))))
-    p1, pp1 = wp._ladder_eval(far, eng01.invariants.g2c, eng01._coeffs, depth)
-    assert abs(p1 - p0) < 1e-6 * (1 + abs(p0))
-    assert abs(pp1 - pp0) < 1e-6 * (1 + abs(pp0))
+    p1, pp1 = wp._ladder(np.array([far]), np.array([depth]), eng01._coeffs,
+                         eng01.invariants.g2c)
+    assert abs(p1[0] - p0) < 1e-6 * (1 + abs(p0))
+    assert abs(pp1[0] - pp0) < 1e-6 * (1 + abs(pp0))
+
+
+def test_validate_periods_refuses_wrong_half_periods(eng01):
+    g2, g3 = eng01.invariants.g2c, eng01.invariants.g3c
+    w1, w3 = eng01.periods.omega1, eng01.periods.omega3
+    assert wp._validate_periods(g2, g3, w1, w3, eng01._coeffs)
+    # 3 w1 and 2 w3 + w1 are not periods
+    assert not wp._validate_periods(g2, g3, 1.5 * w1, w3, eng01._coeffs)
+    assert not wp._validate_periods(g2, g3, w1, w3 + w1 / 2, eng01._coeffs)
+    # a basis whose two sample points fall on the half periods w1 + 2 w3 and
+    # w3, about which wp is even: only the odd wp' tells it apart
+    a, b = np.linalg.solve(np.array([[0.1233, 0.2177], [-0.1812, 0.3791]], dtype=complex),
+                           [w1 + 2 * w3, w3])
+    assert not wp._validate_periods(g2, g3, complex(a), complex(b), eng01._coeffs)
 
 
 def test_basis_lengths_for_equianharmonic(eng01):
