@@ -18,6 +18,10 @@ exceptions to exit codes; the handlers only return verdict codes.
 Complex arguments are written without spaces ("0.3+0.2i", "-1.5i", "2");
 exact rationals use a slash ("5/4", "-1/3+2/5i").  Windows are
 "re_min,re_max,im_min,im_max".
+
+Settings come only from flags.  An argument ``@FILE`` is replaced by the
+flags written in FILE, any number to a line, with ``#`` comments and blank
+lines skipped; a flag given after it overrides the file's.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import argparse
 import sys
 
 from . import __version__
-from .config import load_config
 from .errors import AnalyzerError, FermatLabError, PoleProximityError
 from .exprs import differentiate
 from .families import FAMILY_IDS, adjudicate, build_family
@@ -55,17 +58,10 @@ def parse_window(text: str, **settings) -> ScanWindow:
     return ScanWindow(vals[0], vals[1], vals[2], vals[3], **settings)
 
 
-def _settings(args, **flags) -> dict:
-    """The --config file's values, if the command takes one, with the flags
-    actually given (not None) over them.  The library call that takes a
-    value owns its default and its range check."""
-    settings = load_config(args.config) if getattr(args, "config", None) else {}
-    settings.update((k, v) for k, v in flags.items() if v is not None)
-    return settings
-
-
-def _pick(settings: dict, *names) -> dict:
-    return {k: settings[k] for k in names if k in settings}
+def _given(**settings) -> dict:
+    """The settings whose flags were given (not None): the library call that
+    takes a value owns its default and its range check."""
+    return {k: v for k, v in settings.items() if v is not None}
 
 
 def _complex_json(value: complex) -> dict:
@@ -174,9 +170,8 @@ def _cmd_wp_eval(args) -> int:
 
 
 def _cmd_adjudicate(args) -> int:
-    settings = _settings(args)
     fam = build_family(args.family, **_family_kwargs(args))
-    verdict = adjudicate(fam, **_pick(settings, "order"))
+    verdict = adjudicate(fam, **_given(order=args.order))
     print(f"family:  {fam.family_id}")
     print(f"params:  {fam.params.to_dict()}")
     print(f"verdict: {verdict.verdict}  (route: {verdict.route})")
@@ -196,20 +191,16 @@ def _cmd_adjudicate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    settings = _settings(
-        args,
-        tol=args.tol,
-        grid_density=args.density,
-        soft_exclusion=args.soft_exclusion,
-    )
     fam = build_family(args.family, **_family_kwargs(args))
-    window = parse_window(args.window, **_pick(settings, "grid_density", "soft_exclusion"))
+    window = parse_window(args.window, **_given(grid_density=args.density,
+                                                soft_exclusion=args.soft_exclusion))
     scan = residual_scan if args.check == "residual" else derivative_identity_scan
     rep = scan(
         fam,
         window,
         keep_samples=args.csv is not None,
-        **_pick(settings, "tol", "pole_ceiling", "exclusion_budget"),
+        **_given(tol=args.tol, pole_ceiling=args.pole_ceiling,
+                 exclusion_budget=args.exclusion_budget),
     )
     command = "fermatlab " + " ".join(args.raw_argv)
     if args.out:
@@ -231,7 +222,7 @@ def _cmd_verify(args) -> int:
 def _cmd_zeros(args) -> int:
     expr = _resolve_named_expr(args.expr)
     compare_expr = _resolve_named_expr(args.compare) if args.compare else None
-    window = parse_window(args.window, **_settings(args, grid_density=args.density))
+    window = parse_window(args.window)
     relation_holds = True
     rep = zero_scan(expr, window)
     print(f"zeros of {args.expr}: {len(rep.zeros)}")
@@ -310,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermatlab",
         description="verification lab for power-sum functional equations",
+        fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = lambda line: line.split("#", 1)[0].split()
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -324,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjudicate", help="exact residual certificate")
     _add_family_flags(p, with_slot=False)
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--order", type=int, help="series order of the exact verdict")
     p.set_defaults(fn=_cmd_adjudicate)
 
     p = sub.add_parser("verify", help="pole-aware residual scan")
@@ -334,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--density", type=float, help="grid points per unit length")
     p.add_argument("--soft-exclusion", type=float, dest="soft_exclusion")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--pole-ceiling", type=float)
+    p.add_argument("--exclusion-budget", type=float)
     p.add_argument("--out", help="write the canonical JSON report here")
     p.add_argument("--csv", help="write the per-point CSV here")
     p.set_defaults(fn=_cmd_verify)
@@ -342,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="certified zero sets")
     p.add_argument("--expr", required=True, help="family.attr, e.g. corollary.gprime")
     p.add_argument("--window", default="-2,2,-2,2")
-    p.add_argument("--density", type=float)
     p.add_argument("--compare", help="second family.attr to compare against")
     p.add_argument(
         "--relation", choices=["subset", "superset", "equal"], default="subset"

@@ -155,7 +155,7 @@ ZETA: tuple[complex, ...] = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 # ---------------------------------------------------------------------------
-# Parsing / formatting of scalars for the CLI and config surfaces.
+# Parsing / formatting of scalars for the CLI.
 # ---------------------------------------------------------------------------
 
 _NUM = r"(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"

@@ -29,7 +29,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,10 +93,17 @@ _BOUNDARY_NODES_PER_UNIT = 32.0
 #: one array of this size, not one the size of the grid
 _SCAN_BLOCK = 8192
 
-#: most grid points a window may ask for (about 6x the 401 x 401 grid of a
-#: dense scan); beyond it a scan would exhaust memory or time, so the window
-#: is refused up front
+#: most grid points a scan may sample (about 6x the 401 x 401 grid of a
+#: dense scan); beyond it a scan would exhaust memory or time, so the grid
+#: is refused before it is built
 MAX_GRID_POINTS = 1_000_000
+
+#: most lattice points (its engines' coordinate boxes, summed) and boundary
+#: rule nodes a zero scan may take; a window over either is refused up front.
+#: 1.6e6 nodes is 32 per unit of 50,000, the longest perimeter of a grid
+#: within the limit above at density 20
+MAX_ZERO_LATTICE_POINTS = 20_000
+MAX_ZERO_BOUNDARY_NODES = 1_600_000
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +133,6 @@ class ScanWindow:
             raise ValueError("grid density must be at least 4 points per unit")
         if not (math.isfinite(self.soft_exclusion) and self.soft_exclusion > 0):
             raise ValueError("soft exclusion must be positive and finite")
-        # float counts, so that a width beyond the float range is refused
-        # here instead of overflowing int()
-        n_re, n_im = self._counts()
-        if n_re * n_im > MAX_GRID_POINTS:
-            raise ValueError(
-                f"window needs {n_re:.3g} x {n_im:.3g} grid points, more than "
-                f"the limit of {MAX_GRID_POINTS}"
-            )
 
     @property
     def width(self) -> float:
@@ -143,28 +142,23 @@ class ScanWindow:
     def height(self) -> float:
         return self.im_max - self.im_min
 
-    def _counts(self):
-        return tuple(max(2.0, np.ceil(span * self.grid_density) + 1.0)
-                     for span in (self.width, self.height))
-
     def axis_counts(self) -> tuple[int, int]:
-        return tuple(int(n) for n in self._counts())
+        # float counts, so that a width beyond the float range is refused
+        # here instead of overflowing int()
+        n_re, n_im = (max(2.0, np.ceil(span * self.grid_density) + 1.0)
+                      for span in (self.width, self.height))
+        if n_re * n_im > MAX_GRID_POINTS:
+            raise ValueError(
+                f"window needs {n_re:.3g} x {n_im:.3g} grid points, more than "
+                f"the limit of {MAX_GRID_POINTS}"
+            )
+        return int(n_re), int(n_im)
 
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid's real (fast) and imaginary (slow) coordinates."""
         n_re, n_im = self.axis_counts()
         return (np.linspace(self.re_min, self.re_max, n_re),
                 np.linspace(self.im_min, self.im_max, n_im))
-
-    def to_dict(self) -> dict:
-        return {
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-            "grid_density": self.grid_density,
-            "soft_exclusion": self.soft_exclusion,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +333,7 @@ def _relative_scan(
         points_total=n,
         points_excluded=n_exc,
         exclusion_reasons=counts,
-        window=window.to_dict(),
+        window=asdict(window),
         grid={"n_re": n_re, "n_im": n_im, "density": window.grid_density},
         failures=failures,
         samples=samples,
@@ -758,16 +752,22 @@ def _expr_pole_points(engines: tuple, root: tuple):
     (re_min, re_max, im_min, im_max): the lattice points of the engines of
     its elliptic atoms, which ``_supported_atoms_or_raise`` has checked to
     be evaluated at the bare variable."""
-    pts: list[complex] = []
     x0, x1, y0, y1 = root
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    boxes = []
     for eng in engines:
-        v1, v2 = eng.basis
         a_vals, b_vals = eng.lattice_coordinates(corners)
-        a_lo, a_hi = int(math.floor(a_vals.min())) - 1, int(math.ceil(a_vals.max())) + 1
-        b_lo, b_hi = int(math.floor(b_vals.min())) - 1, int(math.ceil(b_vals.max())) + 1
-        for a in range(a_lo, a_hi + 1):
-            for b in range(b_lo, b_hi + 1):
+        boxes.append((*eng.basis,
+                      range(math.floor(a_vals.min()) - 1, math.ceil(a_vals.max()) + 2),
+                      range(math.floor(b_vals.min()) - 1, math.ceil(b_vals.max()) + 2)))
+    count = sum(len(a_range) * len(b_range) for _, _, a_range, b_range in boxes)
+    if count > MAX_ZERO_LATTICE_POINTS:
+        raise ValueError(f"window spans {count} lattice points, more than the limit of "
+                         f"{MAX_ZERO_LATTICE_POINTS}")
+    pts: list[complex] = []
+    for v1, v2, a_range, b_range in boxes:
+        for a in a_range:
+            for b in b_range:
                 p = a * v1 + b * v2
                 if _in(root, p):
                     pts.append(complex(p))
@@ -841,10 +841,16 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     finite at a node of a contour, or where a zero lies too near a contour
     for _PHASE_PASSES passes of phase tracking to resolve; and where D's
     winding on a zero's circle is not close to an integer, or D has a zero
-    or pole inside that circle anywhere but at the zero.
+    or pole inside that circle anywhere but at the zero.  Only the window's
+    bounds are read, and a window over MAX_ZERO_BOUNDARY_NODES or
+    MAX_ZERO_LATTICE_POINTS is refused before any contour work.
     """
     pair, den_pair, engines = _compiled(expr)
     x0, x1, y0, y1 = root = (window.re_min, window.re_max, window.im_min, window.im_max)
+    nodes = 2.0 * (window.width + window.height) * _BOUNDARY_NODES_PER_UNIT
+    if nodes > MAX_ZERO_BOUNDARY_NODES:
+        raise ValueError(f"window boundary needs {nodes:.3g} rule nodes, more than the limit "
+                         f"of {MAX_ZERO_BOUNDARY_NODES}")
     poles = _expr_pole_points(engines, root)
     for p in poles:
         if min(p.real - x0, x1 - p.real, p.imag - y0, y1 - p.imag) < _BOUNDARY_MARGIN:
@@ -894,7 +900,7 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     zero_records.sort(key=lambda r: (round(r.re, 9), round(r.im, 9)))
     cancelled_records.sort(key=lambda r: (round(r.re, 9), round(r.im, 9)))
     return ZeroReport(
-        window=window.to_dict(),
+        window=dict(zip(("re_min", "re_max", "im_min", "im_max"), root)),
         zeros=tuple(zero_records),
         cancelled=tuple(cancelled_records),
         poles=tuple((float(p.real), float(p.imag), k) for p, k in pole_orders if k),

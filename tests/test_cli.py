@@ -142,7 +142,7 @@ OPTIONS = {
         (["--ell"], "ell", "int", None, None, "derivative power for the coupled witness", False),
         (["--gamma"], "gamma", None, None, None, "first constant-pair exponent", False),
         (["--delta"], "delta", None, None, None, "second constant-pair exponent", False),
-        (["--config"], "config", None, None, None, "key=value config file", False),
+        (["--order"], "order", "int", None, None, "series order of the exact verdict", False),
     ],
     "verify": [
         (["--family"], "family", None, None, FAMILIES, None, True),
@@ -162,14 +162,14 @@ OPTIONS = {
         (["--tol"], "tol", "float", None, None, None, False),
         (["--density"], "density", "float", None, None, "grid points per unit length", False),
         (["--soft-exclusion"], "soft_exclusion", "float", None, None, None, False),
-        (["--config"], "config", None, None, None, "key=value config file", False),
+        (["--pole-ceiling"], "pole_ceiling", "float", None, None, None, False),
+        (["--exclusion-budget"], "exclusion_budget", "float", None, None, None, False),
         (["--out"], "out", None, None, None, "write the canonical JSON report here", False),
         (["--csv"], "csv", None, None, None, "write the per-point CSV here", False),
     ],
     "zeros": [
         (["--expr"], "expr", None, None, None, "family.attr, e.g. corollary.gprime", True),
         (["--window"], "window", None, "-2,2,-2,2", None, None, False),
-        (["--density"], "density", "float", None, None, None, False),
         (["--compare"], "compare", None, None, None,
          "second family.attr to compare against", False),
         (["--relation"], "relation", None, "subset", ["subset", "superset", "equal"], None, False),
@@ -208,6 +208,53 @@ def test_every_option_is_pinned():
             if not isinstance(a, argparse._HelpAction)
         ]
     assert seen == OPTIONS
+
+
+#: every settings flag: (subcommand, flag, library keyword, the value an
+#: @file gives, the value a flag after it gives)
+SETTINGS_FLAGS = [
+    ("adjudicate", "--order", "order", 60, 80),
+    ("verify", "--tol", "tol", 1e-6, 1e-5),
+    ("verify", "--density", "grid_density", 8.0, 6.0),
+    ("verify", "--soft-exclusion", "soft_exclusion", 0.01, 0.02),
+    ("verify", "--pole-ceiling", "pole_ceiling", 1e7, 1e6),
+    ("verify", "--exclusion-budget", "exclusion_budget", 0.5, 0.3),
+]
+
+
+@pytest.mark.parametrize("command, flag, keyword, in_file, after", SETTINGS_FLAGS)
+def test_no_settings_flag_is_dead(command, flag, keyword, in_file, after, capsys,
+                                  tmp_path, monkeypatch):
+    """Each settings flag reaches the library call that owns it, under its
+    keyword, from the command line and from an @file; a flag after the file
+    overrides it."""
+    calls = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("adjudicate", "residual_scan", "derivative_identity_scan", "ScanWindow"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    settings = tmp_path / "lab.args"
+    settings.write_text(f"# lab settings\n\n{flag} {in_file}\n")
+    if command == "adjudicate":
+        runs = [["adjudicate", "--family", "case2"]]
+    else:
+        runs = [["verify", "--family", "case2", "--window=-1,1,-1,1", "--check", check]
+                for check in ("residual", "derivative")]
+    for base in runs:
+        for extra, want in (
+            ([flag, str(after)], after),
+            ([f"@{settings}"], in_file),
+            ([f"@{settings}", flag, str(after)], after),
+        ):
+            calls.clear()
+            code, _, err = run_cli(base + extra, capsys)
+            assert code == 0, err
+            assert [kwargs[keyword] for kwargs in calls if keyword in kwargs] == [want]
 
 
 # -- wp-eval -----------------------------------------------------------------
@@ -406,23 +453,19 @@ def test_adjudicate_config_series_order(capsys, tmp_path, monkeypatch):
         return adjudicate(fam, order=order)
 
     monkeypatch.setattr(cli, "adjudicate", spy)
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("[series]\norder = 120\n")
-    code, out, _ = run_cli(
-        ["adjudicate", "--family", "quadratic", "--sign", "minus", "--config", str(cfg)],
-        capsys,
-    )
-    assert code == 1
-    assert orders == [120]
-    assert "leading series terms: w^1: -20/3, w^2: 100/9, w^3: -40/9, w^4: 100/27" in out
+    cfg = tmp_path / "lab.args"
+    cfg.write_text("--order 120\n")
+    for settings in (["--order", "120"], [f"@{cfg}"]):
+        code, out, _ = run_cli(
+            ["adjudicate", "--family", "quadratic", "--sign", "minus", *settings], capsys
+        )
+        assert code == 1
+        assert orders.pop() == 120
+        assert "leading series terms: w^1: -20/3, w^2: 100/9, w^3: -40/9, w^4: 100/27" in out
 
 
-def test_adjudicate_bad_series_order(capsys, tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("[series]\norder = 5\n")
-    code, _, err = run_cli(
-        ["adjudicate", "--family", "unit-unit", "--config", str(cfg)], capsys
-    )
+def test_adjudicate_bad_series_order(capsys):
+    code, _, err = run_cli(["adjudicate", "--family", "unit-unit", "--order", "5"], capsys)
     assert code == 2
     assert "series order" in err
 
@@ -539,8 +582,8 @@ def test_verify_derivative_check(capsys):
 
 
 def test_verify_config_file_with_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("[scan]\ntol = 1e-6\ngrid_density = 5\n")
+    cfg = tmp_path / "lab.args"
+    cfg.write_text("--tol 1e-6\n--density=5\n")
     out_json = tmp_path / "report.json"
     code, _, _ = run_cli(
         [
@@ -548,8 +591,7 @@ def test_verify_config_file_with_flag_override(capsys, tmp_path):
             "--family",
             "case2",
             "--window=-1,1,-1,1",
-            "--config",
-            str(cfg),
+            f"@{cfg}",
             "--tol",
             "1e-4",
             "--out",
@@ -562,13 +604,16 @@ def test_verify_config_file_with_flag_override(capsys, tmp_path):
     # the flag wins over the file; the file's density shapes the grid
     assert report["tolerance"] == 1e-4
     assert report["grid"]["density"] == 5.0
+    # the report records the command as typed, not the file's contents
+    assert report["command"].endswith(f"--window=-1,1,-1,1 @{cfg} --tol 1e-4 --out {out_json}")
 
 
 def test_verify_bad_config(capsys, tmp_path):
-    cfg = tmp_path / "lab.cfg"
-    cfg.write_text("[scan]\nspeed = 11\n")
-    code, _, err = run_cli(small_verify_args("--config", str(cfg)), capsys)
+    cfg = tmp_path / "lab.args"
+    cfg.write_text("--speed 11\n")
+    code, _, err = run_cli(small_verify_args(f"@{cfg}"), capsys)
     assert code == 2
+    assert "unrecognized arguments: --speed 11" in err
 
 
 def test_verify_bad_window(capsys):
@@ -588,19 +633,20 @@ def test_verify_refuses_grid_over_budget(capsys):
 
 
 @pytest.mark.parametrize(
-    "extra, config",
+    "extra, settings",
     [
         (["--family", "case4", "--tol", "inf"], None),
         (["--family", "case4", "--tol", "nan"], None),
         (["--family", "case2", "--soft-exclusion", "nan"], None),
-        (["--family", "case2"], "[scan]\npole_ceiling = nan\n"),
+        (["--family", "case2", "--pole-ceiling", "nan"], None),
+        (["--family", "case2"], "--pole-ceiling nan\n"),
     ],
 )
-def test_verify_refuses_values_that_are_not_finite(extra, config, capsys, tmp_path):
-    if config is not None:
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text(config)
-        extra = extra + ["--config", str(cfg)]
+def test_verify_refuses_values_that_are_not_finite(extra, settings, capsys, tmp_path):
+    if settings is not None:
+        cfg = tmp_path / "lab.args"
+        cfg.write_text(settings)
+        extra = extra + [f"@{cfg}"]
     code, out, err = run_cli(["verify", *extra], capsys)
     assert code == 2
     assert out == ""
@@ -691,6 +737,21 @@ def test_zeros_help_example_finds_the_zero_at_the_origin(capsys, tmp_path):
     assert [z["multiplicity"] for z in rep["zeros"]] == [1]
     assert abs(complex(rep["zeros"][0]["re"], rep["zeros"][0]["im"])) < 1e-12
     assert "seeds" not in rep
+
+
+def test_zeros_window_is_not_a_grid(capsys, tmp_path):
+    out_json = tmp_path / "zeros.json"
+    code, out, err = run_cli(
+        ["zeros", "--expr", "case3.f", "--window=-30.1,30.3,-30.2,30.4", "--json", str(out_json)],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.endswith("interior count -19 == boundary winding -19\n")
+    assert set(json.loads(out_json.read_text())["zeros"]["window"]) == {
+        "re_min", "re_max", "im_min", "im_max"}
+    code, _, err = run_cli(["zeros", "--expr", "case3.f", "--window=-500,500,-500,500"], capsys)
+    assert code == 2
+    assert err.startswith("error: window spans 269361 lattice points")
 
 
 def test_zeros_bad_expression_name(capsys):

@@ -1,6 +1,5 @@
-"""Deterministic serialization and the config file."""
+"""Deterministic serialization, and the settings the CLI passes on."""
 
-import argparse
 import hashlib
 import inspect
 import json
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatlab import cli, reports
-from fermatlab.config import load_config
 from fermatlab.families import adjudicate, build_family
 from fermatlab.reports import (
     CSV_HEADER,
@@ -396,14 +394,11 @@ def test_rescan_is_byte_identical(small_scan):
     assert points_csv(small_scan.samples) == points_csv(again.samples)
 
 
-# -- configuration -----------------------------------------------------------
+# -- settings ----------------------------------------------------------------
 
 
-def test_config_defaults(tmp_path):
-    """An empty file sets nothing: each default is the library call's own."""
-    path = tmp_path / "lab.cfg"
-    path.write_text("")
-    assert load_config(path) == {}
+def test_config_defaults():
+    """Each setting's default is the library call's own."""
     for scan in (residual_scan, derivative_identity_scan):
         params = inspect.signature(scan).parameters
         assert params["tol"].default == 1e-8
@@ -414,16 +409,10 @@ def test_config_defaults(tmp_path):
     assert inspect.signature(adjudicate).parameters["order"].default == 40
 
 
-def test_config_override_skips_none(tmp_path):
-    """The CLI puts the flags actually given over the file's values."""
-    path = tmp_path / "lab.cfg"
-    path.write_text("[scan]\ntol = 1e-6\ngrid_density = 8\n")
-    args = argparse.Namespace(config=str(path))
-    assert cli._settings(args, tol=None, grid_density=10.0) == {
-        "tol": 1e-6,
-        "grid_density": 10.0,
-    }
-    assert cli._settings(argparse.Namespace(config=None), tol=None) == {}
+def test_config_override_skips_none():
+    """The CLI passes on only the settings whose flags were given."""
+    assert cli._given(tol=None, grid_density=10.0) == {"grid_density": 10.0}
+    assert cli._given(tol=None) == {}
 
 
 def _through_owner(**kwargs):
@@ -457,7 +446,7 @@ def _through_owner(**kwargs):
     ],
 )
 def test_config_validation(kwargs):
-    """Every config key's range is checked by its owner, not by the file."""
+    """Every setting's range is checked by its owner, not by the CLI."""
     with pytest.raises(ValueError):
         _through_owner(**kwargs)
 
@@ -465,37 +454,3 @@ def test_config_validation(kwargs):
 @pytest.mark.parametrize("kwargs", [{"order": 10}, {"order": 400}, {"exclusion_budget": 1.0}])
 def test_config_limits_are_accepted(kwargs):
     _through_owner(**kwargs)
-
-
-def test_load_config(tmp_path):
-    path = tmp_path / "lab.cfg"
-    path.write_text("[scan]\ntol = 1e-6\ngrid_density = 8\n\n[series]\norder = 24\n")
-    assert load_config(path) == {"tol": 1e-6, "grid_density": 8.0, "order": 24}
-
-
-def test_load_config_checks_no_range(tmp_path):
-    """A value out of range passes the file; the call that takes it refuses."""
-    path = tmp_path / "lab.cfg"
-    path.write_text("[scan]\ntol = 0\n\n[series]\norder = 5\n")
-    assert load_config(path) == {"tol": 0.0, "order": 5}
-
-
-def test_load_config_rejects_unknown_section(tmp_path):
-    path = tmp_path / "lab.cfg"
-    path.write_text("[scans]\ntol = 1e-6\n")
-    with pytest.raises(ValueError, match="unknown config section"):
-        load_config(path)
-
-
-def test_load_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "lab.cfg"
-    path.write_text("[scan]\ntolerance = 1e-6\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(path)
-
-
-def test_load_config_rejects_bad_value(tmp_path):
-    path = tmp_path / "lab.cfg"
-    path.write_text("[series]\norder = fast\n")
-    with pytest.raises(ValueError, match="not a"):
-        load_config(path)

@@ -71,7 +71,8 @@ def test_window_density_controls_grid():
     assert w.axis_counts() == (11, 21)
 
 
-# windows refused for their point count, which the message names
+# windows whose grid is refused for its point count, which the message
+# names; the window itself is accepted, since a zero scan samples no grid
 _OVER_BUDGET = (
     {"grid_density": 1e5},
     # a width beyond the float range, and a grid count of 301 digits
@@ -93,15 +94,20 @@ _OVER_BUDGET = (
     ],
 )
 def test_window_validation(kwargs):
-    with pytest.raises(ValueError, match="grid points" if kwargs in _OVER_BUDGET else None):
-        ScanWindow(**kwargs)
+    if kwargs in _OVER_BUDGET:
+        window = ScanWindow(**kwargs)
+        with pytest.raises(ValueError, match="grid points"):
+            window._axes()
+    else:
+        with pytest.raises(ValueError):
+            ScanWindow(**kwargs)
 
 
 def test_window_point_budget_admits_dense_scans():
     # the 401 x 401 dense scan fits; 1001 x 1001 is over the budget
     assert ScanWindow(-2, 2, -2, 2, grid_density=100).axis_counts() == (401, 401)
     with pytest.raises(ValueError, match="grid points"):
-        ScanWindow(-2, 2, -2, 2, grid_density=250)
+        residual_scan(build_family("case2"), ScanWindow(-2, 2, -2, 2, grid_density=250))
 
 
 # -- residual scans ----------------------------------------------------------
@@ -666,6 +672,38 @@ def test_no_split_line_passes_near_a_pole(monkeypatch):
         for p in poles:
             near = complex(clamp(p.real, a.real, b.real), clamp(p.imag, a.imag, b.imag))
             assert abs(p - near) >= verify._MULT_RADIUS
+
+
+def test_zero_window_samples_no_grid():
+    """A zero window is bounded by its contour work, not by a grid: at the
+    default density 20 this window's grid would be 1209 x 1213 points."""
+    window = ScanWindow(-30.1, 30.3, -30.2, 30.4)
+    with pytest.raises(ValueError, match="grid points"):
+        window._axes()
+    rep = zero_scan(build_family("case3").f, window)
+    assert rep.reconciled and rep.interior_total == -19
+    assert rep.to_dict()["window"] == {
+        "re_min": -30.1, "re_max": 30.3, "im_min": -30.2, "im_max": 30.4}
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((-500, 500, -500, 500),
+         f"window spans 269361 lattice points, more than the limit of "
+         f"{verify.MAX_ZERO_LATTICE_POINTS}"),
+        ((-1e6, 1e6, -1e6, 1e6),
+         f"window boundary needs 2.56e+08 rule nodes, more than the limit of "
+         f"{verify.MAX_ZERO_BOUNDARY_NODES}"),
+    ],
+)
+def test_zero_scan_refuses_a_window_over_its_limits(bounds, message, monkeypatch):
+    """Refused up front: no contour is evaluated."""
+    monkeypatch.setattr(verify, "_find_zeros", None)
+    monkeypatch.setattr(verify, "_circle_windings", None)
+    with pytest.raises(ValueError) as exc:
+        zero_scan(build_family("case3").f, ScanWindow(*bounds))
+    assert str(exc.value) == message
 
 
 def test_zero_scan_close_roots_rejected():
