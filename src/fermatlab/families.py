@@ -26,6 +26,8 @@ import dataclasses
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Optional
 
 from .exprs import (
@@ -170,8 +172,10 @@ class FamilyVerdict:
         return self.verdict == "ZERO"
 
 
-#: highest series order ``adjudicate`` accepts: exact adjudication time
-#: grows about as order**4, so a larger order would keep it busy for minutes
+#: highest series order ``adjudicate`` accepts: where the residual has no
+#: degree bound below the order (see _degree_bound), the series is lowered
+#: at the order itself and adjudication time grows about as order**4, so a
+#: larger order would keep it busy for minutes
 MAX_SERIES_ORDER = 400
 
 
@@ -181,9 +185,14 @@ def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
     Ring residuals are reported sign-normalized (leading coefficient with
     positive real part) so that algebraically equivalent write-ups of the
     same failure produce identical reports.  Every other family takes the
-    series route, certified through t**order; ``order`` must lie in
-    10..MAX_SERIES_ORDER whichever route is taken.
+    series route: its ZERO is certified through t**order, and where the
+    residual has a degree bound K below the order, through t**K, which by
+    _degree_bound proves it identically zero.  ``order`` must be an int in
+    10..MAX_SERIES_ORDER whichever route is taken; the verdict and its
+    leading terms do not depend on it once it exceeds K.
     """
+    if not isinstance(order, int):
+        raise TypeError("series order must be an int")
     if not 10 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"series order must be between 10 and {MAX_SERIES_ORDER}")
     res = family.exact_residual
@@ -199,8 +208,8 @@ def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
             even_coeffs_desc=parts[0],
             odd_coeffs_desc=parts[1],
         )
-    lowered = _lowered_series(family, order)
-    if lowered is None:
+    s, through = _residual_series(family, order)
+    if s is None:
         return FamilyVerdict(
             family.family_id,
             "UNAVAILABLE",
@@ -212,13 +221,123 @@ def adjudicate(family: SolutionFamily, order: int = 40) -> FamilyVerdict:
         members,
         _slot_label(family.beta),
     )
-    s = lowered[2]
-    if s.is_zero_through(order):
+    if s.is_zero_through(through):
         return FamilyVerdict(family.family_id, "ZERO", "series", desc)
     leading = [[k, str(c)] for k, c in s.leading_terms(4)]
     return FamilyVerdict(
         family.family_id, "NONZERO", "series", desc, series_leading=leading
     )
+
+
+def _residual_series(family: SolutionFamily, order: int):
+    """(the residual's series or None, the exponent its verdict is read
+    through).  Lowered at the degree bound K < ``order``, the series
+    decides if it is valid through t**K and vanishes there, a proof, or
+    holds four nonzero terms up to t**K, the leading terms at any order;
+    else the trees are lowered at ``order``."""
+    if family.beta is None:
+        return None, order
+    residual = family.residual_expr()
+    bound = _degree_bound(residual, family.beta)
+    if bound is not None and bound < order:
+        try:
+            lowered = _lowered_series(family, bound, residual)
+        except (ZeroDivisionError, ValueError):
+            lowered = None  # e.g. a denominator zero through t**K: use the order
+        if lowered is not None and lowered[2].high >= bound:
+            s = lowered[2]
+            leading = s.leading_terms(4)
+            if s.is_zero_through(bound) or (len(leading) == 4 and leading[3][0] <= bound):
+                return s, bound
+    lowered = _lowered_series(family, order, residual)
+    return (None if lowered is None else lowered[2]), order
+
+
+#: span (exponent box re min, re max, im min, im max; degree in t) of 1
+_UNIT_SPAN = (0, 0, 0, 0, 0)
+
+
+def _span_times(a, b):
+    return None if a is None or b is None else tuple(map(add, a, b))
+
+
+def _span_plus(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]), max(a[4], b[4]))
+
+
+def _degree_bound(residual: Expr, slot: Expr) -> Optional[int]:
+    """K such that the residual is identically zero when its series in
+    t = slot vanishes through t**K; None when the tree holds a float
+    constant, a wp / wp' atom, a w outside the slot, exp of anything but
+    c t, or a denominator that is the zero function.
+
+    One walk over the distinct nodes follows exprs.as_fraction, residual
+    = N/D, without building N and D: each side is kept as a span, the box
+    of the exponents (real and imaginary parts of the sums of rates c) its
+    terms p(t) e^(c t) can carry, and its degree in t.  A sum takes the
+    hull of the boxes and the larger degree, a product adds boxes and
+    degrees, and a constant whose exact value is 0 is the zero function,
+    which keeps the 0 w terms of ``differentiate`` from adding a degree.
+
+    Proof.  With q the lcm of the rates' denominators, every exponent lies
+    on (1/q) Z[i], so N lies in the span of t^j e^(c t) for the ``count``
+    lattice points c of N's box and j <= deg.  Each of those solves
+    L y = 0 with L = prod_c (d/dt - c)^(deg + 1), a linear ODE with
+    constant coefficients of order count (deg + 1) = K + 1, and the only
+    solution with y(0) = y'(0) = ... = y^(K)(0) = 0 is y = 0 (uniqueness;
+    Coddington & Levinson, Theory of ODEs, Ch. 3).  D is entire and, as
+    the lowering inverted each of its factors, not the zero function; so
+    if the residual's series vanishes through t**K, N = residual D does
+    too, N = 0, and the residual is 0.  The corollary's g is bounded from
+    its tree h (f')^ell, the function the lowering forms by the chain rule.
+    """
+    spans = {}  # node -> (span of N, span of D)
+    rates = []
+
+    def span(node: Expr):
+        out = spans.get(node)
+        if out is not None:
+            return out
+        if node is slot:
+            out = ((0, 0, 0, 0, 1), _UNIT_SPAN)
+        elif isinstance(node, Const):
+            if node.exact is None:
+                raise _NotLowerable
+            out = (None if RationalComplex.coerce(node.exact).is_zero else _UNIT_SPAN, _UNIT_SPAN)
+        elif isinstance(node, Exp):
+            c = RationalComplex.coerce(_rate(node.arg, slot))
+            rates.append(c)
+            out = ((c.re, c.re, c.im, c.im, 0), _UNIT_SPAN)
+        elif isinstance(node, Pow):
+            out = tuple(None if x is None else tuple(node.k * v for v in x) for x in span(node.base))
+        elif isinstance(node, BinOp):
+            (an, ad), (bn, bd) = span(node.lhs), span(node.rhs)
+            if isinstance(node, Mul):
+                out = (_span_times(an, bn), _span_times(ad, bd))
+            elif isinstance(node, Div):
+                if bn is None:
+                    raise _NotLowerable
+                out = (_span_times(an, bd), _span_times(ad, bn))
+            else:
+                out = (_span_plus(_span_times(an, bd), _span_times(bn, ad)), _span_times(ad, bd))
+        else:  # wp, wp', or w outside the slot
+            raise _NotLowerable
+        spans[node] = out
+        return out
+
+    try:
+        num = span(residual)[0]
+    except _NotLowerable:
+        return None
+    finally:
+        spans.clear()  # span refers to itself, a cycle: free the nodes now
+    if num is None:
+        return 0
+    q = lcm(1, *(x.denominator for c in rates for x in (c.re, c.im)))
+    count = ((num[1] - num[0]) * q + 1) * ((num[3] - num[2]) * q + 1)
+    return int(count) * (num[4] + 1) - 1
 
 
 #: extra truncation order of the lowered series, spent by quotients by
@@ -249,10 +368,22 @@ def _plus(a, b):
     return a + b
 
 
-def _lowered_series(family: SolutionFamily, order: int):
+def _rate(arg: Expr, slot: Expr):
+    """c for an exponent arg = c t, t being the slot."""
+    if arg is slot:
+        return 1
+    if isinstance(arg, Mul):
+        for c, x in ((arg.lhs, arg.rhs), (arg.rhs, arg.lhs)):
+            if x is slot and isinstance(c, Const) and c.exact is not None:
+                return c.exact
+    raise _NotLowerable
+
+
+def _lowered_series(family: SolutionFamily, order: int, residual: Expr):
     """(f, g, residual of the family's equation) as exact Laurent series in
-    t = beta, valid through t**order; None when the trees hold a float
-    constant, a wp / wp' atom, a w outside beta, or exp of anything but c t.
+    t = beta (not None), valid through t**order; None when the trees hold a
+    float constant, a wp / wp' atom, a w outside beta, or exp of anything
+    but c t.  ``residual`` is the family's residual_expr().
 
     Equal subtrees are one node, and one cache lowers each distinct
     subtree once.  Constant subtrees stay exact scalars, and a
@@ -262,22 +393,10 @@ def _lowered_series(family: SolutionFamily, order: int):
     formed on the series by the chain rule through the slot,
     g = h (beta' df/dt)^ell, where beta' is 1 at slot w and t at slot e^w.
     """
-    if family.beta is None:
-        return None
     high = order + _SERIES_SLACK
-    residual, slot, f, g = family.residual_expr(), family.beta, family.f, family.g
+    slot, f, g = family.beta, family.f, family.g
     values = {slot: LaurentSeries.make(1, [1] + [0] * (high - 1), high)}  # node -> its value
     inverses = {}
-
-    def rate(arg: Expr):
-        """c for an exponent arg = c t."""
-        if arg is slot:
-            return 1
-        if isinstance(arg, Mul):
-            for c, x in ((arg.lhs, arg.rhs), (arg.rhs, arg.lhs)):
-                if x is slot and isinstance(c, Const) and c.exact is not None:
-                    return c.exact
-        raise _NotLowerable
 
     def lower(node: Expr):
         out = values.get(node)
@@ -297,7 +416,7 @@ def _lowered_series(family: SolutionFamily, order: int):
         elif isinstance(node, Pow):
             out = lower(node.base) ** node.k
         elif isinstance(node, Exp):
-            out = exp_series(rate(node.arg), high)
+            out = exp_series(_rate(node.arg, slot), high)
         else:  # wp, wp', or w outside the slot
             raise _NotLowerable
         values[node] = out
@@ -308,7 +427,7 @@ def _lowered_series(family: SolutionFamily, order: int):
         if out is not None:
             return out
         if isinstance(node, Exp) and node is not slot:
-            out = exp_series(-rate(node.arg), high)
+            out = exp_series(-_rate(node.arg, slot), high)
         elif isinstance(node, Pow):
             out = inverse(node.base) ** node.k
         elif isinstance(node, Mul) and Const in (type(node.lhs), type(node.rhs)):
@@ -360,9 +479,10 @@ def _slot_expr(name: str) -> Expr:
 #: route's rho_2 = rho - sqrt(rho^2 - 1), about 1/(2 rho), cancels and
 #: rounds to zero from about 1e8 on, and f then divides by it
 MAX_RHO = 1e7
-#: largest m of the m-one family: its exact series takes m - 1 products;
-#: at m = 16 and [series] order = 400, adjudication takes about 10 s on
-#: one core of a 2-core Xeon VM with CPython 3.11
+#: largest m of the m-one family: its exact series takes m - 1 products.
+#: Its residual's degree bound is m, so it is lowered at order m, about
+#: 2 ms at m = 16; lowered at order 400 it took 6 s on one core of a
+#: 2-core Xeon VM with CPython 3.11
 MAX_M_ONE_EXPONENT = 16
 #: largest real or imaginary part of the picard-pair exponents gamma and
 #: delta: e^gamma overflows a double beyond Re(gamma) = 709.78, and e^gamma

@@ -98,7 +98,7 @@ _SCAN_BLOCK = 8192
 #: is refused before it is built
 MAX_GRID_POINTS = 1_000_000
 
-#: most lattice points (its engines' coordinate boxes, summed) and boundary
+#: most lattice points (its engines' rows near the window, summed) and boundary
 #: rule nodes a zero scan may take; a window over either is refused up front.
 #: 1.6e6 nodes is 32 per unit of 50,000, the longest perimeter of a grid
 #: within the limit above at density 20
@@ -751,26 +751,33 @@ def _expr_pole_points(engines: tuple, root: tuple):
     """Pole candidates of the numerator inside the window ``root`` =
     (re_min, re_max, im_min, im_max): the lattice points of the engines of
     its elliptic atoms, which ``_supported_atoms_or_raise`` has checked to
-    be evaluated at the bare variable."""
+    be evaluated at the bare variable.  Each row a of the box of lattice
+    coordinates spanned by the window's corners is walked only over the b
+    whose points can meet the window, with a margin of one on each side,
+    so the work counted against MAX_ZERO_LATTICE_POINTS grows with the
+    window's area, not its box's."""
     x0, x1, y0, y1 = root
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    boxes = []
+    rows = []
     for eng in engines:
         a_vals, b_vals = eng.lattice_coordinates(corners)
-        boxes.append((*eng.basis,
-                      range(math.floor(a_vals.min()) - 1, math.ceil(a_vals.max()) + 2),
-                      range(math.floor(b_vals.min()) - 1, math.ceil(b_vals.max()) + 2)))
-    count = sum(len(a_range) * len(b_range) for _, _, a_range, b_range in boxes)
+        v1, v2 = eng.basis
+        b_min, b_max = math.floor(b_vals.min()) - 1, math.ceil(b_vals.max()) + 1
+        for a in range(math.floor(a_vals.min()) - 1, math.ceil(a_vals.max()) + 2):
+            lo, hi = _row_span(a * v1, v2, root)
+            if lo <= hi:
+                rows.append((a * v1, v2, range(max(b_min, math.floor(lo) - 1),
+                                               min(b_max, math.ceil(hi) + 1) + 1)))
+    count = sum(len(b_range) for _, _, b_range in rows)
     if count > MAX_ZERO_LATTICE_POINTS:
         raise ValueError(f"window spans {count} lattice points, more than the limit of "
                          f"{MAX_ZERO_LATTICE_POINTS}")
     pts: list[complex] = []
-    for v1, v2, a_range, b_range in boxes:
-        for a in a_range:
-            for b in b_range:
-                p = a * v1 + b * v2
-                if _in(root, p):
-                    pts.append(complex(p))
+    for av1, v2, b_range in rows:
+        for b in b_range:
+            p = av1 + b * v2
+            if _in(root, p):
+                pts.append(complex(p))
     # a point within 1e-9 of one kept before it is that pole again
     seen_near: dict = {}
     for i, j in _pairs_within(pts, 1e-9):
@@ -781,6 +788,19 @@ def _expr_pole_points(engines: tuple, root: tuple):
     pts = list(itertools.compress(pts, keep))
     pts.sort(key=lambda p: (round(p.real, 9), round(p.imag, 9)))
     return pts
+
+
+def _row_span(p: complex, v: complex, root: tuple) -> tuple:
+    """(lo, hi): the real s for which p + s v lies in the window ``root``;
+    lo > hi when the line misses it.  v is not 0."""
+    lo, hi = -math.inf, math.inf
+    for q, u, q0, q1 in ((p.real, v.real, root[0], root[1]), (p.imag, v.imag, root[2], root[3])):
+        if u:
+            s0, s1 = (q0 - q) / u, (q1 - q) / u
+            lo, hi = max(lo, min(s0, s1)), min(hi, max(s0, s1))
+        elif not q0 <= q <= q1:
+            return math.inf, -math.inf
+    return lo, hi
 
 
 def _supported_atoms_or_raise(num: Expr) -> tuple:

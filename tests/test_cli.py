@@ -751,7 +751,7 @@ def test_zeros_window_is_not_a_grid(capsys, tmp_path):
         "re_min", "re_max", "im_min", "im_max"}
     code, _, err = run_cli(["zeros", "--expr", "case3.f", "--window=-500,500,-500,500"], capsys)
     assert code == 2
-    assert err.startswith("error: window spans 269361 lattice points")
+    assert err.startswith("error: window spans 125151 lattice points")
 
 
 def test_zeros_bad_expression_name(capsys):

@@ -10,10 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermatlab import families
 from fermatlab.errors import DegenerateLatticeError
 from fermatlab.exprs import ONE, Const, Exp, W, Wp, differentiate, evaluate
 from fermatlab.families import (
+    CATALOG,
     FAMILY_IDS,
+    FamilyParams,
+    SolutionFamily,
+    _degree_bound,
     _lowered_series,
     adjudicate,
     build_family,
@@ -177,7 +182,7 @@ def test_lowered_members_agree_with_the_trees(family_id, params):
     of the trees: a wrong lowering shows here even where the residual of
     the equation still vanishes."""
     fam = build_family(family_id, slot="w", **params)
-    f, g, _ = _lowered_series(fam, 40)
+    f, g, _ = _lowered_series(fam, 40, fam.residual_expr())
 
     def partial(s, z):
         return sum(complex(a) * z ** (s.low + k) for k, a in enumerate(s.coeffs))
@@ -211,6 +216,129 @@ def test_series_route_refuses_what_it_cannot_represent(make_f):
     fam = build_family("unit-unit", slot="exp")
     verdict = adjudicate(dataclasses.replace(fam, f=make_f(fam)))
     assert (verdict.verdict, verdict.route) == ("UNAVAILABLE", "none")
+
+
+@pytest.mark.parametrize("family_id", ["m-one", "case2", "picard-pair"])
+def test_series_order_must_be_an_int(family_id):
+    """Refused up front on every route; a bool is refused by the range."""
+    fam = build_family(family_id)
+    with pytest.raises(TypeError, match="series order must be an int"):
+        adjudicate(fam, order=40.5)
+    with pytest.raises(ValueError, match="series order must be between"):
+        adjudicate(fam, order=True)
+
+
+# -- the degree bound and the early exit --------------------------------------
+
+
+def _fermat_pair(f, g, m, n, beta):
+    return SolutionFamily("pair", "fermat", m, n, f, g, FamilyParams(), beta=beta)
+
+
+def _full_order_verdict(fam, order):
+    """(verdict, leading terms) from the residual lowered at ``order``."""
+    s = _lowered_series(fam, order, fam.residual_expr())[2]
+    if s.is_zero_through(order):
+        return "ZERO", None
+    return "NONZERO", [[k, str(c)] for k, c in s.leading_terms(4)]
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_degree_bound_is_tight(k):
+    """(e^t - 1)^k has the bound k and vanishes through t**(k-1): a bound
+    one lower would read it as zero."""
+    fam = _fermat_pair((Exp(W) - Const(1)) ** k, Const(1), 1, 1, W)
+    assert _degree_bound(fam.residual_expr(), W) == k
+    verdict = adjudicate(fam)
+    assert verdict.verdict == "NONZERO"
+    assert verdict.series_leading[0] == [k, "1"]
+
+
+_GAUSSIAN = st.builds(
+    RationalComplex,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _exp_polynomial(draw, beta, q):
+    """sum_j c_j t^d_j e^(r_j t), over a divisor with a nonzero constant
+    term now and then."""
+    out = Const(0)
+    for _ in range(draw(st.integers(1, 3))):
+        term = Const(draw(_GAUSSIAN)) * Exp(Const(Fraction(draw(st.integers(-3, 3)), q)) * beta)
+        out = out + term * beta ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        out = out / (Const(draw(_GAUSSIAN.filter(lambda c: not c.is_zero)))
+                     + Exp(Const(Fraction(draw(st.integers(-3, 3)), q)) * beta))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_early_exit_agrees_with_the_full_order(data):
+    """Random exponential-polynomial pairs, some of them identities
+    g = 1 - f^m: the verdict and leading terms are those of the residual
+    lowered at the full order."""
+    beta = data.draw(st.sampled_from([W, Exp(W)]))
+    q = data.draw(st.integers(1, 3))
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    f = data.draw(_exp_polynomial(beta, q))
+    if n == 1 and data.draw(st.booleans()):
+        g = Const(1) - f**m
+    else:
+        g = data.draw(_exp_polynomial(beta, q))
+    fam = _fermat_pair(f, g, m, n, beta)
+    try:
+        expected = _full_order_verdict(fam, 40)
+    except (ZeroDivisionError, ValueError):  # e.g. 1/(e^(r t) - 1) with r = 0
+        with pytest.raises((ZeroDivisionError, ValueError)):
+            adjudicate(fam, order=40)
+        return
+    verdict = adjudicate(fam, order=40)
+    assert (verdict.verdict, verdict.series_leading) == expected
+
+
+@pytest.mark.parametrize(
+    "params, order, seen",
+    [
+        ({"family_id": "m-one", "m": 16}, 400, [16]),
+        ({"family_id": "quadratic", "sign": "minus"}, 120, [4]),
+        ({"family_id": "corollary"}, 400, [14]),  # the 0 w terms of f' add no degree
+        ({"family_id": "corollary", "slot": "exp"}, 400, [44]),
+        ({"family_id": "quadratic", "rho": 1.25}, 120, [120]),  # a float constant
+    ],
+)
+def test_early_exit_lowers_at_the_bound(params, order, seen, monkeypatch):
+    orders = []
+
+    def spy(family, order, residual):
+        orders.append(order)
+        return _lowered_series(family, order, residual)
+
+    monkeypatch.setattr(families, "_lowered_series", spy)
+    adjudicate(build_family(**params), order=order)
+    assert orders == seen
+
+
+def _series_route_rows():
+    rows = []
+    for label, family_id, params, _ in CATALOG:
+        fam = build_family(family_id, **params)
+        if fam.exact_residual is None and fam.beta is not None:
+            other = "w" if fam.params.slot == "e^w" else "exp"
+            rows += [pytest.param(fam, id=label),
+                     pytest.param(build_family(family_id, **params, slot=other),
+                                  id=f"{label} slot={other}")]
+    return rows
+
+
+@pytest.mark.parametrize("fam", _series_route_rows())
+def test_series_verdict_does_not_depend_on_the_order(fam):
+    verdicts = {(v.verdict, v.route, v.description, str(v.series_leading))
+                for v in (adjudicate(fam, order) for order in (10, 40, 120, 400))}
+    assert len(verdicts) == 1
 
 
 # -- variant invariance ------------------------------------------------------

@@ -40,6 +40,7 @@ from fermatlab.verify import (
 from fermatlab.wp import (
     Invariants,
     engine_for,
+    invariants_from_case,
     invariants_from_tau,
     periods_from_invariants,
 )
@@ -690,7 +691,7 @@ def test_zero_window_samples_no_grid():
     "bounds, message",
     [
         ((-500, 500, -500, 500),
-         f"window spans 269361 lattice points, more than the limit of "
+         f"window spans 125151 lattice points, more than the limit of "
          f"{verify.MAX_ZERO_LATTICE_POINTS}"),
         ((-1e6, 1e6, -1e6, 1e6),
          f"window boundary needs 2.56e+08 rule nodes, more than the limit of "
@@ -704,6 +705,40 @@ def test_zero_scan_refuses_a_window_over_its_limits(bounds, message, monkeypatch
     with pytest.raises(ValueError) as exc:
         zero_scan(build_family("case3").f, ScanWindow(*bounds))
     assert str(exc.value) == message
+
+
+def _box_pole_points(engine, root):
+    """Every lattice point of the engine's whole box of lattice coordinates
+    that lies in the window, in the order _expr_pole_points returns."""
+    x0, x1, y0, y1 = root
+    a_vals, b_vals = engine.lattice_coordinates(
+        [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)])
+    v1, v2 = engine.basis
+    pts = [complex(a * v1 + b * v2)
+           for a in range(math.floor(a_vals.min()) - 1, math.ceil(a_vals.max()) + 2)
+           for b in range(math.floor(b_vals.min()) - 1, math.ceil(b_vals.max()) + 2)
+           if verify._in(root, a * v1 + b * v2)]
+    return sorted(pts, key=lambda p: (round(p.real, 9), round(p.imag, 9)))
+
+
+def test_pole_points_are_enumerated_row_by_row(monkeypatch):
+    """A long thin window on the skewed cubic lattice holds about 100 poles,
+    and only the points each row can put in the window count against the
+    limit; on random windows the rows give the whole box's points."""
+    cubic = engine_for(invariants_from_tau(0))
+    thin = (-0.025, 0.025, 0.5, 200.0)
+    pts = verify._expr_pole_points((cubic,), thin)
+    assert 90 <= len(pts) <= 110
+    monkeypatch.setattr(verify, "MAX_ZERO_LATTICE_POINTS", 10**9)
+    assert pts == _box_pole_points(cubic, thin)
+    rng = np.random.default_rng(29)
+    for case in ("II", "IV", None):
+        engine = cubic if case is None else engine_for(invariants_from_case(case))
+        for _ in range(100):
+            x0, y0 = rng.uniform(-30, 30, 2)
+            width, height = rng.choice([0.05, 2.0, 40.0], 2) * rng.uniform(0.5, 1.0, 2)
+            root = (x0, x0 + width, y0, y0 + height)
+            assert verify._expr_pole_points((engine,), root) == _box_pole_points(engine, root)
 
 
 def test_zero_scan_close_roots_rejected():
