@@ -42,7 +42,9 @@ from .exprs import (
     W,
     Wp,
     WpPrime,
+    as_fraction,
     differentiate,
+    distinct_nodes,
 )
 from .quotient import QuotientElement, quotient_adjudicate, ring
 from .scalars import (
@@ -253,91 +255,81 @@ def _residual_series(family: SolutionFamily, order: int):
     return (None if lowered is None else lowered[2]), order
 
 
-#: span (exponent box re min, re max, im min, im max; degree in t) of 1
-_UNIT_SPAN = (0, 0, 0, 0, 0)
-
-
-def _span_times(a, b):
-    return None if a is None or b is None else tuple(map(add, a, b))
-
-
-def _span_plus(a, b):
-    if a is None or b is None:
-        return b if a is None else a
-    return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]), max(a[4], b[4]))
-
-
 def _degree_bound(residual: Expr, slot: Expr) -> Optional[int]:
     """K such that the residual is identically zero when its series in
-    t = slot vanishes through t**K; None when the tree holds a float
-    constant, a wp / wp' atom, a w outside the slot, exp of anything but
-    c t, or a denominator that is the zero function.
+    t = slot vanishes through t**K; None when the numerator N of
+    exprs.as_fraction(residual) = (N, D) holds a float constant, a wp / wp'
+    atom, a w outside the slot, or exp of anything but c t.
 
-    One walk over the distinct nodes follows exprs.as_fraction, residual
-    = N/D, without building N and D: each side is kept as a span, the box
-    of the exponents (real and imaginary parts of the sums of rates c) its
-    terms p(t) e^(c t) can carry, and its degree in t.  A sum takes the
-    hull of the boxes and the larger degree, a product adds boxes and
+    N has no quotient, and one walk over its distinct nodes keeps a span
+    per node: the box of the exponents its terms p(t) e^(c t) can carry,
+    real and imaginary parts of sums of rates c in units of 1/q, q the lcm
+    of the denominators of N's rates, and its degree in t.  A sum takes
+    the hull of the boxes and the larger degree, a product adds boxes and
     degrees, and a constant whose exact value is 0 is the zero function,
     which keeps the 0 w terms of ``differentiate`` from adding a degree.
 
-    Proof.  With q the lcm of the rates' denominators, every exponent lies
-    on (1/q) Z[i], so N lies in the span of t^j e^(c t) for the ``count``
-    lattice points c of N's box and j <= deg.  Each of those solves
-    L y = 0 with L = prod_c (d/dt - c)^(deg + 1), a linear ODE with
-    constant coefficients of order count (deg + 1) = K + 1, and the only
-    solution with y(0) = y'(0) = ... = y^(K)(0) = 0 is y = 0 (uniqueness;
-    Coddington & Levinson, Theory of ODEs, Ch. 3).  D is entire and, as
-    the lowering inverted each of its factors, not the zero function; so
-    if the residual's series vanishes through t**K, N = residual D does
-    too, N = 0, and the residual is 0.  The corollary's g is bounded from
-    its tree h (f')^ell, the function the lowering forms by the chain rule.
+    Proof.  Every exponent of N lies on (1/q) Z[i], so N lies in the span
+    of t^j e^(c t) for the count = (re width + 1)(im width + 1) lattice
+    points c of its box and j <= deg.  Each of those solves L y = 0 with
+    L = prod_c (d/dt - c)^(deg + 1), a linear ODE with constant
+    coefficients of order count (deg + 1) = K + 1, and the only solution
+    with y(0) = y'(0) = ... = y^(K)(0) = 0 is y = 0 (uniqueness;
+    Coddington & Levinson, Theory of ODEs, Ch. 3).
+    D is entire and, as the lowering inverted each of its factors, not the
+    zero function; so if the residual's series vanishes through t**K,
+    N = residual D does too, N = 0, and the residual is 0.  The
+    corollary's g is bounded from its tree h (f')^ell, the function the
+    lowering forms by the chain rule.
     """
-    spans = {}  # node -> (span of N, span of D)
-    rates = []
+    num = as_fraction(residual)[0]
+    try:
+        rates = {node: RationalComplex.coerce(_rate(node.arg, slot))
+                 for node in distinct_nodes(num)
+                 if isinstance(node, Exp) and node is not slot}
+    except _NotLowerable:
+        return None
+    q = lcm(1, *(x.denominator for c in rates.values() for x in (c.re, c.im)))
+    spans = {}  # node -> its span, None for the zero function
 
     def span(node: Expr):
-        out = spans.get(node)
-        if out is not None:
-            return out
+        if node in spans:
+            return spans[node]
         if node is slot:
-            out = ((0, 0, 0, 0, 1), _UNIT_SPAN)
+            out = (0, 0, 0, 0, 1)
         elif isinstance(node, Const):
             if node.exact is None:
                 raise _NotLowerable
-            out = (None if RationalComplex.coerce(node.exact).is_zero else _UNIT_SPAN, _UNIT_SPAN)
+            out = None if RationalComplex.coerce(node.exact).is_zero else (0, 0, 0, 0, 0)
         elif isinstance(node, Exp):
-            c = RationalComplex.coerce(_rate(node.arg, slot))
-            rates.append(c)
-            out = ((c.re, c.re, c.im, c.im, 0), _UNIT_SPAN)
+            re, im = int(rates[node].re * q), int(rates[node].im * q)
+            out = (re, re, im, im, 0)
         elif isinstance(node, Pow):
-            out = tuple(None if x is None else tuple(node.k * v for v in x) for x in span(node.base))
+            b = span(node.base)
+            out = None if b is None else tuple(node.k * v for v in b)
         elif isinstance(node, BinOp):
-            (an, ad), (bn, bd) = span(node.lhs), span(node.rhs)
+            a, b = span(node.lhs), span(node.rhs)
             if isinstance(node, Mul):
-                out = (_span_times(an, bn), _span_times(ad, bd))
-            elif isinstance(node, Div):
-                if bn is None:
-                    raise _NotLowerable
-                out = (_span_times(an, bd), _span_times(ad, bn))
+                out = None if a is None or b is None else tuple(map(add, a, b))
+            elif a is None or b is None:
+                out = b if a is None else a
             else:
-                out = (_span_plus(_span_times(an, bd), _span_times(bn, ad)), _span_times(ad, bd))
+                out = (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]),
+                       max(a[4], b[4]))
         else:  # wp, wp', or w outside the slot
             raise _NotLowerable
         spans[node] = out
         return out
 
     try:
-        num = span(residual)[0]
+        box = span(num)
     except _NotLowerable:
         return None
     finally:
         spans.clear()  # span refers to itself, a cycle: free the nodes now
-    if num is None:
+    if box is None:
         return 0
-    q = lcm(1, *(x.denominator for c in rates for x in (c.re, c.im)))
-    count = ((num[1] - num[0]) * q + 1) * ((num[3] - num[2]) * q + 1)
-    return int(count) * (num[4] + 1) - 1
+    return (box[1] - box[0] + 1) * (box[3] - box[2] + 1) * (box[4] + 1) - 1
 
 
 #: extra truncation order of the lowered series, spent by quotients by

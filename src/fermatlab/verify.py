@@ -580,12 +580,18 @@ def _spacing_error(near: complex) -> AnalyzerError:
 
 def _pairs_within(points: list, radius: float):
     """Every pair (i, j), i < j, of points at most radius apart, by a sweep
-    over the points sorted by real part: a point farther than radius in
-    real part, and every one after it, is farther than radius."""
-    order = sorted(range(len(points)), key=lambda i: points[i].real)
+    over the points sorted along the axis, real or imaginary, on which they
+    spread the most: a point farther than radius along it, and every one
+    after it, is farther than radius.  Sweeping the longer axis keeps the
+    points on one vertical line, such as zeros i pi k, from all meeting."""
+    if not points:
+        return
+    re, im = [p.real for p in points], [p.imag for p in points]
+    key = re if max(re) - min(re) >= max(im) - min(im) else im
+    order = sorted(range(len(points)), key=key.__getitem__)
     for k, i in enumerate(order):
         for j in map(order.__getitem__, range(k + 1, len(order))):
-            if points[j].real - points[i].real > radius:
+            if key[j] - key[i] > radius:
                 break
             if abs(points[i] - points[j]) <= radius:
                 yield min(i, j), max(i, j)
@@ -954,29 +960,27 @@ class ZeroComparison:
 
 def _containment(za, zb, mode: str):
     """Is every zero of A also one of B (counting: with at least the same
-    multiplicity)?  Returns (ok, violations, matched)."""
+    multiplicity)?  Returns (ok, violations, matched).  The zeros of B
+    within _MATCH_RADIUS of each zero of A come from one _pairs_within
+    sweep over A's zeros and B's, as the pairs (i, j) with i in A, j in B."""
+    points = [a.z for a in za] + [b.z for b in zb]
+    near = [[] for _ in za]
+    for i, j in _pairs_within(points, _MATCH_RADIUS):
+        if i < len(za) <= j:
+            near[i].append(zb[j - len(za)])
     violations = []
     matched = []
-    for a in za:
-        hits = [b for b in zb if abs(b.z - a.z) <= _MATCH_RADIUS]
+    for a, hits in zip(za, near):
         if len(hits) > 1:
             raise AnalyzerError(
                 f"ambiguous match: zero {a.z:.9g} pairs with several zeros "
                 f"within {_MATCH_RADIUS:g}"
             )
         if not hits:
-            violations.append(
-                {"re": a.re, "im": a.im, "multiplicity": a.multiplicity,
-                 "reason": "no matching zero"}
-            )
+            violations.append(dict(a.to_dict(), reason="no matching zero"))
             continue
         b = hits[0]
-        entry = {
-            "re": a.re,
-            "im": a.im,
-            "multiplicity": a.multiplicity,
-            "matched_multiplicity": b.multiplicity,
-        }
+        entry = dict(a.to_dict(), matched_multiplicity=b.multiplicity)
         if mode == "counting" and b.multiplicity < a.multiplicity:
             entry["reason"] = "multiplicity drop"
             violations.append(entry)

@@ -32,6 +32,7 @@ from .scalars import (
     complex_agm,
     cubic_roots,
     is_exact_scalar,
+    right_choice_sqrt,
 )
 
 
@@ -332,12 +333,8 @@ def _agm_periods(g2: complex, g3: complex):
     e1, e2, e3 = cubic_roots(4.0, -g2, -g3)
     try:
         a = cmath.sqrt(e1 - e3)
-        b = cmath.sqrt(e1 - e2)
-        c = cmath.sqrt(e2 - e3)
-        if abs(a - b) > abs(a + b):
-            b = -b
-        if abs(a - c) > abs(a + c):
-            c = -c
+        b = right_choice_sqrt(e1 - e2, a)
+        c = right_choice_sqrt(e2 - e3, a)
         w1 = cmath.pi / (2.0 * complex_agm(a, b))
         w3 = 1j * cmath.pi / (2.0 * complex_agm(a, c))
     except (ValueError, ConvergenceError) as exc:

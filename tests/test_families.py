@@ -2,6 +2,9 @@
 
 import cmath
 import dataclasses
+import hashlib
+import inspect
+import json
 import math
 from fractions import Fraction
 
@@ -261,17 +264,30 @@ _GAUSSIAN = st.builds(
 )
 
 
+def _divisor(draw, beta, q):
+    """c + e^(r t), c a nonzero Gaussian rational."""
+    return (Const(draw(_GAUSSIAN.filter(lambda c: not c.is_zero)))
+            + Exp(Const(Fraction(draw(st.integers(-3, 3)), q)) * beta))
+
+
 @st.composite
-def _exp_polynomial(draw, beta, q):
+def _exp_polynomial(draw, beta, q, nested=True):
     """sum_j c_j t^d_j e^(r_j t), over a divisor with a nonzero constant
-    term now and then."""
+    term now and then; when ``nested``, the sum may hold a quotient, or be
+    a difference of two quotients, so that clearing the divisors crosses
+    denominators two levels deep."""
     out = Const(0)
     for _ in range(draw(st.integers(1, 3))):
         term = Const(draw(_GAUSSIAN)) * Exp(Const(Fraction(draw(st.integers(-3, 3)), q)) * beta)
         out = out + term * beta ** draw(st.integers(0, 2))
+    shape = draw(st.sampled_from(["flat", "quotient in a sum", "difference of quotients"]))
+    if nested and shape == "quotient in a sum":
+        out = out + draw(_exp_polynomial(beta, q, nested=False)) / _divisor(draw, beta, q)
+    elif nested and shape == "difference of quotients":
+        out = (out / _divisor(draw, beta, q)
+               - draw(_exp_polynomial(beta, q, nested=False)) / _divisor(draw, beta, q))
     if draw(st.booleans()):
-        out = out / (Const(draw(_GAUSSIAN.filter(lambda c: not c.is_zero)))
-                     + Exp(Const(Fraction(draw(st.integers(-3, 3)), q)) * beta))
+        out = out / _divisor(draw, beta, q)
     return out
 
 
@@ -308,6 +324,15 @@ def test_early_exit_agrees_with_the_full_order(data):
         ({"family_id": "corollary"}, 400, [14]),  # the 0 w terms of f' add no degree
         ({"family_id": "corollary", "slot": "exp"}, 400, [44]),
         ({"family_id": "quadratic", "rho": 1.25}, 120, [120]),  # a float constant
+        ({"family_id": "case1"}, 120, [8]),
+        ({"family_id": "case1", "slot": "w"}, 120, [8]),
+        ({"family_id": "quadratic"}, 120, [4]),
+        ({"family_id": "quadratic", "slot": "exp"}, 120, [4]),
+        ({"family_id": "quadratic", "sign": "minus", "slot": "exp"}, 120, [4]),
+        ({"family_id": "unit-unit"}, 120, [2]),
+        ({"family_id": "unit-unit", "slot": "exp"}, 120, [2]),
+        ({"family_id": "m-one"}, 120, [3]),
+        ({"family_id": "m-one", "slot": "exp"}, 120, [3]),
     ],
 )
 def test_early_exit_lowers_at_the_bound(params, order, seen, monkeypatch):
@@ -339,6 +364,28 @@ def test_series_verdict_does_not_depend_on_the_order(fam):
     verdicts = {(v.verdict, v.route, v.description, str(v.series_leading))
                 for v in (adjudicate(fam, order) for order in (10, 40, 120, 400))}
     assert len(verdicts) == 1
+
+
+#: SHA-256 over dataclasses.asdict(adjudicate(fam, order)), one sorted-key
+#: JSON line each, for every CATALOG row in each slot its family takes, at
+#: orders 10, 40, 120 and 400: exact arithmetic, so the same on every
+#: numeric profile
+EXACT_VERDICTS_DIGEST = "ee8e4cb31c145365a1ef916258ae2ca53e84c50f02df9977c96fb0cb7c1b7fa3"
+
+
+def test_exact_verdicts_keep_their_digest():
+    """Verdict, route, description, leading terms and ring coefficients of
+    156 adjudications keep every byte."""
+    digest, count = hashlib.sha256(), 0
+    for _, family_id, params, _ in CATALOG:
+        takes_slot = "slot" in inspect.signature(families._BUILDERS[family_id]).parameters
+        for slot in ({"slot": "w"}, {"slot": "exp"}) if takes_slot else ({},):
+            fam = build_family(family_id, **params, **slot)
+            for order in (10, 40, 120, 400):
+                verdict = dataclasses.asdict(adjudicate(fam, order))
+                digest.update(json.dumps(verdict, sort_keys=True).encode() + b"\n")
+                count += 1
+    assert (count, digest.hexdigest()) == (156, EXACT_VERDICTS_DIGEST)
 
 
 # -- variant invariance ------------------------------------------------------

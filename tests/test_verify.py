@@ -32,6 +32,8 @@ from fermatlab.exprs import (
 from fermatlab.families import build_family
 from fermatlab.verify import (
     ScanWindow,
+    ZeroRecord,
+    ZeroReport,
     derivative_identity_scan,
     residual_scan,
     zero_scan,
@@ -617,8 +619,8 @@ def test_zero_scan_zero_on_first_split_line():
 def test_pair_sweep_matches_the_loop_over_all_pairs():
     """The sweep finds every pair at most a radius apart, as a loop over all
     pairs does, and so the spacing check names the same point: on random
-    clusters, with points repeated, on one vertical line, and at exactly the
-    radius."""
+    clusters, with points repeated, on short and long vertical lines and
+    long horizontal ones, and at exactly the radius."""
     rng = np.random.default_rng(21)
     r = verify._MIN_SPACING
     for trial in range(300):
@@ -628,6 +630,10 @@ def test_pair_sweep_matches_the_loop_over_all_pairs():
             pts += [pts[0], complex(pts[-1].real, pts[-1].imag + r), complex(0.0, trial * r / 7)]
         if trial % 5 == 0:
             pts += [complex(0.01, k * r * 0.9) for k in range(6)]
+        if trial % 7 == 0:  # lines longer than the clusters: the sweep follows them
+            pts += [complex(-0.02, k * r * 0.9) for k in range(-60, 60)]
+        if trial % 11 == 0:
+            pts += [complex(k * r * 1.1, 0.005) for k in range(-50, 50)]
         pts = [complex(p) for p in pts]
         rng.shuffle(pts)
         loop = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
@@ -967,6 +973,99 @@ def test_zero_compare_multiplicity_modes():
     ignoring = zero_set_compare(double, single, relation="subset", mode="ignoring")
     assert ignoring.verdict is True
     assert ignoring.proper is False  # same locations, so not proper
+
+
+def _zero_report(points):
+    """A ZeroReport holding only the zeros ``points``, (z, multiplicity)."""
+    zeros = tuple(ZeroRecord(z.real, z.imag, k) for z, k in points)
+    return ZeroReport({}, zeros, (), (), 0, 0, 0)
+
+
+def _containment_by_loop(za, zb, mode):
+    """_containment as a loop over B for each zero of A."""
+    violations, matched = [], []
+    for a in za:
+        hits = [b for b in zb if abs(b.z - a.z) <= verify._MATCH_RADIUS]
+        if len(hits) > 1:
+            raise AnalyzerError(
+                f"ambiguous match: zero {a.z:.9g} pairs with several zeros "
+                f"within {verify._MATCH_RADIUS:g}"
+            )
+        if not hits:
+            violations.append({"re": a.re, "im": a.im, "multiplicity": a.multiplicity,
+                               "reason": "no matching zero"})
+            continue
+        entry = {"re": a.re, "im": a.im, "multiplicity": a.multiplicity,
+                 "matched_multiplicity": hits[0].multiplicity}
+        if mode == "counting" and hits[0].multiplicity < a.multiplicity:
+            entry["reason"] = "multiplicity drop"
+            violations.append(entry)
+        else:
+            matched.append(entry)
+    return not violations, violations, matched
+
+
+def _compare_outcomes(ra, rb):
+    """Every relation and mode of zero_set_compare, or the error it raised."""
+    out = []
+    for relation in ("subset", "superset", "equal"):
+        for mode in ("counting", "ignoring"):
+            try:
+                out.append(zero_set_compare(ra, rb, relation, mode))
+            except AnalyzerError as exc:
+                out.append(str(exc))
+    return out
+
+
+def _random_report_pair(rng, trial):
+    """Zeros of A in a small box, on a vertical line or on a horizontal
+    line; B keeps most of them, moved by up to the match radius and with
+    multiplicities 1-3, drops the rest and adds zeros of its own."""
+    r = verify._MATCH_RADIUS
+    n = int(rng.integers(0, 25))
+    step = r * float(rng.choice([2.5, 10.0, 1e3]))
+    if trial % 3 == 0:
+        za = [complex(0.25, k * step) for k in range(-n, n)]
+    elif trial % 3 == 1:
+        za = [complex(k * step, -0.5) for k in range(-n, n)]
+    else:
+        za = list(rng.uniform(-1e-4, 1e-4, n) + 1j * rng.uniform(-1e-4, 1e-4, n))
+    zb = []
+    for z in za:
+        if rng.random() < 0.2:
+            continue  # dropped
+        move = rng.choice([0.0, 0.5 * r, r])  # r: exactly the radius apart, or just off it
+        zb.append(complex(z) + move * complex(*rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])))
+    zb += list(rng.uniform(-1e-4, 1e-4, 3) + 1j * rng.uniform(-1e-4, 1e-4, 3))
+    ka, kb = rng.integers(1, 4, len(za)), rng.integers(1, 4, len(zb))
+    return (_zero_report(list(zip(za, ka.tolist()))), _zero_report(list(zip(zb, kb.tolist()))))
+
+
+def test_zero_set_compare_matches_the_loop_over_all_pairs(monkeypatch):
+    """On 200 random report pairs, and on zeros exactly the match radius
+    apart, every relation and mode gives what a loop over all pairs gives,
+    down to the ambiguous match it refuses."""
+    rng = np.random.default_rng(30)
+    r = verify._MATCH_RADIUS
+    pairs = [_random_report_pair(rng, trial) for trial in range(200)]
+    pairs.append((_zero_report([(0j, 1), (0.5j, 2)]),
+                  _zero_report([(complex(r, 0), 1), (complex(0, 0.5 + r), 3)])))
+    ambiguous = (_zero_report([(0.1 + 0.2j, 1)]),
+                 _zero_report([(complex(0.1, 0.2 + r / 2), 1), (complex(0.1, 0.2 - r / 2), 1)]))
+    pairs.append(ambiguous)
+    swept = [_compare_outcomes(ra, rb) for ra, rb in pairs]
+    monkeypatch.setattr(verify, "_containment", _containment_by_loop)
+    assert swept == [_compare_outcomes(ra, rb) for ra, rb in pairs]
+    assert swept[-1][0].startswith("ambiguous match: zero 0.1+0.2j pairs")
+    assert sum(isinstance(outcomes[0], str) for outcomes in swept) <= 5  # most pairs compare
+
+
+def test_zero_set_compare_on_a_long_vertical_line():
+    """4,000 zeros i pi k, each matched by a zero 1e-9 above it."""
+    za = [(complex(0, math.pi * k), 1) for k in range(-2000, 2000)]
+    zb = [(z + 1e-9j, 2) for z, _ in za]
+    cmp = zero_set_compare(_zero_report(za), _zero_report(zb), "equal", "ignoring")
+    assert cmp.verdict and len(cmp.matched) == 4000
 
 
 def test_zero_compare_bad_relation():
