@@ -59,6 +59,7 @@ from .scalars import (
 )
 from .series import LaurentSeries, exp_series
 from .wp import (
+    Invariants,
     check_range,
     engine_for,
     invariants_from_case,
@@ -101,10 +102,6 @@ class FamilyParams:
 def _format_param(v) -> object:
     if isinstance(v, (int, str)):
         return v
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, RationalComplex):
-        return str(v)
     if isinstance(v, complex):
         return format_complex(v)
     if isinstance(v, float):
@@ -127,7 +124,6 @@ class SolutionFamily:
     params: FamilyParams
     exact_residual: Optional[RingResidual] = None
     h: Optional[Expr] = None
-    ell: Optional[int] = None
     beta: Optional[Expr] = None
 
     def residual_expr(self) -> Expr:
@@ -435,7 +431,7 @@ def _lowered_series(family: SolutionFamily, order: int, residual: Expr):
         if family.kind == "corollary":
             dbeta = differentiate(slot)
             df = fs.differentiate()
-            values[g] = _times(lower(family.h), _times(lower(dbeta), df) ** family.ell)
+            values[g] = _times(lower(family.h), _times(lower(dbeta), df) ** family.params.ell)
         return fs, lower(g), lower(residual)
     except _NotLowerable:
         return None
@@ -446,7 +442,9 @@ def _lowered_series(family: SolutionFamily, order: int, residual: Expr):
         inverses.clear()
 
 
-def _slot_label(expr: Expr) -> str:
+def _slot_label(expr: Optional[Expr]) -> str:
+    if expr is None:
+        return "constant"
     if expr is W:
         return "w"
     if isinstance(expr, Exp) and expr.arg is W:
@@ -482,6 +480,26 @@ MAX_M_ONE_EXPONENT = 16
 MAX_PAIR_EXPONENT = 700
 
 
+def _family(family_id, kind, m, n, f, g, beta, exact_residual=None, h=None, **params):
+    """The SolutionFamily of a builder's formulas: ``params`` and the slot
+    label read off ``beta`` make its FamilyParams."""
+    return SolutionFamily(
+        family_id, kind, m, n, f, g, FamilyParams(slot=_slot_label(beta), **params),
+        exact_residual, h, beta,
+    )
+
+
+def _elliptic(inv: Invariants, slot: str):
+    """(beta, wp(beta), wp'(beta)) on the engine of ``inv`` for the slot
+    named ``slot``, and the ring (1, P, X) of that engine's cubic,
+    X^2 -> 4P^3 - g2 P - g3; the ring is None for float invariants."""
+    beta = _slot_expr(slot)
+    eng = engine_for(inv)
+    cubic = [-inv.g3, -inv.g2, 0, 4]
+    exact = all(map(is_exact_scalar, cubic))
+    return beta, Wp(eng, beta), WpPrime(eng, beta), ring(cubic) if exact else None
+
+
 def build_case_i(slot: str = "exp") -> SolutionFamily:
     """Degree-(2,2) pair f = (1-a^2)/(1+a^2), g = 2a/(1+a^2) for a
     meromorphic parameter a, the slot: the identity is rational in a."""
@@ -489,16 +507,7 @@ def build_case_i(slot: str = "exp") -> SolutionFamily:
     one = Const(1)
     f = (one - alpha**2) / (one + alpha**2)
     g = (Const(2) * alpha) / (one + alpha**2)
-    return SolutionFamily(
-        family_id="case1",
-        kind="fermat",
-        m=2,
-        n=2,
-        f=f,
-        g=g,
-        params=FamilyParams(slot=_slot_label(alpha)),
-        beta=alpha,
-    )
+    return _family("case1", "fermat", 2, 2, f, g, alpha)
 
 
 def build_case_ii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
@@ -506,31 +515,15 @@ def build_case_ii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     f = (3 + sqrt(3) X)/(6 P), g = eta (3 - sqrt(3) X)/(6 P)."""
     if eta_index not in (0, 1, 2):
         raise ValueError("eta_index must be 0, 1 or 2")
-    beta = _slot_expr(slot)
-    inv = invariants_from_case("II")
-    eng = engine_for(inv)
-    p = Wp(eng, beta)
-    x = WpPrime(eng, beta)
+    beta, p, x, (one, P, X) = _elliptic(invariants_from_case("II"), slot)  # X^2 -> 4P^3 - 1
     eta = ETA[eta_index]
     f = (Const(3) + Const(SQRT3) * x) / (Const(6) * p)
     g = Const(eta) * (Const(3) - Const(SQRT3) * x) / (Const(6) * p)
-    one, P, X = ring([-inv.g3, -inv.g2, 0, 4])  # X^2 -> 4P^3 - 1
     elem = (
         one.scale(54) + (X * X).scale(54) - (P * P * P).scale(216)
     )  # parity pairing of (3 + s X)^3 + (3 - s X)^3 with s^2 = 3, eta^3 = 1
-    return SolutionFamily(
-        family_id="case2",
-        kind="fermat",
-        m=3,
-        n=3,
-        f=f,
-        g=g,
-        params=FamilyParams(eta_index=eta_index, slot=_slot_label(beta)),
-        beta=beta,
-        exact_residual=RingResidual(
-            elem, "54 + 54 X^2 - 216 P^3 with X^2 -> 4P^3 - 1"
-        ),
-    )
+    residual = RingResidual(elem, "54 + 54 X^2 - 216 P^3 with X^2 -> 4P^3 - 1")
+    return _family("case2", "fermat", 3, 3, f, g, beta, residual, eta_index=eta_index)
 
 
 def build_case_iii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
@@ -538,30 +531,16 @@ def build_case_iii(eta_index: int = 0, slot: str = "w") -> SolutionFamily:
     f = i X, g = eta 4^(1/3) P."""
     if eta_index not in (0, 1, 2):
         raise ValueError("eta_index must be 0, 1 or 2")
-    beta = _slot_expr(slot)
-    inv = invariants_from_case("III")
-    eng = engine_for(inv)
-    p = Wp(eng, beta)
-    x = WpPrime(eng, beta)
+    beta, p, x, (one, P, X) = _elliptic(invariants_from_case("III"), slot)
     eta = ETA[eta_index]
     f = Const(1j) * x
     g = Const(eta * CBRT4) * p
-    one, P, X = ring([-inv.g3, -inv.g2, 0, 4])
     xi = X.scale(RationalComplex(0, 1))
     elem = (xi * xi) + (P * P * P).scale(4) - one  # (iX)^2 + 4P^3 - 1
-    return SolutionFamily(
-        family_id="case3",
-        kind="fermat",
-        m=2,
-        n=3,
-        f=f,
-        g=g,
-        params=FamilyParams(eta_index=eta_index, slot=_slot_label(beta)),
-        beta=beta,
-        exact_residual=RingResidual(
-            elem, "(iX)^2 + 4P^3 - 1 with X^2 -> 4P^3 - 1 (cube of eta and of 4^(1/3) rationalized)"
-        ),
+    residual = RingResidual(
+        elem, "(iX)^2 + 4P^3 - 1 with X^2 -> 4P^3 - 1 (cube of eta and of 4^(1/3) rationalized)"
     )
+    return _family("case3", "fermat", 2, 3, f, g, beta, residual, eta_index=eta_index)
 
 
 def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> SolutionFamily:
@@ -574,11 +553,7 @@ def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
         raise ValueError("variant must be 1 or 2")
     if zeta_index not in (0, 1, 2, 3):
         raise ValueError("zeta_index must be 0..3")
-    beta = _slot_expr(slot)
-    inv = invariants_from_case("IV")
-    eng = engine_for(inv)
-    p = Wp(eng, beta)
-    x = WpPrime(eng, beta)
+    beta, p, x, (one, P, X) = _elliptic(invariants_from_case("IV"), slot)
     zeta = ZETA[zeta_index]
     third = Fraction(1, 3)
     twelfth = Fraction(1, 12)
@@ -592,7 +567,6 @@ def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
             Const(4) * p**2
         )
         g = (Const(zeta * 1j) * x) / (Const(2) * p)
-    one, P, X = ring([-inv.g3, -inv.g2, 0, 4])
     d = X * X  # D is the cubic itself; zeta^4 = 1 leaves 16 P^4
     p3 = P * P * P
     p4 = (p3 * P).scale(16)
@@ -604,19 +578,8 @@ def build_case_iv(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
         m = p3.scale(4) - P.scale(twelfth) - one.scale(third)
         elem = d * d - m * m - p4
         desc = "D^2 - M^2 - 16 P^4, M = 4P^3 - P/12 - 1/3, D = 4P^3 + P/12 + 1/6"
-    return SolutionFamily(
-        family_id="case4",
-        kind="fermat",
-        m=2,
-        n=4,
-        f=f,
-        g=g,
-        params=FamilyParams(
-            zeta_index=zeta_index, variant=variant, slot=_slot_label(beta)
-        ),
-        exact_residual=RingResidual(elem, desc),
-        beta=beta,
-    )
+    return _family("case4", "fermat", 2, 4, f, g, beta, RingResidual(elem, desc),
+                   zeta_index=zeta_index, variant=variant)
 
 
 def swapped(fam: SolutionFamily, new_id: str) -> SolutionFamily:
@@ -634,15 +597,16 @@ def build_case_vi(variant: int = 1, zeta_index: int = 0, slot: str = "w") -> Sol
 
 def _quadratic_ratio_diff(rho):
     """(rho1/rho2, rho1 - rho2) for rho_1,2 = rho +/- sqrt(rho^2 - 1): exact
-    Fractions when rho is rational with rational sqrt(rho^2 - 1), complex
-    floats otherwise."""
-    rc = RationalComplex.coerce(rho) if is_exact_scalar(rho) else None
-    root = rational_sqrt(rc.re * rc.re - 1) if rc is not None and rc.is_real else None
-    if root is not None:
-        if root == 0:
-            raise ValueError("rho^2 == 1 is excluded")
-        rho1, rho2 = rc.re + root, rc.re - root
-        return rho1 / rho2, rho1 - rho2
+    when rho and sqrt(rho^2 - 1) lie in Q(i), complex floats otherwise."""
+    if is_exact_scalar(rho):
+        rc = RationalComplex.coerce(rho)
+        rho = rc.re if rc.is_real else rc
+        root = rational_sqrt(rho * rho - 1)
+        if root is not None:
+            if root == 0:
+                raise ValueError("rho^2 == 1 is excluded")
+            rho1, rho2 = rho + root, rho - root
+            return rho1 / rho2, rho1 - rho2
     rho_c = complex(rho)
     if abs(rho_c * rho_c - 1.0) <= 1e-12:
         raise ValueError("rho^2 == 1 is excluded")
@@ -658,7 +622,7 @@ def build_quadratic(
 
     ``sign`` selects the equation being tested: "plus" for +2 rho f g,
     "minus" for -2 rho f g.  The constants are exact when rho and
-    sqrt(rho^2 - 1) are rational, which is when the series route applies.
+    sqrt(rho^2 - 1) lie in Q(i), which is when the series route applies.
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
@@ -668,27 +632,14 @@ def build_quadratic(
     h = Exp(beta)
     f = (h**2 - Const(ratio)) / (Const(1 - ratio) * h)
     g = (h**2 - Const(1)) / (Const(diff) * h)
-    return SolutionFamily(
-        family_id="quadratic",
-        kind="quadratic",
-        m=2,
-        n=2,
-        f=f,
-        g=g,
-        params=FamilyParams(rho=rho, sign=sign, slot=_slot_label(beta)),
-        beta=beta,
-    )
+    return _family("quadratic", "quadratic", 2, 2, f, g, beta, rho=rho, sign=sign)
 
 
 def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
     """Pair solving f^3 - 3 tau f g + g^3 = 1:
     f, g = (-3 tau 4^(1/3) P + 36 + 9 tau^3 +/- X) / (6 (4^(1/3) P + 9 tau^2))
     on the tau-family invariants."""
-    beta = _slot_expr(slot)
-    inv = invariants_from_tau(tau)
-    eng = engine_for(inv)
-    p = Wp(eng, beta)
-    x = WpPrime(eng, beta)
+    beta, p, x, _ = _elliptic(invariants_from_tau(tau), slot)
     tc = complex(tau)
     num_even = Const(-3.0 * tc * CBRT4) * p + Const(36.0 + 9.0 * tc**3)
     den = Const(6.0) * (Const(CBRT4) * p + Const(9.0 * tc**2))
@@ -716,17 +667,7 @@ def build_cubic(tau=0, slot: str = "w") -> SolutionFamily:
             "a = -3 tau U + 36 + 9 tau^3, d = 6U + 54 tau^2, "
             "X^2 -> U^3 + 27 tau (8 - tau^3) U + 54 (tau^6 + 20 tau^3 - 8)",
         )
-    return SolutionFamily(
-        family_id="cubic",
-        kind="cubic",
-        m=3,
-        n=3,
-        f=f,
-        g=g,
-        params=FamilyParams(tau=tau, slot=_slot_label(beta)),
-        exact_residual=recipe,
-        beta=beta,
-    )
+    return _family("cubic", "cubic", 3, 3, f, g, beta, recipe, tau=tau)
 
 
 def build_unit_unit(slot: str = "w") -> SolutionFamily:
@@ -736,16 +677,7 @@ def build_unit_unit(slot: str = "w") -> SolutionFamily:
     one = Const(1)
     f = one / (one + u)
     g = u / (one + u)
-    return SolutionFamily(
-        family_id="unit-unit",
-        kind="fermat",
-        m=1,
-        n=1,
-        f=f,
-        g=g,
-        params=FamilyParams(slot=_slot_label(beta)),
-        beta=beta,
-    )
+    return _family("unit-unit", "fermat", 1, 1, f, g, beta)
 
 
 def build_m_one(m: int = 3, slot: str = "w") -> SolutionFamily:
@@ -758,16 +690,7 @@ def build_m_one(m: int = 3, slot: str = "w") -> SolutionFamily:
     beta = _slot_expr(slot)
     f = Exp(beta)
     g = Const(1) - Exp(Const(m) * beta)
-    return SolutionFamily(
-        family_id="m-one",
-        kind="fermat",
-        m=m,
-        n=1,
-        f=f,
-        g=g,
-        params=FamilyParams(exponent=m, slot=_slot_label(beta)),
-        beta=beta,
-    )
+    return _family("m-one", "fermat", m, 1, f, g, beta, exponent=m)
 
 
 def build_picard_pair(m: int = 3, n: int = 2, gamma=None, delta=None) -> SolutionFamily:
@@ -787,15 +710,7 @@ def build_picard_pair(m: int = 3, n: int = 2, gamma=None, delta=None) -> Solutio
         raise ValueError("picard-pair constants must satisfy e^gamma + e^delta = 1")
     f = Const(cmath.exp(gc / m))
     g = Const(cmath.exp(dc / n))
-    return SolutionFamily(
-        family_id="picard-pair",
-        kind="fermat",
-        m=m,
-        n=n,
-        f=f,
-        g=g,
-        params=FamilyParams(gamma=gc, delta=dc, slot="constant"),
-    )
+    return _family("picard-pair", "fermat", m, n, f, g, None, gamma=gc, delta=dc)
 
 
 def build_corollary_witness(ell: int = 1, slot: str = "w") -> SolutionFamily:
@@ -816,18 +731,7 @@ def build_corollary_witness(ell: int = 1, slot: str = "w") -> SolutionFamily:
         # keep h * (d/dw f) matched to the identity after reparametrization
         h = h / differentiate(beta)
     g = h * differentiate(f) ** ell
-    return SolutionFamily(
-        family_id="corollary",
-        kind="corollary",
-        m=2,
-        n=2,
-        f=f,
-        g=g,
-        params=FamilyParams(ell=ell, slot=_slot_label(beta)),
-        h=h,
-        ell=ell,
-        beta=beta,
-    )
+    return _family("corollary", "corollary", 2, 2, f, g, beta, h=h, ell=ell)
 
 
 # ---------------------------------------------------------------------------

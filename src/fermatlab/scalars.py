@@ -302,12 +302,23 @@ def complex_agm(a: complex, b: complex) -> complex:
     raise ConvergenceError(f"AGM did not converge within {_AGM_MAX_ITER} iterations")
 
 
-def rational_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
+def rational_sqrt(x):
+    """Principal square root of a Gaussian rational when it lies in Q(i),
+    else None: a Fraction when the root is real, a RationalComplex
+    otherwise.  (u + v i)^2 = x holds with u^2 = (|x| + Re x)/2 and
+    v^2 = (|x| - Re x)/2, v taking the sign of Im x, so the root lies in
+    Q(i) exactly when |x|, u and v are rational."""
+
+    def root(q: Fraction):
+        num, den = q.numerator, q.denominator
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        return Fraction(rn, rd) if rn * rn == num and rd * rd == den else None
+
+    z = RationalComplex.coerce(x)
+    norm = root(z.abs2())
+    if norm is None:
         return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    u, v = root((norm + z.re) / 2), root((norm - z.re) / 2)
+    if u is None or v is None:
+        return None
+    return u if v == 0 else RationalComplex(u, -v if z.im < 0 else v)

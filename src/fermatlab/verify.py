@@ -13,9 +13,10 @@ by its boundary winding and locates a lone zero by the contour moments of
 the logarithmic derivative, certifies every reported multiplicity by a
 small-circle winding number, refines each location by the winding
 centroid, takes the denominator's order at the zero from its winding on
-the same circle, and reconciles the interior count (zeros minus elliptic
-pole orders), which the leaf cells and their circles give on their own
-contours, against the winding of the window's boundary.  Any ambiguity --
+a circle of the same radius centred on the reported zero, and reconciles
+the interior count (zeros minus elliptic pole orders), which the leaf
+cells and their circles give on their own contours, against the winding
+of the window's boundary.  Any ambiguity --
 near-boundary zeros, unresolvable phase tracking, zeros too close to
 separate, count mismatch -- raises AnalyzerError rather than guessing.
 The work that depends on the expression alone (clearing denominators, the
@@ -30,7 +31,7 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -239,14 +240,13 @@ def _relative_scan(
     check: str,
     family: SolutionFamily,
     residual: Expr,
-    scale_terms: Sequence[tuple[Expr, float]],
     window: ScanWindow,
     tol: float,
     pole_ceiling: float,
     exclusion_budget: float,
     keep_samples: bool,
 ) -> ScanReport:
-    """Shared core: rel = |residual| / (1 + sum |term|^power) over the grid.
+    """Shared core: rel = |residual| / (1 + |f|^m + |g|^n) over the grid.
 
     The grid is scanned in blocks of _SCAN_BLOCK points, each built from the
     grid rows that hold it, so a scan keeps rel and excluded per point and
@@ -262,7 +262,8 @@ def _relative_scan(
     re, im = window._axes()
     n_re, n_im = re.size, im.size
     n = n_re * n_im
-    exprs = [residual] + [t for t, _ in scale_terms]
+    powers = (float(family.m), float(family.n))
+    exprs = [residual, family.f, family.g]
     denos = denominators(residual)
     nodes = Schedule((*exprs, *denos, *wp_nodes(residual)))
     n_vals, n_guards = len(exprs), len(exprs) + len(denos)
@@ -279,7 +280,7 @@ def _relative_scan(
                                     window.soft_exclusion, pole_ceiling, counts)
         rv = vals[0]
         scale = np.ones(rv.shape, dtype=float)
-        for tv, (_, power) in zip(vals[1:], scale_terms):
+        for tv, power in zip(vals[1:], powers):
             scale = scale + np.abs(tv) ** power
         with np.errstate(invalid="ignore", over="ignore"):
             r = np.abs(rv) / scale
@@ -354,7 +355,6 @@ def residual_scan(
         "residual",
         family,
         family.residual_expr(),
-        [(family.f, float(family.m)), (family.g, float(family.n))],
         window,
         tol,
         pole_ceiling,
@@ -382,7 +382,6 @@ def derivative_identity_scan(
         "derivative-identity",
         family,
         family.derivative_identity_expr(),
-        [(family.f, float(family.m)), (family.g, float(family.n))],
         window,
         tol,
         pole_ceiling,
@@ -858,7 +857,8 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     Delves-Lyness method).  Each such zero is certified by a small circle
     whose winding must equal the cell's count, and its location is that
     circle's winding centroid.  D's order k_D at a zero of N of multiplicity
-    k_N is D's winding on the same circle (negative at a pole of D): when
+    k_N is D's winding on a circle of the same radius centred on the
+    reported zero (negative at a pole of D): when
     k_N - k_D > 0 the zero is reported as a zero of that multiplicity, else
     as cancelled with multiplicity k_N.  The window is the root cell, and
     its edges' winding is ``boundary_total``; the interior total, which the
@@ -866,9 +866,9 @@ def zero_scan(expr: Expr, window: ScanWindow = ScanWindow()) -> ZeroReport:
     reconciled against it.  A window is refused where N is exactly 0 or not
     finite at a node of a contour, or where a zero lies too near a contour
     for _PHASE_PASSES passes of phase tracking to resolve; and where D's
-    winding on a zero's circle is not close to an integer, or D has a zero
-    or pole inside that circle anywhere but at the zero.  Only the window's
-    bounds are read, and a window over MAX_ZERO_BOUNDARY_NODES or
+    winding on that circle is not close to an integer, or D has a zero or
+    pole inside it anywhere but at the zero.  Only the window's bounds are
+    read, and a window over MAX_ZERO_BOUNDARY_NODES or
     MAX_ZERO_LATTICE_POINTS is refused before any contour work.
     """
     pair, den_pair, engines = _compiled(expr)

@@ -15,7 +15,18 @@ from hypothesis import strategies as st
 
 from fermatlab import families
 from fermatlab.errors import DegenerateLatticeError
-from fermatlab.exprs import ONE, Const, Exp, W, Wp, differentiate, evaluate
+from fermatlab.exprs import (
+    ONE,
+    Atom,
+    Const,
+    Exp,
+    Pow,
+    W,
+    Wp,
+    differentiate,
+    distinct_nodes,
+    evaluate,
+)
 from fermatlab.families import (
     CATALOG,
     FAMILY_IDS,
@@ -388,6 +399,56 @@ def test_exact_verdicts_keep_their_digest():
     assert (count, digest.hexdigest()) == (156, EXACT_VERDICTS_DIGEST)
 
 
+def _dag_lines(expr):
+    """One line per distinct node of the tree, in preorder: the node's
+    class, a Const's float.hex parts and exact value, an atom's engine
+    invariants, a power's exponent, then the indices of its children."""
+    nodes = list(distinct_nodes(expr))
+    index = {id(node): i for i, node in enumerate(nodes)}
+    for node in nodes:
+        line = [type(node).__name__]
+        if isinstance(node, Const):
+            line += [node.value.real.hex(), node.value.imag.hex(),
+                     type(node.exact).__name__, str(node.exact)]
+        elif isinstance(node, Atom) and node.engine is not None:
+            inv = node.engine.invariants
+            line += [repr(inv.g2), repr(inv.g3)]
+        elif isinstance(node, Pow):
+            line.append(str(node.k))
+        line += [str(index[id(child)]) for child in node.children()]
+        yield " ".join(line)
+
+
+#: SHA-256 over the definition of every CATALOG row in each slot its family
+#: takes: id, kind, exponents, params.to_dict(), the node tables of f, g, h,
+#: the residual and (for f^m + g^n = 1 kinds) its derivative identity, and
+#: the ring residual's description and element
+CATALOG_DEFINITIONS_DIGEST = "6f2b0e3bd1375329cf734525ead8bb87faf01659039577b3ec91b97b6618e143"
+
+
+def test_catalog_definitions_keep_their_digest():
+    """Every catalog tree keeps every node, constant bit and engine, and
+    every ring residual every coefficient."""
+    digest, count = hashlib.sha256(), 0
+    for _, family_id, params, _ in CATALOG:
+        takes_slot = "slot" in inspect.signature(families._BUILDERS[family_id]).parameters
+        for slot in ({"slot": "w"}, {"slot": "exp"}) if takes_slot else ({},):
+            fam = build_family(family_id, **params, **slot)
+            head = [fam.family_id, fam.kind, fam.m, fam.n, fam.params.to_dict()]
+            lines = [json.dumps(head, sort_keys=True)]
+            trees = [fam.f, fam.g, fam.h, fam.residual_expr()]
+            if fam.kind in ("fermat", "corollary"):
+                trees.append(fam.derivative_identity_expr())
+            for tree in trees:
+                lines += ["tree"] + ([] if tree is None else list(_dag_lines(tree)))
+            res = fam.exact_residual
+            if res is not None:
+                lines += [res.description, repr(res.element)]
+            digest.update("\n".join(lines).encode() + b"\n\n")
+            count += 1
+    assert (count, digest.hexdigest()) == (39, CATALOG_DEFINITIONS_DIGEST)
+
+
 # -- variant invariance ------------------------------------------------------
 
 
@@ -448,9 +509,42 @@ def test_quadratic_pythagorean_rhos_certify(t):
     assert verdict.verdict == "ZERO"
 
 
+#: (rho, the principal sqrt(rho^2 - 1)) where the root lies in Q(i) but is
+#: not real; rho = 0 gives f = cosh, g = -i sinh, the classical f^2 + g^2 = 1
+GAUSSIAN_ROOT_RHOS = [
+    (Fraction(0), RationalComplex(0, 1)),
+    (Fraction(3, 5), RationalComplex(0, Fraction(4, 5))),
+    (Fraction(-3, 5), RationalComplex(0, Fraction(4, 5))),
+    (RationalComplex(0, Fraction(3, 4)), RationalComplex(0, Fraction(5, 4))),
+    (RationalComplex(0, Fraction(-3, 4)), RationalComplex(0, Fraction(5, 4))),
+]
+
+
+@pytest.mark.parametrize("rho,root", GAUSSIAN_ROOT_RHOS, ids=str)
+def test_quadratic_gaussian_square_roots_are_exact(rho, root):
+    """Sign plus certifies.  Sign minus leaves the residual -4 rho f g with
+    f = (h^2 - r)/((1 - r) h), g = (h^2 - 1)/(d h), h = e^t, whose t^n
+    coefficient is -4 rho (2^n + r (-2)^n)/(n! (1 - r) d), r = rho1/rho2
+    and d = rho1 - rho2; it vanishes only at rho = 0."""
+    plus = adjudicate(build_family("quadratic", rho=rho, sign="plus"))
+    minus = adjudicate(build_family("quadratic", rho=rho, sign="minus"))
+    assert (plus.verdict, plus.route) == ("ZERO", "series")
+    assert minus.route == "series"
+    if rho == 0:
+        assert minus.verdict == "ZERO"
+        return
+    rho1, rho2 = rho + root, rho - root
+    r, d = rho1 / rho2, rho1 - rho2
+    want = [[n, str(-4 * (2**n + r * (-2) ** n) * rho / (math.factorial(n) * (1 - r) * d))]
+            for n in range(1, 5)]
+    assert (minus.verdict, minus.series_leading) == ("NONZERO", want)
+
+
 def test_quadratic_irrational_square_root_is_unavailable():
-    fam = build_family("quadratic", rho=Fraction(2))
-    assert adjudicate(fam).verdict == "UNAVAILABLE"
+    for rho in (Fraction(2), Fraction(3), RationalComplex(Fraction(1, 2), Fraction(1, 3))):
+        for sign in ("plus", "minus"):
+            fam = build_family("quadratic", rho=rho, sign=sign)
+            assert adjudicate(fam).verdict == "UNAVAILABLE"
 
 
 def test_quadratic_rho_one_excluded():
@@ -585,7 +679,7 @@ def test_picard_invalid_constants_rejected():
 
 def test_corollary_witness_identity():
     fam = build_family("corollary")
-    assert fam.h is not None and fam.ell == 1
+    assert fam.h is not None and fam.params.ell == 1
     df = differentiate(fam.f)
     for z in SAMPLE_POINTS:
         fv = evaluate(fam.f, z)

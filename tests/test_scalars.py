@@ -188,6 +188,22 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 16)) == Fraction(3, 4)
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(0)) == 0
+    assert rational_sqrt(Fraction(-16, 25)) == RationalComplex(0, Fraction(4, 5))
+    assert rational_sqrt(RationalComplex(-3, 4)) == RationalComplex(1, 2)
+    assert rational_sqrt(RationalComplex(-3, -4)) == RationalComplex(1, -2)
+
+
+@given(gaussians(), st.sampled_from([2, 3, -3, RationalComplex(0, 1),
+                                     RationalComplex(0, -1), RationalComplex(0, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_rational_sqrt_round_trip(a, non_square):
+    """The root of a^2 is a or -a, the principal one; a^2 times a number
+    that is no square in Q(i) has none."""
+    root = RationalComplex.coerce(rational_sqrt(a * a))
+    assert root in (a, -a)
+    assert root.re > 0 or (root.re == 0 and root.im >= 0)
+    if not a.is_zero:
+        assert rational_sqrt(a * a * non_square) is None
 
 
 def test_rho_five_fourths_has_rational_root():
